@@ -3,7 +3,7 @@
 Unknown keys are rejected rather than ignored so a typo cannot silently
 fall back to a default.  The defaults reproduce the reference setup
 (N=100 Lorentzian bath, A=0.018, Omega=1, beta=1) on a grid of 2000
-steps of tau_Omega/40.
+steps of 2*pi/40, a fixed step that equals tau_Omega/40 only at Omega = 1.
 """
 
 from __future__ import annotations
@@ -80,9 +80,12 @@ def _to_int(key: str, raw: str, line_no: int, minimum: int) -> int:
 
 def _to_float(key: str, raw: str, line_no: int) -> float:
     try:
-        return float(raw)
+        val = float(raw)
     except ValueError:
         raise InvalidValue(f"line {line_no}: {key} must be a number, got {raw!r}")
+    if not abs(val) < float("inf"):  # nan fails the comparison too
+        raise InvalidValue(f"line {line_no}: {key} must be finite, got {raw!r}")
+    return val
 
 
 def _to_float_list(key: str, raw: str, line_no: int) -> tuple[float, ...]:

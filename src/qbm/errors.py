@@ -59,7 +59,7 @@ class RootNotBracketed(QbmError):
 
 
 class ToleranceNotReached(QbmError):
-    """Bisection exhausted its iteration budget before the width target."""
+    """The secular iteration exhausted its budget before every root converged."""
 
 
 class NoConvergence(QbmError):

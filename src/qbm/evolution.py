@@ -32,6 +32,8 @@ from .series import TimeGrid, TimeSeries
 from .spectrum import Spectrum, overlap_matrix
 
 _NAIVE_LIMIT = 32
+_T_CHUNK = 512  # times per phase block of the row-0 kernel
+_M_BLOCK = 2048  # bath modes per kernel block
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,21 +167,43 @@ def population_series(
     return out
 
 
-def _row0_probabilities(spec: Spectrum, ts: np.ndarray) -> np.ndarray:
-    """P_{Omega,m}(t) for all m over an array of times, shape (N+1, T).
-    Row 0 of U(t) is U_0m = sum_nu sqrt(w_nu) c_nu(m) e^{-i alpha_nu t}."""
-    c = overlap_matrix(spec)
-    amp = (np.sqrt(spec.weights)[:, None] * c).T @ np.exp(
-        -1j * np.outer(spec.alphas, ts)
-    )
-    return amp.real**2 + amp.imag**2
+def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_m P_{Omega,m}(t) v[m, k] for each column k of v, shape (k, T).
+    Row 0 of U(t) is U_0m = sum_nu K_num e^{-i alpha_nu t}, K_nu0 = w_nu and
+    K_num = w_nu g_m / (alpha_nu - omega_m): per chunk of times one real
+    phase block [w cos(t alpha); w sin(t alpha)] meets 1/(omega_m - alpha_nu),
+    built per block of modes, in real GEMMs (g_m^2 moves onto v; a column's
+    sign drops out of |U_0m|^2).  Fixed blocks bound the memory in N and T."""
+    al, om = spec.alphas, spec.bath.omegas
+    vg = v[1:] * (spec.bath.couplings**2)[:, None]
+    out = np.empty((v.shape[1], ts.size))
+    nt, nm = min(_T_CHUNK, ts.size), min(_M_BLOCK, om.size)
+    phase, kern, amp = np.empty((2 * nt, al.size)), np.empty((nm, al.size)), np.empty((2 * nt, nm))
+    for t0 in range(0, ts.size, _T_CHUNK):
+        t = ts[t0 : t0 + _T_CHUNK]
+        e = phase[: 2 * t.size]
+        np.multiply.outer(t, al, out=e[: t.size])
+        np.sin(e[: t.size], out=e[t.size :])
+        np.cos(e[: t.size], out=e[: t.size])
+        e *= spec.weights
+        a0 = np.square(e.sum(axis=1))
+        acc = np.multiply.outer(a0[: t.size] + a0[t.size :], v[0])
+        for m0 in range(0, om.size, nm):
+            k = np.subtract.outer(om[m0 : m0 + nm], al, out=kern[: min(nm, om.size - m0)])
+            np.divide(1.0, k, out=k)
+            a = np.matmul(e, k.T, out=amp[: e.shape[0], : k.shape[0]])
+            np.square(a, out=a)
+            np.add(a[: t.size], a[t.size :], out=a[: t.size])
+            acc += a[: t.size] @ vg[m0 : m0 + nm]
+        out[:, t0 : t0 + t.size] = acc.T
+    return out
 
 
 def oscillator_population(spec: Spectrum, occ0: InitialOccupations, times) -> np.ndarray:
     """<N_Omega(t)> over an array of times.  Uses only row 0 of the
     transition matrix, O(N^2) per time."""
     ts = np.atleast_1d(np.asarray(times, dtype=float))
-    return occ0.vector @ _row0_probabilities(spec, ts)
+    return _row0_contract(spec, ts, occ0.vector[:, None])[0]
 
 
 def population_decomposition(
@@ -199,11 +223,10 @@ def population_decomposition(
     if occ0 is None or grid is None:
         raise ValueError("occ0 and grid are required")
     ts = grid.times()
-    row_p = _row0_probabilities(spec, ts)
     n0 = occ0.vector
-    surviving = row_p[0, :] * n0[0]
-    influx = row_p[1:, :].T @ n0[1:]
-    total = n0 @ row_p
+    v = np.zeros((n0.size, 3))
+    v[:, 0], v[0, 1], v[1:, 2] = n0, n0[0], n0[1:]
+    total, surviving, influx = _row0_contract(spec, ts, v)
     return (
         TimeSeries(name="population_total", t=ts, value=total),
         TimeSeries(name="population_surviving", t=ts, value=surviving),

@@ -183,16 +183,17 @@ def mean_position(spec: Spectrum, inp: LangevinInput, t):
     """Deterministic mean path
 
         X(t) = sum_nu w_nu cos(alpha_nu t) X(0)
-             + sum_nu w_nu sin(alpha_nu t) P(0)/M,
+             + sum_nu w_nu sin(alpha_nu t) P(0)/(M Omega),
 
-    with the fluctuating force averaging to zero.  Linear in (X(0), P(0))
+    with the fluctuating force averaging to zero, so that X'(0) = P(0)/M
+    by the sum rule sum_nu alpha_nu w_nu = Omega.  Linear in (X(0), P(0))
     by construction.
     """
     ts = np.asarray(t, dtype=float)
     arg = np.multiply.outer(ts, spec.alphas)
     cos_sum = np.cos(arg) @ spec.weights
     sin_sum = np.sin(arg) @ spec.weights
-    val = cos_sum * inp.x0 + sin_sum * (inp.p0 / inp.mass)
+    val = cos_sum * inp.x0 + sin_sum * (inp.p0 / (inp.mass * spec.omega0))
     return float(val) if ts.ndim == 0 else val
 
 

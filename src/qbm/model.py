@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import (
     DegenerateWidth,
+    InvalidValue,
     NonMonotonicGrid,
     NonPositiveFrequency,
     ZeroCoupling,
@@ -56,6 +57,9 @@ class ModelParams:
     couplings: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        lists = tuple(self.omegas or ()) + tuple(self.couplings or ())
+        if not all(map(math.isfinite, (self.step, self.omega0, self.beta) + lists)):
+            raise InvalidValue("model parameters must be finite (no nan or inf)")
         if int(self.n_bath) != self.n_bath or self.n_bath < 1:
             raise ValueError(f"n_bath must be a positive integer, got {self.n_bath}")
         if not (self.step > 0.0):
@@ -121,6 +125,8 @@ class DiscretizedBath:
             raise ValueError("omegas and couplings must be 1-d arrays of equal length")
         if om.size < 1:
             raise ValueError("bath needs at least one mode")
+        if not (np.all(np.isfinite(om)) and np.all(np.isfinite(g))):
+            raise InvalidValue("bath frequencies and couplings must be finite")
         if np.any(np.diff(om) <= 0.0):
             raise NonMonotonicGrid("bath frequencies must be strictly increasing")
         if np.any(g == 0.0):
@@ -176,9 +182,7 @@ def build_bath(params: ModelParams) -> DiscretizedBath:
         idx = np.arange(1, n_modes + 1, dtype=float)
         omegas = params.omega0 + params.step * (idx - n_modes / 2.0)
         couplings = params.step * a**2 / (a**2 + (omegas - params.omega0) ** 2)
-        if np.any(couplings == 0.0):  # cannot happen for a > 0; defensive
-            raise ZeroCoupling("lorentzian profile produced a zero coupling")
-        return DiscretizedBath(omegas, couplings, width=a)
+        return DiscretizedBath(omegas, couplings, width=a)  # rejects zero couplings
 
     # explicit rule; DiscretizedBath validates monotonicity and zeros
     return DiscretizedBath(

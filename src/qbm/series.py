@@ -12,7 +12,7 @@ class TimeGrid:
     """Uniform grid t_start + t_step * {0, 1, ..., n_steps-1}."""
 
     t_start: float = 0.0
-    t_step: float = 0.15707963267948966  # tau_Omega/40 at Omega = 1
+    t_step: float = 0.15707963267948966  # fixed 2*pi/40; tau_Omega/40 only at Omega = 1
     n_steps: int = 2000
 
     def __post_init__(self) -> None:

@@ -46,11 +46,9 @@ from .model import DiscretizedBath, hamiltonian_matrix
 
 _EPS = float(np.finfo(float).eps)
 
-# relative offset at which brackets enter an interval from its poles
-_POLE_OFFSET = 1e-13
-# relative width at which bisection stops
-_WIDTH_TOL = 1e-14
-_MAX_BISECT = 200
+_TINY = 1e-308  # g^2 below this underflows: its root cannot leave the pole
+_TILE = 64  # roots per tile of the secular sums
+_MAX_ITER = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,136 +112,107 @@ def secular_residual(alpha: float, bath: DiscretizedBath, omega0: float) -> floa
     return a - omega0 - float(np.sum(bath.couplings**2 / d))
 
 
-def _entry_point(pole: float, side: int, f) -> tuple[float, float]:
-    """Step into an interval from `pole` on the given side (+1 above, -1 below)
-    until the residual has the sign a bracket endpoint needs (negative just
-    above a pole, positive just below).  The offset starts at the standard
-    relative value and shrinks geometrically if the first try lands past the
-    root, which can happen for very weakly coupled modes."""
-    off = _POLE_OFFSET * max(1.0, abs(pole))
-    floor = 4.0 * np.spacing(max(1.0, abs(pole)))
-    for _ in range(80):
-        x = pole + side * off
-        v = f(x)
-        if side > 0 and v < 0.0:
-            return x, v
-        if side < 0 and v > 0.0:
-            return x, v
-        off *= 0.125
-        if off < floor:
-            break
-    raise RootNotBracketed(
-        f"no sign change reachable next to pole at omega = {pole!r}"
-    )
-
-
-def _expand_out(start: float, side: int, width0: float, f) -> tuple[float, float]:
-    """Find an outer endpoint with the closing sign (F > 0 above the band,
-    F < 0 below) by geometric expansion of the initial width."""
-    width = max(width0, _POLE_OFFSET * max(1.0, abs(start)))
-    for _ in range(200):
-        x = start + side * width
-        v = f(x)
-        if side > 0 and v > 0.0:
-            return x, v
-        if side < 0 and v < 0.0:
-            return x, v
-        width *= 2.0
-    raise RootNotBracketed(
-        f"no outer bracket within width {width!r} from {start!r}"
-    )
-
-
-def _bisect(f, lo: float, hi: float) -> float:
-    """Bisection on a bracket with f(lo) < 0 < f(hi), to relative width
-    1e-14, followed by up to three Newton corrections clamped to the
-    bracket.  Newton uses F'(x) = 1 + sum g^2/(x-omega)^2 >= 1, so the
-    steps are always well scaled."""
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):  # resolution floor of the grid
-            return mid
-        v = f(mid)
-        if v < 0.0:
-            lo = mid
-        elif v > 0.0:
-            hi = mid
-        else:
-            return mid
-        if (hi - lo) <= _WIDTH_TOL * max(1.0, abs(mid)):
-            return 0.5 * (lo + hi)
-    raise ToleranceNotReached(
-        f"bisection exhausted {_MAX_BISECT} iterations on [{lo!r}, {hi!r}]"
-    )
-
-
-def _polish(x: float, lo: float, hi: float, bath: DiscretizedBath, omega0: float) -> float:
-    g2 = bath.couplings**2
-    for _ in range(3):
-        d = x - bath.omegas
-        if np.any(d == 0.0):
-            return x
-        fv = x - omega0 - float(np.sum(g2 / d))
-        fp = 1.0 + float(np.sum(g2 / d**2))
-        step = fv / fp
-        xn = x - step
-        if not (lo < xn < hi):
-            return x
-        x = xn
-        if abs(step) <= _EPS * max(1.0, abs(x)):
-            break
-    return x
+def _secular_parts(om, g2, omega0, origin, tau, buf):
+    """h = alpha - omega0 - sum' g_n^2/(alpha - omega_n) and
+    h' = 1 + sum' g_n^2/(alpha - omega_n)^2, the sums skipping each root's
+    origin pole o and forming alpha - omega_n as (omega_o - omega_n) + tau.
+    Tiles of _TILE roots keep the work array buf at _TILE x N."""
+    h = om[origin] - omega0 + tau
+    hp = np.ones(tau.size)
+    for i in range(0, tau.size, _TILE):
+        o, t = origin[i : i + _TILE], tau[i : i + _TILE]
+        d = np.subtract.outer(om[o], om, out=buf[: t.size])
+        d[np.arange(t.size), o] = np.inf  # drops the origin's own term
+        d += t[:, None]
+        np.divide(1.0, d, out=d)
+        h[i : i + _TILE] -= d @ g2
+        np.square(d, out=d)
+        hp[i : i + _TILE] += d @ g2
+    return h, hp
 
 
 def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
-    """Locate all N+1 secular roots by bracketed bisection.
+    """Locate all N+1 secular roots together, each as alpha = omega_o + tau.
 
-    One bracket per interlacing interval: interior brackets enter from the
-    bounding poles at a relative offset of 1e-13, the two outer brackets
-    grow geometrically from an initial width sum_n |g_n| (the coupling
-    scale bounds how far the band edges are pushed).  Bisection holds the
-    sign invariant F(lo) < 0 < F(hi) throughout, so every root it returns
-    is certified by its final bracket.
-    """
-    om = bath.omegas
-    g = bath.couplings
+    The origin pole omega_o is the nearer bounding pole of the root's
+    interval (by the sign of F at its midpoint), or the outermost pole for
+    the roots outside the band, whose far ends come from the Gershgorin
+    bound [min(Omega, omega_1) - sum|g|, max(Omega, omega_N) + sum|g|].
+    Each step solves the two-pole model C - S/(tau - q) - g_o^2/tau = 0:
+    the origin's term exact, the rest matched in value and slope by a pole
+    at the interval's far end q (for outer roots, twice the Gershgorin
+    distance).  Steps leaving the sign bracket F(lo) < 0 < F(hi) bisect.
+    Roots leave the active set once a step moves alpha by about a rounding
+    unit; w = 1/F'(alpha) is taken at the stored alpha."""
+    om, g = bath.omegas, bath.couplings
+    g2 = g * g
     n = bath.n
+    if np.any(g2 < _TINY):
+        raise RootNotBracketed("a coupling below 1e-154 leaves its root on its pole")
+    buf = np.empty((min(_TILE, n + 1), n))
+    spread = float(np.sum(np.abs(g)))
+    outer = (min(omega0, om[0]) - spread - om[0], max(omega0, om[-1]) + spread - om[-1])
+    gaps = np.diff(om)
 
-    def f(x: float) -> float:
-        return secular_residual(x, bath, omega0)
+    # outer roots start at their Gershgorin ends, inner ones at midpoints
+    origin = np.concatenate(([0], np.arange(n)))
+    tau = np.concatenate(([outer[0]], 0.5 * gaps, [outer[1]]))
+    q = np.concatenate(([2.0 * outer[0]], gaps, [2.0 * outer[1]]))
+    lo = np.concatenate(([outer[0]], np.zeros(n)))
+    hi = np.concatenate(([0.0], 0.5 * gaps, [outer[1]]))
+    h, hp = _secular_parts(om, g2, omega0, origin, tau, buf)
 
-    alphas = np.empty(n + 1, dtype=float)
-    coupling_scale = float(np.sum(np.abs(g)))
+    # interior roots with F(mid) < 0 lie in the upper half: rebase them on
+    # the upper pole, where F(mid) < 0 makes the midpoint the lower end
+    f = h - g2[origin] / tau
+    up = np.flatnonzero(f[1:n] < 0.0) + 1
+    t_lo, g_lo, g_up = tau[up], g2[up - 1], g2[up]
+    h[up] = f[up] - g_up / t_lo
+    hp[up] += (g_lo - g_up) / t_lo**2
+    origin[up], tau[up], q[up], lo[up], hi[up] = up, -t_lo, -q[up], -t_lo, 0.0
 
-    # below the band
-    lo_x, _ = _expand_out(om[0], -1, coupling_scale + max(0.0, om[0] - omega0), f)
-    hi_x, _ = _entry_point(om[0], -1, f)
-    alphas[0] = _polish(_bisect(f, lo_x, hi_x), lo_x, hi_x, bath, omega0)
+    alphas = np.empty(n + 1)
+    act = np.arange(n + 1)
+    for _ in range(_MAX_ITER):
+        o, t, qa = origin[act], tau[act], q[act]
+        go2 = g2[o]
+        f = h - go2 / t
+        lo[act] = np.where(f < 0.0, t, lo[act])
+        hi[act] = np.where(f > 0.0, t, hi[act])
+        # two-pole model C - S/(tau - q) - g_o^2/tau = 0, i.e.
+        # C tau^2 - b tau + g_o^2 q = 0 with b = C q + S + g_o^2
+        s = hp * (t - qa) ** 2
+        c = h + s / (t - qa)
+        x = c * qa
+        b = x + s + go2
+        disc = np.where(x >= 0.0, (x - go2) ** 2 + s * (s + 2.0 * (x + go2)), b * b - 4.0 * x * go2)
+        root = np.sqrt(disc)
+        pos = b >= 0.0  # stable branch: neither form cancels
+        step = np.where(pos, 2.0 * go2 * qa, b - root) / np.where(pos, b + root, 2.0 * c)
+        a_lo, a_hi = lo[act], hi[act]
+        tol = _EPS * (np.abs(om[o]) + np.abs(t))
+        ok = (a_lo < step) & (step < a_hi) | (np.abs(step - t) <= tol)
+        step = np.where(f == 0.0, t, np.where(ok, step, 0.5 * (a_lo + a_hi)))
+        done = np.abs(step - t) <= tol
+        tau[act] = step
+        alphas[act[done]] = om[o[done]] + step[done]
+        act = act[~done]
+        if not act.size:
+            break
+        h, hp = _secular_parts(om, g2, omega0, origin[act], tau[act], buf)
+    else:
+        raise ToleranceNotReached(f"{act.size} roots unconverged after {_MAX_ITER} steps")
 
-    # interior intervals
-    for i in range(n - 1):
-        lo_x, _ = _entry_point(om[i], +1, f)
-        hi_x, _ = _entry_point(om[i + 1], -1, f)
-        if not lo_x < hi_x:
-            raise RootNotBracketed(
-                f"interval ({om[i]!r}, {om[i + 1]!r}) too narrow to bracket"
-            )
-        alphas[i + 1] = _polish(_bisect(f, lo_x, hi_x), lo_x, hi_x, bath, omega0)
-
-    # above the band
-    lo_x, _ = _entry_point(om[-1], +1, f)
-    hi_x, _ = _expand_out(om[-1], +1, coupling_scale + max(0.0, omega0 - om[-1]), f)
-    alphas[n] = _polish(_bisect(f, lo_x, hi_x), lo_x, hi_x, bath, omega0)
-
-    weights = _weights_for(alphas, bath)
+    if not (np.all(alphas[:-1] < om) and np.all(om < alphas[1:])):
+        raise RootNotBracketed("a root rounds onto its pole; its mode would need deflation")
+    weights = np.empty(n + 1)
+    for i in range(0, n + 1, _TILE):
+        a = alphas[i : i + _TILE]
+        d = np.subtract.outer(a, om, out=buf[: a.size])
+        np.divide(g, d, out=d)
+        np.square(d, out=d)
+        weights[i : i + _TILE] = 1.0 / (1.0 + np.sum(d, axis=1))
     return Spectrum(alphas=alphas, weights=weights, omega0=float(omega0), bath=bath)
-
-
-def _weights_for(alphas: np.ndarray, bath: DiscretizedBath) -> np.ndarray:
-    # w_nu = 1 / F'(alpha_nu); the denominator differences are safe because
-    # roots interlace the poles strictly.
-    d = alphas[:, None] - bath.omegas[None, :]
-    return 1.0 / (1.0 + np.sum((bath.couplings[None, :] / d) ** 2, axis=1))
 
 
 def dense_diagonalize_oracle(bath: DiscretizedBath, omega0: float) -> Spectrum:

@@ -144,6 +144,16 @@ class TestExitCodes:
         assert code == 3
         assert "NonPositiveFrequency" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_non_finite_mode_is_config_error(self, tmp_path, capsys, raw):
+        code, _ = run_cli(
+            tmp_path,
+            f"coupling = explicit\nomegas = 0.5, {raw}, 1.5\ncouplings = 0.1, 0.1, 0.1\n",
+        )
+        assert code == 2
+        assert "InvalidValue" in capsys.readouterr().err
+
     def test_bad_thread_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QBM_THREADS", "many")
         code, _ = run_cli(tmp_path, "N = 5\nn_steps = 5\noutputs = spectrum\n")

@@ -69,6 +69,21 @@ class TestErrors:
         with pytest.raises(InvalidValue):
             parse_config(text)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "Omega = {}\n",
+            "A = {}\n",
+            "beta = {}\n",
+            "coupling = explicit\nomegas = 0.5, {}, 1.5\ncouplings = 0.1, 0.1, 0.1\n",
+            "coupling = explicit\nomegas = 0.5, 1.0, 1.5\ncouplings = 0.1, {}, 0.1\n",
+        ],
+    )
+    def test_non_finite_values(self, template, raw):
+        with pytest.raises(InvalidValue, match="must be finite"):
+            parse_config(template.format(raw))
+
     def test_explicit_without_lists(self):
         with pytest.raises(InvalidValue):
             parse_config("N = 8\ncoupling = explicit\n")

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import make_random_bath
+from qbm import evolution
 from qbm import (
     ModelParams,
     TimeGrid,
@@ -135,6 +138,18 @@ class TestPopulations:
         want = population_series(small_spec, occ0, ts)[0, :]
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
+    def test_partial_blocks_match_full_propagator(self, ref_spectrum, ref_occupations, monkeypatch):
+        # blocks of 7 modes and 5 times leave a short last block of each
+        monkeypatch.setattr(evolution, "_M_BLOCK", 7)
+        monkeypatch.setattr(evolution, "_T_CHUNK", 5)
+        grid = TimeGrid(t_start=3.0, t_step=1.7, n_steps=23)
+        want = population_series(ref_spectrum, ref_occupations, grid.times())[0, :]
+        got = oscillator_population(ref_spectrum, ref_occupations, grid.times())
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+        total, _, _ = population_decomposition(ref_spectrum, occ0=ref_occupations, grid=grid)
+        np.testing.assert_allclose(total.value, want, rtol=0.0, atol=1e-13)
+        assert oscillator_population(ref_spectrum, ref_occupations, []).shape == (0,)
+
 
 class TestPopulationDecomposition:
     def test_additivity_and_survival_term(self, ref_spectrum, ref_occupations):
@@ -178,3 +193,19 @@ class TestTimeSeriesType:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             TimeSeries("x", t=np.array([0.0, 1.0]), value=np.zeros(3))
+
+
+def test_population_memory_does_not_grow_with_times():
+    bath = build_bath(ModelParams(n_bath=1000, step=0.0018))
+    spec = solve_spectrum(bath, 1.0)
+    occ = thermal_occupations(bath, 1.0, 1.0)
+    peaks = []
+    for n_times in (2048, 12733):
+        ts = 1000.0 + np.pi / 20.0 * np.arange(n_times)
+        tracemalloc.start()
+        try:
+            oscillator_population(spec, occ, ts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] == pytest.approx(peaks[0], rel=0.1)

@@ -171,6 +171,27 @@ class TestMeanPosition:
                 )
                 assert lhs == pytest.approx(rhs, abs=1e-12)
 
+    @pytest.mark.parametrize("omega0", [0.5, 1.0, 2.0])
+    def test_initial_position_and_velocity(self, omega0):
+        # X(0) = X0 and X'(0) = P0/M for any Omega (sum_nu alpha_nu w_nu = Omega)
+        bath = build_bath(
+            ModelParams.explicit([0.3, 0.8, 1.4, 2.6], [0.05, 0.1, 0.08, 0.04])
+        )
+        spec = solve_spectrum(bath, omega0)
+        inp = LangevinInput(x0=0.7, p0=1.3, mass=2.0)
+        assert mean_position(spec, inp, 0.0) == pytest.approx(0.7, abs=1e-12)
+        h = 1e-5
+        slope = (mean_position(spec, inp, h) - mean_position(spec, inp, -h)) / (2 * h)
+        assert slope == pytest.approx(1.3 / 2.0, rel=1e-7)
+
+    def test_free_oscillator_momentum_scaled_by_omega(self):
+        # Omega = 2 with one far, feebly coupled mode: X(t) = sin(2t) P0/(M Omega)
+        bath = build_bath(ModelParams.explicit([10.0], [1e-6]))
+        spec = solve_spectrum(bath, 2.0)
+        ts = np.linspace(0.0, 20.0, 200)
+        got = mean_position(spec, LangevinInput(x0=0.0, p0=1.0, mass=1.0), ts)
+        np.testing.assert_allclose(got, np.sin(2.0 * ts) / 2.0, atol=1e-10)
+
     def test_mass_validated(self):
         with pytest.raises(ValueError):
             LangevinInput(mass=0.0)

@@ -14,6 +14,7 @@ from qbm import (
 )
 from qbm.errors import (
     DegenerateWidth,
+    InvalidValue,
     NonMonotonicGrid,
     NonPositiveFrequency,
     ZeroCoupling,
@@ -116,6 +117,23 @@ class TestParamValidation:
     def test_bad_scalars(self, kwargs):
         with pytest.raises((ValueError, DegenerateWidth)):
             ModelParams(**kwargs)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidValue):
+            ModelParams.explicit([0.5, bad, 1.5], [0.1, 0.1, 0.1])
+        with pytest.raises(InvalidValue):
+            ModelParams.explicit([0.5, 1.0, 1.5], [0.1, bad, 0.1])
+        with pytest.raises(InvalidValue):
+            ModelParams.explicit([0.5, 1.0, 1.5], [0.1] * 3, omega0=bad)
+        with pytest.raises(InvalidValue):
+            ModelParams.explicit([0.5, 1.0, 1.5], [0.1] * 3, beta=bad)
+        with pytest.raises(InvalidValue):
+            ModelParams(step=bad)
+        with pytest.raises(InvalidValue):
+            DiscretizedBath([0.5, bad, 1.5], [0.1, 0.1, 0.1])
+        with pytest.raises(InvalidValue):
+            DiscretizedBath([0.5, 1.0, 1.5], [0.1, bad, 0.1])
 
     def test_lorentzian_rejects_lists(self):
         with pytest.raises(ValueError):

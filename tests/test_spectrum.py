@@ -1,5 +1,11 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import make_random_bath
 from qbm import (
@@ -14,7 +20,7 @@ from qbm import (
     secular_residual,
     solve_spectrum,
 )
-from qbm.errors import PoleEvaluation, RootNotBracketed
+from qbm.errors import PoleEvaluation, QbmError, RootNotBracketed
 
 
 def moment_residuals(spec):
@@ -204,3 +210,99 @@ class TestDenseOracle:
         vals = np.linalg.eigvalsh(h)
         np.testing.assert_allclose(oracle.alphas, vals, rtol=1e-15)
         np.testing.assert_allclose(oracle.weights, [0.5, 0.5], atol=1e-14)
+
+
+@st.composite
+def adversarial_baths(draw):
+    """Up to 200 poles spread over [0.2, 3], any of which may sit a relative
+    gap of 1e-6 to 1e-3 above its lower neighbour; couplings of either sign
+    from 1e-4 to 1; Omega below, inside or above the band."""
+    n = draw(st.integers(1, 200))
+    omegas = np.linspace(0.2, 3.0, n)
+    close = draw(arrays(bool, n))
+    log_gaps = draw(arrays(float, n, elements=st.floats(-6.0, -3.0)))
+    for k in np.flatnonzero(close[1:]) + 1:
+        omegas[k] = omegas[k - 1] * (1.0 + 10.0 ** log_gaps[k])
+    log_g = draw(arrays(float, n, elements=st.floats(-4.0, 0.0)))
+    signs = draw(arrays(bool, n))
+    couplings = np.where(signs, 1.0, -1.0) * 10.0**log_g
+    omega0 = 0.2 + 2.8 * draw(st.floats(-0.05, 1.3))
+    return build_bath(ModelParams.explicit(omegas, couplings)), omega0
+
+
+class TestAgainstDenseOracle:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(adversarial_baths())
+    def test_adversarial_baths(self, case):
+        bath, omega0 = case
+        spec = solve_spectrum(bath, omega0)
+        al, om = spec.alphas, bath.omegas
+        assert np.all(al[:-1] < om) and np.all(om < al[1:])
+        m2 = omega0**2 + float(np.sum(bath.couplings**2))
+        assert abs(float(np.sum(spec.weights)) - 1.0) <= 1e-10
+        assert abs(float(al @ spec.weights) - omega0) <= 1e-10 * max(1.0, omega0)
+        assert abs(float(al**2 @ spec.weights) - m2) <= 1e-10 * m2
+        oracle = dense_diagonalize_oracle(bath, omega0)
+        np.testing.assert_allclose(al, oracle.alphas, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(spec.weights, oracle.weights, rtol=0.0, atol=1e-9)
+
+    def test_plateau_probe_bath(self):
+        # the N = 1000 bath of acceptance criterion 2
+        bath = build_bath(ModelParams(n_bath=1000, step=0.0018))
+        spec = solve_spectrum(bath, 1.0)
+        oracle = dense_diagonalize_oracle(bath, 1.0)
+        np.testing.assert_allclose(spec.alphas, oracle.alphas, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(spec.weights, oracle.weights, rtol=0.0, atol=1e-10)
+
+    def test_poles_1e15_apart_resolved(self, ref_bath):
+        # about five rounding units apart: the root between them is placed
+        # inside the gap and the spectrum matches the dense eigensystem
+        om = ref_bath.omegas.copy()
+        om[51] = om[50] + 1e-15
+        bath = DiscretizedBath(om, ref_bath.couplings)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = solve_spectrum(bath, 1.0)
+        vals, vecs = np.linalg.eigh(hamiltonian_matrix(bath, 1.0))
+        np.testing.assert_allclose(spec.alphas, vals, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(spec.weights, vecs[0] ** 2, rtol=0.0, atol=1e-14)
+
+
+class TestNeedsDeflation:
+    """Baths whose roots sit closer to a pole than rounding resolves.  Until
+    modes are deflated these must fail with a typed error, not a numpy
+    warning or a silently wrong spectrum."""
+
+    @staticmethod
+    def solve(omegas, couplings):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QbmError):
+                solve_spectrum(DiscretizedBath(omegas, couplings), 1.0)
+
+    def test_one_coupling_scaled_by_1e9(self, ref_bath):
+        g = ref_bath.couplings.copy()
+        g[50] *= 1e-9
+        self.solve(ref_bath.omegas, g)
+
+    def test_coupling_1e200(self, ref_bath):
+        g = ref_bath.couplings.copy()
+        g[50] = 1e-200
+        self.solve(ref_bath.omegas, g)
+
+    def test_poles_one_rounding_unit_apart(self, ref_bath):
+        om = ref_bath.omegas.copy()
+        om[51] = np.nextafter(om[50], np.inf)
+        self.solve(om, ref_bath.couplings)
+
+
+def test_solver_memory_stays_below_one_dense_array():
+    # one (N+1) x N float array at N = 2000 is 32 MB
+    bath = build_bath(ModelParams(n_bath=2000, step=0.0009))
+    tracemalloc.start()
+    try:
+        solve_spectrum(bath, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2001 * 2000 * 8
