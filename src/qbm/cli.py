@@ -37,8 +37,6 @@ from .model import build_bath, thermal_occupations
 from .series import TimeGrid
 from .spectrum import Spectrum, solve_spectrum
 
-_PLOTTABLE = ("spectrum", "population", "survival", "position", "coefficients")
-
 # report fit window and equilibrium averaging window
 _FIT_WINDOW = (1.0, 20.0)
 _PLATEAU_WINDOW = (100.0, 300.0)
@@ -101,30 +99,67 @@ def _write_text(path: Path, text: str) -> Path:
     return path
 
 
-def _spectrum_csv(spec: Spectrum) -> str:
-    lines = ["nu,alpha,weight"]
-    for nu, (a, w) in enumerate(zip(spec.alphas, spec.weights)):
-        lines.append(f"{nu},{_fmt(a)},{_fmt(w)}")
-    return "\n".join(lines) + "\n"
-
-
-def _two_column_csv(header: str, ts: np.ndarray, values: np.ndarray) -> str:
+def _csv(header: str, rows) -> str:
+    # numbers take the fixed float format; string fields (the spectrum's
+    # index, the coefficients' flag and the empty values of a flagged
+    # sample) are written as they are
     lines = [header]
-    for t, v in zip(ts, values):
-        lines.append(f"{_fmt(t)},{_fmt(v)}")
+    for row in rows:
+        lines.append(",".join(f if isinstance(f, str) else _fmt(f) for f in row))
     return "\n".join(lines) + "\n"
 
 
-def _coefficients_csv(ts: np.ndarray, omega2, gamma, ok) -> str:
+def _population_rows(config: RunConfig, spec: Spectrum, ts: np.ndarray):
+    occ = thermal_occupations(spec.bath, config.model.beta, config.n_omega0)
+    return zip(ts, _over_grid(lambda a: oscillator_population(spec, occ, a), ts))
+
+
+def _coefficient_rows(config: RunConfig, spec: Spectrum, ts: np.ndarray):
+    stacked = _over_grid(lambda a: np.vstack(coefficient_series(spec, a)), ts)
     # flagged samples keep the row (rectangular series) but carry empty
     # value fields and denominator_ok = 0
-    lines = ["t,omega2,gamma,denominator_ok"]
-    for t, o, g, k in zip(ts, omega2, gamma, ok):
-        if k:
-            lines.append(f"{_fmt(t)},{_fmt(o)},{_fmt(g)},1")
-        else:
-            lines.append(f"{_fmt(t)},,,0")
-    return "\n".join(lines) + "\n"
+    return (
+        (t, o, g, "1") if k else (t, "", "", "0") for t, o, g, k in zip(ts, *stacked)
+    )
+
+
+# product: (CSV header, rows(config, spec, ts), plot panel as (title,
+# x label, y label, columns, style)), in evaluation and panel order.  Rows
+# look the grid kernels up as module globals block by block, so a kernel
+# patched on this module (bench/spans.py traces them so) is the one called.
+_PRODUCTS = {
+    "spectrum": (
+        "nu,alpha,weight",
+        lambda config, spec, ts: zip(
+            map(str, range(spec.n_levels)), spec.alphas, spec.weights
+        ),
+        ("Eigenvalue weights", "α_ν", "w_ν", "2:3", "impulses"),
+    ),
+    "population": (
+        "t,n_omega",
+        _population_rows,
+        ("Population of the Brownian oscillator vs. t", "t", "⟨N_Ω⟩", "1:2", "lines"),
+    ),
+    "survival": (
+        "t,p_surv",
+        lambda config, spec, ts: zip(
+            ts, _over_grid(lambda a: survival_probability(spec, a), ts)
+        ),
+        ("Survival probability vs. t", "t", "P_ΩΩ(t)", "1:2", "lines"),
+    ),
+    "position": (
+        "t,x",
+        lambda config, spec, ts: zip(
+            ts, _over_grid(lambda a: mean_position(spec, config.langevin_input, a), ts)
+        ),
+        ("Mean position of the Brownian oscillator vs. t", "t", "X(t)", "1:2", "lines"),
+    ),
+    "coefficients": (
+        "t,omega2,gamma,denominator_ok",
+        _coefficient_rows,
+        ("Damping factor of the Langevin equation vs. t", "t", "Γ(t)", "1:3", "lines"),
+    ),
+}
 
 
 def _report_text(config: RunConfig, spec: Spectrum, grid: TimeGrid) -> str:
@@ -172,45 +207,13 @@ def emit_plot_script(products, out_dir) -> Path:
     product, titled after the corresponding figure captions.  The CSVs
     must already exist in out_dir."""
     out = Path(out_dir)
-    wanted = [p for p in _PLOTTABLE if p in products]
+    wanted = [p for p in _PRODUCTS if p in products]
     if not wanted:
         raise MissingProduct("no plottable product requested")
     for p in wanted:
         if not (out / f"{p}.csv").exists():
             raise MissingProduct(f"{p}.csv not found in {out}")
 
-    panels = {
-        "spectrum": (
-            "Eigenvalue weights",
-            "α_ν",
-            "w_ν",
-            "plot 'spectrum.csv' using 2:3 skip 1 with impulses notitle",
-        ),
-        "population": (
-            "Population of the Brownian oscillator vs. t",
-            "t",
-            "⟨N_Ω⟩",
-            "plot 'population.csv' using 1:2 skip 1 with lines notitle",
-        ),
-        "survival": (
-            "Survival probability vs. t",
-            "t",
-            "P_ΩΩ(t)",
-            "plot 'survival.csv' using 1:2 skip 1 with lines notitle",
-        ),
-        "position": (
-            "Mean position of the Brownian oscillator vs. t",
-            "t",
-            "X(t)",
-            "plot 'position.csv' using 1:2 skip 1 with lines notitle",
-        ),
-        "coefficients": (
-            "Damping factor of the Langevin equation vs. t",
-            "t",
-            "Γ(t)",
-            "plot 'coefficients.csv' using 1:3 skip 1 with lines notitle",
-        ),
-    }
     lines = [
         "# generated by qbm; run with: gnuplot plot.gp",
         "set datafile separator ','",
@@ -220,12 +223,12 @@ def emit_plot_script(products, out_dir) -> Path:
         f"set multiplot layout {len(wanted)},1",
     ]
     for p in wanted:
-        title, xlab, ylab, plot_cmd = panels[p]
+        title, xlab, ylab, columns, style = _PRODUCTS[p][2]
         lines += [
             f"set title '{title}'",
             f"set xlabel '{xlab}'",
             f"set ylabel '{ylab}'",
-            plot_cmd,
+            f"plot '{p}.csv' using {columns} skip 1 with {style} notitle",
         ]
     lines += ["unset multiplot"]
     return _write_text(out / "plot.gp", "\n".join(lines) + "\n")
@@ -247,50 +250,14 @@ def run(config: RunConfig, out_dir=None) -> list[Path]:
     for product in PRODUCTS:  # fixed evaluation order for determinism
         if product not in config.outputs:
             continue
-        if product == "spectrum":
-            written.append(_write_text(out / "spectrum.csv", _spectrum_csv(spec)))
-        elif product == "population":
-            occ = thermal_occupations(bath, config.model.beta, config.n_omega0)
-            values = _over_grid(lambda a: oscillator_population(spec, occ, a), ts)
-            written.append(
-                _write_text(
-                    out / "population.csv", _two_column_csv("t,n_omega", ts, values)
-                )
-            )
-        elif product == "survival":
-            values = _over_grid(lambda a: survival_probability(spec, a), ts)
-            written.append(
-                _write_text(
-                    out / "survival.csv", _two_column_csv("t,p_surv", ts, values)
-                )
-            )
-        elif product == "position":
-            inp = config.langevin_input
-            values = _over_grid(lambda a: mean_position(spec, inp, a), ts)
-            written.append(
-                _write_text(out / "position.csv", _two_column_csv("t,x", ts, values))
-            )
-        elif product == "coefficients":
+        if product == "report":
+            path, text = out / "report.txt", _report_text(config, spec, grid)
+        else:
+            header, rows, _ = _PRODUCTS[product]
+            path, text = out / f"{product}.csv", _csv(header, rows(config, spec, ts))
+        written.append(_write_text(path, text))
 
-            def coeff_stack(a: np.ndarray) -> np.ndarray:
-                omega2, gamma, ok = coefficient_series(spec, a)
-                return np.vstack([omega2, gamma, ok.astype(float)])
-
-            stacked = _over_grid(coeff_stack, ts)
-            written.append(
-                _write_text(
-                    out / "coefficients.csv",
-                    _coefficients_csv(
-                        ts, stacked[0], stacked[1], stacked[2].astype(bool)
-                    ),
-                )
-            )
-        else:  # report
-            written.append(
-                _write_text(out / "report.txt", _report_text(config, spec, grid))
-            )
-
-    if any(p in config.outputs for p in _PLOTTABLE):
+    if any(p in config.outputs for p in _PRODUCTS):
         written.append(emit_plot_script(config.outputs, out))
     return written
 

@@ -44,7 +44,7 @@ class RunConfig:
 
 
 _SCALAR_KEYS = {
-    # key: (attribute path, converter, constraint description)
+    # key: (kind, minimum); the minimum applies to the int kinds only
     "N": ("int", 1),
     "A": ("float_pos", None),
     "Omega": ("float_pos", None),

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeGuard
-from .langevin import moment_signal
+from .langevin import _phase_block, moment_signal
 from .model import DiscretizedBath, InitialOccupations
 from .series import TimeGrid, TimeSeries
 from .spectrum import Spectrum, overlap_matrix
@@ -181,10 +181,7 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
     phase, kern, amp = np.empty((2 * nt, al.size)), np.empty((nm, al.size)), np.empty((2 * nt, nm))
     for t0 in range(0, ts.size, _T_CHUNK):
         t = ts[t0 : t0 + _T_CHUNK]
-        e = phase[: 2 * t.size]
-        np.multiply.outer(t, al, out=e[: t.size])
-        np.sin(e[: t.size], out=e[t.size :])
-        np.cos(e[: t.size], out=e[: t.size])
+        e = _phase_block(t, al, out=phase)
         e *= spec.weights
         a0 = np.square(e.sum(axis=1))
         acc = np.multiply.outer(a0[: t.size] + a0[t.size :], v[0])

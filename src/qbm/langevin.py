@@ -7,7 +7,9 @@ moment signals
 
 carry all the time dependence: S_0 is the survival amplitude A(t) of the
 distinguished oscillator, and its derivatives are analytic resummations
-(dA/dt = -i S_1, d2A/dt2 = -S_2) rather than finite differences.  The
+(dA/dt = -i S_1, d2A/dt2 = -S_2) rather than finite differences.  All
+three come from one real phase block [cos(t alpha); sin(t alpha)], the
+one the row-0 population kernel in evolution uses too.  The
 time-local frequency and damping coefficients of the mean-path equation
 
     X'' + Gamma(t) X' + Omega2(t) X = <f>/M
@@ -78,6 +80,28 @@ class GammaEstimate:
     n_samples: int
 
 
+def _phase_block(ts: np.ndarray, alphas: np.ndarray, out=None) -> np.ndarray:
+    """Real phase block [cos(t alpha); sin(t alpha)], shape (2T, N+1), for a
+    1-d array of T times; written into the leading rows of out if given."""
+    nt = ts.size
+    e = np.empty((2 * nt, alphas.size)) if out is None else out[: 2 * nt]
+    np.multiply.outer(ts, alphas, out=e[:nt])
+    np.sin(e[:nt], out=e[nt:])
+    np.cos(e[:nt], out=e[:nt])
+    return e
+
+
+def _moments(spec: Spectrum, ks, t) -> np.ndarray:
+    """S_k(t) for each k in ks, shape (len(ks),) + shape(t): one phase block
+    times the columns alpha^k w in a real GEMM, S = cos part - i sin part."""
+    ts = np.asarray(t, dtype=float)
+    flat = ts.reshape(-1)
+    coeff = np.stack([spec.weights * spec.alphas**k for k in ks], axis=1)
+    r = _phase_block(flat, spec.alphas) @ coeff
+    s = r[: flat.size] - 1j * r[flat.size :]
+    return s.T.reshape((len(ks),) + ts.shape)
+
+
 def moment_signal(spec: Spectrum, k: int, t):
     """S_k(t) = sum_nu alpha_nu^k w_nu exp(-i alpha_nu t) for k in {0, 1, 2}.
 
@@ -86,11 +110,8 @@ def moment_signal(spec: Spectrum, k: int, t):
     """
     if k not in (0, 1, 2):
         raise ValueError(f"moment order k must be 0, 1 or 2, got {k}")
-    coeff = spec.weights * spec.alphas**k
-    ts = np.asarray(t, dtype=float)
-    phases = np.exp(-1j * np.multiply.outer(ts, spec.alphas))
-    val = phases @ coeff
-    return complex(val) if ts.ndim == 0 else val
+    val = _moments(spec, (k,), t)[0]
+    return complex(val) if val.ndim == 0 else val
 
 
 def _denominator_scale(spec: Spectrum) -> float:
@@ -104,10 +125,7 @@ def coefficient_series(
 
     Returns (omega2, gamma, denominator_ok); flagged entries hold NaN.
     """
-    ts = np.atleast_1d(np.asarray(times, dtype=float))
-    s0 = moment_signal(spec, 0, ts)
-    s1 = moment_signal(spec, 1, ts)
-    s2 = moment_signal(spec, 2, ts)
+    s0, s1, s2 = _moments(spec, (0, 1, 2), np.atleast_1d(times))
     den = np.real(np.conj(s1) * s0)
     ok = np.abs(den) >= _DENOM_RTOL * _denominator_scale(spec)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -167,8 +185,7 @@ def gamma_from_survival(spec: Spectrum, t):
     |A| is at (or below) 1e-12 anywhere in the request.
     """
     ts = np.asarray(t, dtype=float)
-    s0 = moment_signal(spec, 0, ts)
-    s1 = moment_signal(spec, 1, ts)
+    s0, s1 = _moments(spec, (0, 1), ts)
     a0 = np.abs(np.atleast_1d(s0))
     if np.any(a0 <= _AMPLITUDE_FLOOR):
         t_bad = np.atleast_1d(ts)[int(np.argmin(a0))]
@@ -183,18 +200,16 @@ def mean_position(spec: Spectrum, inp: LangevinInput, t):
     """Deterministic mean path
 
         X(t) = sum_nu w_nu cos(alpha_nu t) X(0)
-             + sum_nu w_nu sin(alpha_nu t) P(0)/(M Omega),
+             + sum_nu w_nu sin(alpha_nu t) P(0)/(M Omega)
+             = Re S_0(t) X(0) - Im S_0(t) P(0)/(M Omega),
 
     with the fluctuating force averaging to zero, so that X'(0) = P(0)/M
     by the sum rule sum_nu alpha_nu w_nu = Omega.  Linear in (X(0), P(0))
     by construction.
     """
-    ts = np.asarray(t, dtype=float)
-    arg = np.multiply.outer(ts, spec.alphas)
-    cos_sum = np.cos(arg) @ spec.weights
-    sin_sum = np.sin(arg) @ spec.weights
-    val = cos_sum * inp.x0 + sin_sum * (inp.p0 / (inp.mass * spec.omega0))
-    return float(val) if ts.ndim == 0 else val
+    s0 = moment_signal(spec, 0, t)
+    val = np.real(s0) * inp.x0 - np.imag(s0) * (inp.p0 / (inp.mass * spec.omega0))
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def golden_rule_rate(bath: DiscretizedBath, omega0: float) -> float:

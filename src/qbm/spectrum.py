@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    InvalidValue,
     NoConvergence,
     PoleEvaluation,
     RootNotBracketed,
@@ -143,7 +144,10 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
     at the interval's far end q (for outer roots, twice the Gershgorin
     distance).  Steps leaving the sign bracket F(lo) < 0 < F(hi) bisect.
     Roots leave the active set once a step moves alpha by about a rounding
-    unit; w = 1/F'(alpha) is taken at the stored alpha."""
+    unit; w = 1/F'(alpha) is taken at the stored alpha.  A non-finite or
+    non-positive omega0 raises InvalidValue."""
+    if not 0.0 < omega0 < np.inf:
+        raise InvalidValue(f"omega0 must be finite and > 0, got {omega0}")
     om, g = bath.omegas, bath.couplings
     g2 = g * g
     n = bath.n

@@ -35,3 +35,12 @@ def make_random_bath(rng, n):
     omegas = 0.3 + np.cumsum(gaps)
     couplings = rng.uniform(0.01, 0.08, size=n)
     return build_bath(ModelParams.explicit(omegas, couplings))
+
+
+def explicit_spectrum(omega0):
+    """Explicit 30-mode band over [0.1, 3] with uneven couplings, solved at
+    omega0; keeps Omega = 0.5, 1 and 2 inside the band (the Lorentzian rule
+    would put modes below zero at Omega = 0.5)."""
+    omegas = np.linspace(0.1, 3.0, 30)
+    couplings = 0.01 + 0.03 * np.abs(np.sin(3.0 * omegas))
+    return solve_spectrum(build_bath(ModelParams.explicit(omegas, couplings)), omega0)

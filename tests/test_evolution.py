@@ -3,11 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_random_bath
+from conftest import explicit_spectrum, make_random_bath
 from qbm import evolution
 from qbm import (
     ModelParams,
     TimeGrid,
+    InitialOccupations,
     TimeSeries,
     build_bath,
     oscillator_population,
@@ -56,6 +57,23 @@ class TestSurvivalAmplitude:
         t = 1e-3
         loss = 1.0 - survival_probability(two_level, t)
         assert loss == pytest.approx(0.01 * t**2, rel=1e-3)
+
+
+@pytest.mark.parametrize("omega0", [0.5, 1.0, 2.0])
+class TestAwayFromUnitOmega:
+    def test_row0_probabilities_sum_to_one(self, omega0):
+        # unit occupations everywhere: sum_m P_Omega,m(t) = 1
+        spec = explicit_spectrum(omega0)
+        occ = InitialOccupations(n_omega0=1.0, n_bath_modes=np.ones(spec.bath.n))
+        ts = np.linspace(0.0, 200.0, 700)
+        np.testing.assert_allclose(oscillator_population(spec, occ, ts), 1.0, atol=1e-12)
+
+    def test_zeno_slope_is_sum_g2(self, omega0):
+        # 1 - |A|^2 = (sum g^2) t^2 + O(t^4) for any Omega
+        spec = explicit_spectrum(omega0)
+        t = 1e-3
+        loss = 1.0 - survival_probability(spec, t)
+        assert loss == pytest.approx(np.sum(spec.bath.couplings**2) * t**2, rel=1e-3)
 
 
 class TestTransitionProbabilities:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_random_bath
+from conftest import explicit_spectrum, make_random_bath
 from qbm import (
     LangevinInput,
     ModelParams,
@@ -16,6 +16,7 @@ from qbm import (
     moment_signal,
     recurrence_time,
     solve_spectrum,
+    survival_probability,
 )
 from qbm.errors import AmplitudeVanishes, WindowTooShort
 
@@ -51,16 +52,23 @@ class TestMomentSignals:
         assert np.all(np.abs(moment_signal(ref_spectrum, 0, ts)) <= 1.0 + 1e-12)
 
 
+OMEGAS = [0.5, 1.0, 2.0]
+
+
 class TestCoefficients:
-    def test_gamma_zero_at_origin(self, ref_spectrum):
-        sample = coefficients(ref_spectrum, 0.0)
+    @pytest.mark.parametrize("omega0", OMEGAS)
+    def test_gamma_zero_at_origin(self, omega0):
+        sample = coefficients(explicit_spectrum(omega0), 0.0)
         assert sample.gamma == 0.0
         assert sample.denominator_ok
 
-    def test_omega2_at_origin(self, ref_spectrum):
-        _, m2 = matrix_moments(ref_spectrum)
-        sample = coefficients(ref_spectrum, 0.0)
-        assert sample.omega2 == pytest.approx(m2, rel=1e-9)
+    @pytest.mark.parametrize("omega0", OMEGAS)
+    def test_omega2_at_origin(self, omega0):
+        # Omega2(0) = Omega^2 + sum g^2, the second moment of H
+        spec = explicit_spectrum(omega0)
+        _, m2 = matrix_moments(spec)
+        assert m2 == pytest.approx(omega0**2 + np.sum(spec.bath.couplings**2), rel=1e-14)
+        assert coefficients(spec, 0.0).omega2 == pytest.approx(m2, rel=1e-9)
 
     def test_fast_vs_naive_seeded(self):
         rng = np.random.default_rng(12345)
@@ -184,13 +192,21 @@ class TestMeanPosition:
         slope = (mean_position(spec, inp, h) - mean_position(spec, inp, -h)) / (2 * h)
         assert slope == pytest.approx(1.3 / 2.0, rel=1e-7)
 
-    def test_free_oscillator_momentum_scaled_by_omega(self):
-        # Omega = 2 with one far, feebly coupled mode: X(t) = sin(2t) P0/(M Omega)
+    @pytest.mark.parametrize("omega0", OMEGAS)
+    def test_free_oscillator_momentum_scaled_by_omega(self, omega0):
+        # one far, feebly coupled mode (g -> 0): the oscillator is free, so
+        # survival stays 1, Gamma stays 0 and
+        # X(t) = X0 cos(Omega t) + P0/(M Omega) sin(Omega t)
         bath = build_bath(ModelParams.explicit([10.0], [1e-6]))
-        spec = solve_spectrum(bath, 2.0)
+        spec = solve_spectrum(bath, omega0)
         ts = np.linspace(0.0, 20.0, 200)
-        got = mean_position(spec, LangevinInput(x0=0.0, p0=1.0, mass=1.0), ts)
-        np.testing.assert_allclose(got, np.sin(2.0 * ts) / 2.0, atol=1e-10)
+        got = mean_position(spec, LangevinInput(x0=0.6, p0=1.0, mass=1.5), ts)
+        want = 0.6 * np.cos(omega0 * ts) + np.sin(omega0 * ts) / (1.5 * omega0)
+        np.testing.assert_allclose(got, want, atol=1e-10)
+        np.testing.assert_allclose(survival_probability(spec, ts), 1.0, atol=1e-12)
+        _, gamma, ok = coefficient_series(spec, ts)
+        assert ok.all()
+        np.testing.assert_allclose(gamma, 0.0, atol=1e-10)
 
     def test_mass_validated(self):
         with pytest.raises(ValueError):

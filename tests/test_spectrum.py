@@ -20,7 +20,7 @@ from qbm import (
     secular_residual,
     solve_spectrum,
 )
-from qbm.errors import PoleEvaluation, QbmError, RootNotBracketed
+from qbm.errors import InvalidValue, PoleEvaluation, QbmError, RootNotBracketed
 
 
 def moment_residuals(spec):
@@ -56,21 +56,21 @@ class TestTwoLevel:
         np.testing.assert_allclose(two_level.weights, [0.5, 0.5], atol=1e-13)
 
     def test_detuned_golden_ratio(self):
-        # omega0 = 0, omega = 1, g = 1: alpha^2 - alpha - 1 = 0
-        bath = build_bath(ModelParams.explicit([1.0], [1.0]))
-        spec = solve_spectrum(bath, 0.0)
+        # omega0 = 1, omega = 2, g = 1: x = alpha - 1 solves x^2 - x - 1 = 0
+        bath = build_bath(ModelParams.explicit([2.0], [1.0]))
+        spec = solve_spectrum(bath, 1.0)
         golden = (1.0 + np.sqrt(5.0)) / 2.0
         np.testing.assert_allclose(
-            spec.alphas, [1.0 - golden, golden], rtol=1e-14
+            spec.alphas, [2.0 - golden, 1.0 + golden], rtol=1e-14
         )
-        # w = 1/(1 + 1/(alpha-1)^2) evaluated at the analytic roots
-        want_w = 1.0 / (1.0 + 1.0 / (spec.alphas - 1.0) ** 2)
+        # w = 1/(1 + 1/(alpha-2)^2) evaluated at the analytic roots
+        want_w = 1.0 / (1.0 + 1.0 / (spec.alphas - 2.0) ** 2)
         np.testing.assert_allclose(spec.weights, want_w, rtol=1e-12)
         assert spec.weights[0] == pytest.approx(0.7236067977499789, rel=1e-12)
 
     def test_overlap_component(self):
-        bath = build_bath(ModelParams.explicit([1.0], [1.0]))
-        spec = solve_spectrum(bath, 0.0)
+        bath = build_bath(ModelParams.explicit([2.0], [1.0]))
+        spec = solve_spectrum(bath, 1.0)
         assert eigenvector_overlap(spec, n=1, nu=0) == pytest.approx(
             -0.5257311121191336, rel=1e-12
         )
@@ -195,6 +195,13 @@ class TestSpectrumValidation:
                 omega0=1.0,
                 bath=two_level.bath,
             )
+
+    @pytest.mark.parametrize("omega0", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_bad_omega0_rejected(self, two_level, omega0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidValue):
+                solve_spectrum(two_level.bath, omega0)
 
     def test_dense_oracle_size_guard(self):
         omegas = np.linspace(0.1, 5.0, 2001)
