@@ -10,12 +10,9 @@ the time-local Langevin coefficients — as spectral sums over the result.
 from . import errors
 from .config import RunConfig, parse_config, serialize_config
 from .evolution import (
-    OccupationVector,
-    ProbabilityMatrix,
     oscillator_population,
     population_decomposition,
     population_series,
-    populations,
     survival_amplitude,
     survival_probability,
     transition_probabilities,
@@ -42,11 +39,10 @@ from .model import (
     hamiltonian_matrix,
     thermal_occupations,
 )
-from .series import TimeGrid, TimeSeries
+from .series import TimeGrid
 from .spectrum import (
     Spectrum,
     dense_diagonalize_oracle,
-    eigenvector_overlap,
     overlap_matrix,
     secular_residual,
     solve_spectrum,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import InvalidValue, ParseError, QbmError, UnknownKey
 from .langevin import LangevinInput
-from .model import DiscretizedBath, ModelParams, build_bath
+from .model import ModelParams, build_bath
 from .series import TimeGrid
 
 PRODUCTS = ("spectrum", "population", "survival", "position", "coefficients", "report")
@@ -250,13 +250,3 @@ def serialize_config(config: RunConfig) -> str:
         f"out_dir = {config.out_dir}",
     ]
     return "\n".join(lines) + "\n"
-
-
-def explicit_params_for(bath: DiscretizedBath, omega0: float, beta: float = 1.0) -> ModelParams:
-    """Explicit-rule ModelParams that rebuild exactly this bath."""
-    return ModelParams.explicit(
-        bath.omegas.tolist(),
-        bath.couplings.tolist(),
-        omega0=omega0,
-        beta=beta,
-    )

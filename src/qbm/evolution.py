@@ -11,6 +11,11 @@ probabilities.  Mean occupations evolve classically through it:
 
     <N_n(t)> = sum_m P_nm(t) <N_m(0)>.
 
+`population_series` evaluates this with the dense P(t) at each time, O(N^3)
+per time: it is the reference that the row-0 kernel behind
+`oscillator_population` and `population_decomposition` (O(N^2) per time)
+is checked against.
+
 The survival amplitude of the oscillator is the (0,0) element
 
     A(t) = sum_nu w_nu exp(-i alpha_nu t),
@@ -21,52 +26,16 @@ quadratic (Zeno) onset of decay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SizeGuard
 from .langevin import _phase_block, moment_signal
-from .model import DiscretizedBath, InitialOccupations
-from .series import TimeGrid, TimeSeries
+from .model import InitialOccupations
 from .spectrum import Spectrum, overlap_matrix
 
 _NAIVE_LIMIT = 32
 _T_CHUNK = 512  # times per phase block of the row-0 kernel
 _M_BLOCK = 2048  # bath modes per kernel block
-
-
-@dataclass(frozen=True, eq=False)
-class ProbabilityMatrix:
-    """Transition probabilities P_nm(t) at a single time (row n: target level,
-    column m: source; index 0 is the distinguished oscillator)."""
-
-    time: float
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.entries, dtype=float).copy()
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValueError("entries must be a square matrix")
-        p.setflags(write=False)
-        object.__setattr__(self, "entries", p)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class OccupationVector:
-    """Mean occupations at a single time, oscillator entry first."""
-
-    time: float
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float).copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
 
 def survival_amplitude(spec: Spectrum, t):
@@ -81,20 +50,11 @@ def survival_probability(spec: Spectrum, t):
     return np.abs(a) ** 2 if isinstance(a, np.ndarray) else abs(a) ** 2
 
 
-def _propagator(spec: Spectrum, t: float) -> np.ndarray:
-    c = overlap_matrix(spec)
-    phases = np.exp(-1j * spec.alphas * t)
-    return c.T @ (phases[:, None] * c)
-
-
 def transition_probabilities(
-    spec: Spectrum,
-    bath: DiscretizedBath | None = None,
-    t: float = 0.0,
-    mode: str = "fast",
-    force: bool = False,
-) -> ProbabilityMatrix:
-    """P_nm(t) = |U_nm(t)|^2 for all N+1 levels.
+    spec: Spectrum, t: float, mode: str = "fast", force: bool = False
+) -> np.ndarray:
+    """P_nm(t) = |U_nm(t)|^2 for all N+1 levels, an (N+1) x (N+1) array
+    (row n: target level, column m: source; index 0 is the oscillator).
 
     mode="fast" squares the spectral propagator (one O(N^3) product).
     mode="naive" evaluates the displayed pair sums
@@ -105,22 +65,21 @@ def transition_probabilities(
     literally, entry by entry; it is the readable cross-check and costs
     O(N^4), so it refuses N > 32 unless force=True.
     """
-    b = spec.bath if bath is None else bath
-    if mode == "fast":
-        u = _propagator(spec, float(t))
-        p = u.real**2 + u.imag**2
-        return ProbabilityMatrix(time=float(t), entries=p)
-    if mode != "naive":
+    if mode not in ("fast", "naive"):
         raise ValueError(f"mode must be 'fast' or 'naive', got {mode!r}")
-    if b.n > _NAIVE_LIMIT and not force:
+    if mode == "naive" and spec.bath.n > _NAIVE_LIMIT and not force:
         raise SizeGuard(
-            f"naive mode is O(N^4); refusing N = {b.n} > {_NAIVE_LIMIT} "
+            f"naive mode is O(N^4); refusing N = {spec.bath.n} > {_NAIVE_LIMIT} "
             "(pass force=True to override)"
         )
-    c = overlap_matrix(spec, b)
+    c = overlap_matrix(spec)
+    t = float(t)
+    if mode == "fast":
+        u = c.T @ (np.exp(-1j * spec.alphas * t)[:, None] * c)
+        return u.real**2 + u.imag**2
     nl = spec.n_levels
     iu, il = np.triu_indices(nl, k=1)
-    cosines = np.cos((spec.alphas[iu] - spec.alphas[il]) * float(t))
+    cosines = np.cos((spec.alphas[iu] - spec.alphas[il]) * t)
     p = np.empty((nl, nl), dtype=float)
     for n in range(nl):
         cn_pair = c[iu, n] * c[il, n]
@@ -130,40 +89,18 @@ def transition_probabilities(
             diag = np.sum(cn_diag * c[:, m] ** 2)
             p[n, m] = cross + diag
             p[m, n] = p[n, m]
-    return ProbabilityMatrix(time=float(t), entries=p)
+    return p
 
 
-def populations(
-    spec: Spectrum,
-    bath: DiscretizedBath | None = None,
-    occ0: InitialOccupations | None = None,
-    t: float = 0.0,
-) -> OccupationVector:
-    """Mean occupation of every level at time t, from the fast propagator."""
-    if occ0 is None:
-        raise ValueError("occ0 is required")
-    p = transition_probabilities(spec, bath, t, mode="fast")
-    return OccupationVector(time=float(t), values=p.entries @ occ0.vector)
-
-
-def population_series(
-    spec: Spectrum,
-    occ0: InitialOccupations,
-    times: np.ndarray,
-    chunk: int = 128,
-) -> np.ndarray:
-    """Occupation vectors over a grid, shape (N+1, len(times)).  Batched
-    spectral products, chunked to keep the complex work arrays small."""
-    c = overlap_matrix(spec)
-    k = c * np.sqrt(occ0.vector)[None, :]  # scale columns by sqrt(N_m(0))
-    ts = np.asarray(times, dtype=float)
-    out = np.empty((spec.n_levels, ts.size), dtype=float)
-    for start in range(0, ts.size, chunk):
-        sl = slice(start, min(start + chunk, ts.size))
-        phases = np.exp(-1j * np.outer(ts[sl], spec.alphas))  # (B, N+1)
-        m = phases[:, :, None] * k[None, :, :]  # (B, nu, m)
-        y = np.matmul(c.T[None, :, :], m)  # (B, n, m) amplitudes
-        out[:, sl] = np.sum(y.real**2 + y.imag**2, axis=2).T
+def population_series(spec: Spectrum, occ0: InitialOccupations, times) -> np.ndarray:
+    """Occupation vectors <N_n(t)> = sum_m P_nm(t) N_m(0) over an array of
+    times, shape (N+1, len(times)), from the dense propagator at each time.
+    O(N^3) per time: the reference the row-0 kernel is checked against."""
+    ts = np.atleast_1d(np.asarray(times, dtype=float))
+    n0 = occ0.vector
+    out = np.empty((spec.n_levels, ts.size))
+    for j, t in enumerate(ts):
+        out[:, j] = transition_probabilities(spec, t) @ n0
     return out
 
 
@@ -204,28 +141,18 @@ def oscillator_population(spec: Spectrum, occ0: InitialOccupations, times) -> np
 
 
 def population_decomposition(
-    spec: Spectrum,
-    bath: DiscretizedBath | None = None,
-    occ0: InitialOccupations | None = None,
-    grid: TimeGrid | None = None,
-) -> tuple[TimeSeries, TimeSeries, TimeSeries]:
-    """Oscillator occupation over a grid, split into what survives and what
-    arrives:
+    spec: Spectrum, occ0: InitialOccupations, times
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Oscillator occupation over an array of times, split into what
+    survives and what arrives:
 
         <N_Omega(t)> = |A(t)|^2 N_Omega(0) + sum_n P_Omega,n(t) N_n(0).
 
-    Returns (total, surviving, influx) series; total is the full row-0
+    Returns (total, surviving, influx) arrays; total is the full row-0
     contraction, so surviving + influx matches it to rounding.
     """
-    if occ0 is None or grid is None:
-        raise ValueError("occ0 and grid are required")
-    ts = grid.times()
+    ts = np.atleast_1d(np.asarray(times, dtype=float))
     n0 = occ0.vector
     v = np.zeros((n0.size, 3))
     v[:, 0], v[0, 1], v[1:, 2] = n0, n0[0], n0[1:]
-    total, surviving, influx = _row0_contract(spec, ts, v)
-    return (
-        TimeSeries(name="population_total", t=ts, value=total),
-        TimeSeries(name="population_surviving", t=ts, value=surviving),
-        TimeSeries(name="population_influx", t=ts, value=influx),
-    )
+    return tuple(_row0_contract(spec, ts, v))

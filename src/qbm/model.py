@@ -207,7 +207,8 @@ def thermal_occupations(
         raise NonPositiveFrequency(
             "thermal occupation undefined for modes with omega <= 0"
         )
-    occ = 1.0 / np.expm1(beta * bath.omegas)
+    with np.errstate(over="ignore"):  # beta*omega > ~709: expm1 = inf, n = 0
+        occ = 1.0 / np.expm1(beta * bath.omegas)
     return InitialOccupations(n_omega0=float(n_omega0), n_bath_modes=occ)
 
 
@@ -228,4 +229,7 @@ def bose_einstein(omega: float, beta: float) -> float:
         raise NonPositiveFrequency(f"omega must be positive, got {omega}")
     if not (beta > 0.0):
         raise ValueError(f"beta must be positive, got {beta}")
-    return 1.0 / math.expm1(beta * omega)
+    try:
+        return 1.0 / math.expm1(beta * omega)
+    except OverflowError:  # beta*omega > ~709: n underflows to 0
+        return 0.0

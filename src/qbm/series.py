@@ -1,4 +1,4 @@
-"""Uniform time grids and named time series."""
+"""The uniform time grid that every product is sampled on."""
 
 from __future__ import annotations
 
@@ -25,41 +25,3 @@ class TimeGrid:
 
     def times(self) -> np.ndarray:
         return self.t_start + self.t_step * np.arange(self.n_steps, dtype=float)
-
-    @property
-    def t_end(self) -> float:
-        return self.t_start + self.t_step * (self.n_steps - 1)
-
-
-@dataclass(frozen=True, eq=False)
-class TimeSeries:
-    """Sampled scalar series.  `flag` is True on samples that downstream
-    writers must mark as unusable (coefficient samples whose shared
-    denominator crossed zero); it is all-False for every other product."""
-
-    name: str
-    t: np.ndarray
-    value: np.ndarray
-    flag: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        t = np.atleast_1d(np.asarray(self.t, dtype=float)).copy()
-        v = np.atleast_1d(np.asarray(self.value, dtype=float)).copy()
-        if t.shape != v.shape:
-            raise ValueError("t and value must have the same shape")
-        if t.size > 1 and np.any(np.diff(t) <= 0.0):
-            raise ValueError("t must be strictly increasing")
-        if self.flag is None:
-            fl = np.zeros(t.shape, dtype=bool)
-        else:
-            fl = np.atleast_1d(np.asarray(self.flag, dtype=bool)).copy()
-            if fl.shape != t.shape:
-                raise ValueError("flag must match t in shape")
-        for arr in (t, v, fl):
-            arr.setflags(write=False)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "value", v)
-        object.__setattr__(self, "flag", fl)
-
-    def __len__(self) -> int:
-        return self.t.size

@@ -239,11 +239,11 @@ def dense_diagonalize_oracle(bath: DiscretizedBath, omega0: float) -> Spectrum:
     )
 
 
-def overlap_matrix(spec: Spectrum, bath: DiscretizedBath | None = None) -> np.ndarray:
+def overlap_matrix(spec: Spectrum) -> np.ndarray:
     """(N+1) x (N+1) matrix C with C[nu, 0] = sqrt(w_nu) and
     C[nu, n] = g_n sqrt(w_nu) / (alpha_nu - omega_n): the orthogonal change
     of basis from site amplitudes to eigenmode amplitudes."""
-    b = spec.bath if bath is None else bath
+    b = spec.bath
     root_w = np.sqrt(spec.weights)
     c = np.empty((spec.n_levels, spec.n_levels), dtype=float)
     c[:, 0] = root_w
@@ -251,23 +251,3 @@ def overlap_matrix(spec: Spectrum, bath: DiscretizedBath | None = None) -> np.nd
         spec.alphas[:, None] - b.omegas[None, :]
     )
     return c
-
-
-def eigenvector_overlap(
-    spec: Spectrum,
-    bath: DiscretizedBath | None = None,
-    n: int = 1,
-    nu: int = 0,
-) -> float:
-    """Component of eigenvector nu on bath mode n (1-based bath index):
-    c_nu(n) = g_n sqrt(w_nu) / (alpha_nu - omega_n)."""
-    b = spec.bath if bath is None else bath
-    if not 1 <= n <= b.n:
-        raise IndexError(f"bath index n must be in 1..{b.n}, got {n}")
-    if not 0 <= nu <= spec.n_levels - 1:
-        raise IndexError(f"eigenvalue index nu must be in 0..{spec.n_levels - 1}")
-    return float(
-        b.couplings[n - 1]
-        * np.sqrt(spec.weights[nu])
-        / (spec.alphas[nu] - b.omegas[n - 1])
-    )

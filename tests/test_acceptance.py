@@ -167,7 +167,7 @@ def test_criterion_06_coefficient_identities(ref_spectrum, ref_bath):
 
 def test_criterion_07_master_equation_structure(ref_spectrum, ref_occupations):
     for t in (0.0, 1.0, 10.0, 100.0):
-        p = transition_probabilities(ref_spectrum, t=t).entries
+        p = transition_probabilities(ref_spectrum, t)
         np.testing.assert_allclose(p, p.T, rtol=0.0, atol=1e-12)
         assert p.min() >= -1e-12 and p.max() <= 1.0 + 1e-12
         np.testing.assert_allclose(p.sum(axis=0), 1.0, rtol=0.0, atol=1e-10)
@@ -176,8 +176,8 @@ def test_criterion_07_master_equation_structure(ref_spectrum, ref_occupations):
     rng = np.random.default_rng(8)
     spec8 = solve_spectrum(make_random_bath(rng, 8), 1.0)
     for t in (0.0, 1.0, 10.0, 100.0):
-        fast = transition_probabilities(spec8, t=t, mode="fast").entries
-        naive = transition_probabilities(spec8, t=t, mode="naive").entries
+        fast = transition_probabilities(spec8, t, mode="fast")
+        naive = transition_probabilities(spec8, t, mode="naive")
         np.testing.assert_allclose(fast, naive, rtol=0.0, atol=1e-10)
 
     ts = TimeGrid().times()

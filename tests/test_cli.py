@@ -185,6 +185,18 @@ class TestExitCodes:
         assert code == 2
         assert "InvalidValue" in capsys.readouterr().err
 
+    def test_cold_bath_leaves_stderr_empty(self, tmp_path):
+        # beta*omega runs past ~709, where expm1 overflows: occupations are 0
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("beta = 1000\nn_steps = 5\noutputs = population\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "qbm.cli", "run", "--config", str(cfg), "--out", str(tmp_path / "o")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
     def test_bad_thread_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QBM_THREADS", "many")
         code, _ = run_cli(tmp_path, "N = 5\nn_steps = 5\noutputs = spectrum\n")

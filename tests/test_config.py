@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qbm import ModelParams, RunConfig, build_bath, parse_config, serialize_config
-from qbm.config import explicit_params_for
 from qbm.errors import InvalidValue, ParseError, UnknownKey
 from qbm.langevin import LangevinInput
 from qbm.series import TimeGrid
@@ -169,7 +168,7 @@ class TestRoundTrip:
         omegas = np.sort(rng.uniform(0.2, 3.0, size=12))
         couplings = rng.uniform(0.001, 0.1, size=12)
         bath = build_bath(ModelParams.explicit(omegas, couplings))
-        params = explicit_params_for(bath, omega0=1.0)
+        params = ModelParams.explicit(bath.omegas.tolist(), bath.couplings.tolist())
         cfg = RunConfig(model=params)
         rebuilt = build_bath(parse_config(serialize_config(cfg)).model)
         np.testing.assert_array_equal(rebuilt.omegas, bath.omegas)

@@ -9,12 +9,10 @@ from qbm import (
     ModelParams,
     TimeGrid,
     InitialOccupations,
-    TimeSeries,
     build_bath,
     oscillator_population,
     population_decomposition,
     population_series,
-    populations,
     solve_spectrum,
     survival_amplitude,
     survival_probability,
@@ -68,6 +66,16 @@ class TestAwayFromUnitOmega:
         ts = np.linspace(0.0, 200.0, 700)
         np.testing.assert_allclose(oscillator_population(spec, occ, ts), 1.0, atol=1e-12)
 
+    def test_row0_kernel_matches_dense_reference(self, omega0):
+        # thermal occupations weight each P_Omega,m(t) differently
+        spec = explicit_spectrum(omega0)
+        occ = thermal_occupations(spec.bath, 1.0, 1.0)
+        ts = np.linspace(0.0, 200.0, 70)
+        want = population_series(spec, occ, ts)[0]
+        np.testing.assert_allclose(oscillator_population(spec, occ, ts), want, rtol=0.0, atol=1e-13)
+        total, _, _ = population_decomposition(spec, occ, ts)
+        np.testing.assert_allclose(total, want, rtol=0.0, atol=1e-13)
+
     def test_zeno_slope_is_sum_g2(self, omega0):
         # 1 - |A|^2 = (sum g^2) t^2 + O(t^4) for any Omega
         spec = explicit_spectrum(omega0)
@@ -79,34 +87,32 @@ class TestAwayFromUnitOmega:
 class TestTransitionProbabilities:
     def test_identity_at_zero(self, small_spec):
         p = transition_probabilities(small_spec, t=0.0)
-        np.testing.assert_allclose(p.entries, np.eye(9), atol=1e-12)
+        np.testing.assert_allclose(p, np.eye(9), atol=1e-12)
 
     def test_fast_vs_naive(self, small_spec):
         for t in (0.7, 2.5, 13.0):
             fast = transition_probabilities(small_spec, t=t, mode="fast")
             naive = transition_probabilities(small_spec, t=t, mode="naive")
-            np.testing.assert_allclose(
-                fast.entries, naive.entries, rtol=0.0, atol=1e-10
-            )
+            np.testing.assert_allclose(fast, naive, rtol=0.0, atol=1e-10)
 
     def test_doubly_stochastic(self, small_spec):
         rng = np.random.default_rng(7)
         for t in rng.uniform(0.0, 50.0, size=10):
-            p = transition_probabilities(small_spec, t=float(t)).entries
+            p = transition_probabilities(small_spec, float(t))
             np.testing.assert_allclose(p.sum(axis=0), 1.0, atol=1e-10)
             np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-10)
             assert np.all(p >= -1e-12)
             assert np.all(p <= 1.0 + 1e-12)
 
     def test_symmetric(self, small_spec):
-        p = transition_probabilities(small_spec, t=4.2).entries
+        p = transition_probabilities(small_spec, 4.2)
         np.testing.assert_allclose(p, p.T, atol=1e-13)
 
     def test_survival_consistency(self, ref_spectrum):
         # P_00(t) = |A(t)|^2
         for t in (0.5, 5.0, 50.0):
-            p = transition_probabilities(ref_spectrum, t=t)
-            assert p.entries[0, 0] == pytest.approx(
+            p = transition_probabilities(ref_spectrum, t)
+            assert p[0, 0] == pytest.approx(
                 survival_probability(ref_spectrum, t), rel=1e-12
             )
 
@@ -119,7 +125,7 @@ class TestTransitionProbabilities:
         # force=True overrides and still matches the fast path
         fast = transition_probabilities(spec, t=1.0, mode="fast")
         naive = transition_probabilities(spec, t=1.0, mode="naive", force=True)
-        np.testing.assert_allclose(fast.entries, naive.entries, atol=1e-10)
+        np.testing.assert_allclose(fast, naive, atol=1e-10)
 
     def test_bad_mode(self, small_spec):
         with pytest.raises(ValueError):
@@ -129,25 +135,16 @@ class TestTransitionProbabilities:
 class TestPopulations:
     def test_initial_condition(self, small_spec):
         occ0 = thermal_occupations(small_spec.bath, 1.0, 2.0)
-        out = populations(small_spec, occ0=occ0, t=0.0)
-        np.testing.assert_allclose(out.values, occ0.vector, atol=1e-12)
+        out = population_series(small_spec, occ0, [0.0])
+        assert out.shape == (9, 1)
+        np.testing.assert_allclose(out[:, 0], occ0.vector, atol=1e-12)
 
     def test_total_conserved(self, small_spec):
         occ0 = thermal_occupations(small_spec.bath, 1.0, 1.0)
         total0 = occ0.vector.sum()
-        for t in (0.3, 3.0, 30.0):
-            out = populations(small_spec, occ0=occ0, t=t)
-            assert out.values.sum() == pytest.approx(total0, rel=1e-10)
-            assert np.all(out.values >= -1e-12)
-
-    def test_series_matches_pointwise(self, small_spec):
-        occ0 = thermal_occupations(small_spec.bath, 1.0, 1.5)
-        ts = np.array([0.0, 1.7, 12.0])
-        series = population_series(small_spec, occ0, ts)
-        assert series.shape == (9, 3)
-        for j, t in enumerate(ts):
-            want = populations(small_spec, occ0=occ0, t=float(t)).values
-            np.testing.assert_allclose(series[:, j], want, rtol=1e-12, atol=1e-14)
+        for values in population_series(small_spec, occ0, [0.3, 3.0, 30.0]).T:
+            assert values.sum() == pytest.approx(total0, rel=1e-10)
+            assert np.all(values >= -1e-12)
 
     def test_oscillator_population_is_row_zero(self, small_spec):
         occ0 = thermal_occupations(small_spec.bath, 1.0, 1.0)
@@ -164,8 +161,8 @@ class TestPopulations:
         want = population_series(ref_spectrum, ref_occupations, grid.times())[0, :]
         got = oscillator_population(ref_spectrum, ref_occupations, grid.times())
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
-        total, _, _ = population_decomposition(ref_spectrum, occ0=ref_occupations, grid=grid)
-        np.testing.assert_allclose(total.value, want, rtol=0.0, atol=1e-13)
+        total, _, _ = population_decomposition(ref_spectrum, ref_occupations, grid.times())
+        np.testing.assert_allclose(total, want, rtol=0.0, atol=1e-13)
         assert oscillator_population(ref_spectrum, ref_occupations, []).shape == (0,)
 
 
@@ -173,44 +170,21 @@ class TestPopulationDecomposition:
     def test_additivity_and_survival_term(self, ref_spectrum, ref_occupations):
         grid = TimeGrid(t_start=0.0, t_step=0.5, n_steps=80)
         total, surviving, influx = population_decomposition(
-            ref_spectrum, occ0=ref_occupations, grid=grid
+            ref_spectrum, ref_occupations, grid.times()
         )
-        np.testing.assert_allclose(
-            total.value, surviving.value + influx.value, atol=1e-12
-        )
+        np.testing.assert_allclose(total, surviving + influx, atol=1e-12)
         # the surviving share is |A|^2 N_Omega(0)
         want = survival_probability(ref_spectrum, grid.times())
-        np.testing.assert_allclose(surviving.value, want, rtol=1e-10, atol=1e-13)
+        np.testing.assert_allclose(surviving, want, rtol=1e-10, atol=1e-13)
 
     def test_initial_point(self, ref_spectrum, ref_occupations):
         grid = TimeGrid(t_start=0.0, t_step=1.0, n_steps=4)
         total, surviving, influx = population_decomposition(
-            ref_spectrum, occ0=ref_occupations, grid=grid
+            ref_spectrum, ref_occupations, grid.times()
         )
-        assert total.value[0] == pytest.approx(1.0, abs=1e-10)
-        assert surviving.value[0] == pytest.approx(1.0, abs=1e-10)
-        assert influx.value[0] == pytest.approx(0.0, abs=1e-10)
-
-    def test_missing_arguments(self, ref_spectrum, ref_occupations):
-        with pytest.raises(ValueError):
-            population_decomposition(ref_spectrum, occ0=ref_occupations)
-        with pytest.raises(ValueError):
-            population_decomposition(ref_spectrum, grid=TimeGrid())
-
-
-class TestTimeSeriesType:
-    def test_strictly_increasing_required(self):
-        with pytest.raises(ValueError):
-            TimeSeries("x", t=np.array([0.0, 0.0, 1.0]), value=np.zeros(3))
-
-    def test_default_flags_false(self):
-        s = TimeSeries("x", t=np.array([0.0, 1.0]), value=np.array([1.0, 2.0]))
-        assert not s.flag.any()
-        assert len(s) == 2
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            TimeSeries("x", t=np.array([0.0, 1.0]), value=np.zeros(3))
+        assert total[0] == pytest.approx(1.0, abs=1e-10)
+        assert surviving[0] == pytest.approx(1.0, abs=1e-10)
+        assert influx[0] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_population_memory_does_not_grow_with_times():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,16 @@ class TestThermalOccupations:
         occ = thermal_occupations(ref_bath, 1.3)
         want = [bose_einstein(w, 1.3) for w in ref_bath.omegas[:5]]
         np.testing.assert_allclose(occ.n_bath_modes[:5], want, rtol=1e-15)
+
+    def test_cold_bath_without_overflow_warning(self, ref_bath):
+        # beta*omega runs past ~709, where expm1 overflows: n = 0, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            occ = thermal_occupations(ref_bath, 1000.0)
+            want = [bose_einstein(w, 1000.0) for w in ref_bath.omegas]
+        assert np.all(np.isfinite(occ.n_bath_modes))
+        assert occ.n_bath_modes[-1] == 0.0
+        np.testing.assert_allclose(occ.n_bath_modes, want, rtol=1e-15, atol=0.0)
 
     def test_negative_occupation_rejected(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from qbm import (
     Spectrum,
     build_bath,
     dense_diagonalize_oracle,
-    eigenvector_overlap,
     hamiltonian_matrix,
     overlap_matrix,
     secular_residual,
@@ -71,17 +70,9 @@ class TestTwoLevel:
     def test_overlap_component(self):
         bath = build_bath(ModelParams.explicit([2.0], [1.0]))
         spec = solve_spectrum(bath, 1.0)
-        assert eigenvector_overlap(spec, n=1, nu=0) == pytest.approx(
+        assert overlap_matrix(spec)[0, 1] == pytest.approx(
             -0.5257311121191336, rel=1e-12
         )
-
-    def test_overlap_bounds(self, two_level):
-        with pytest.raises(IndexError):
-            eigenvector_overlap(two_level, n=0, nu=0)
-        with pytest.raises(IndexError):
-            eigenvector_overlap(two_level, n=2, nu=0)
-        with pytest.raises(IndexError):
-            eigenvector_overlap(two_level, n=1, nu=2)
 
 
 class TestReferenceSpectrum:
