@@ -9,7 +9,8 @@ diagnostics go to stderr.  Output is deterministic: fixed product order,
 fixed float formatting (17 significant digits, scientific), Unix
 newlines.  The environment variable QBM_THREADS (0 = auto) fans the
 per-time-point work out to a thread pool; results are assembled in grid
-order, so the worker count never changes the bytes written.
+order, so at a fixed BLAS thread count the worker count never changes the
+bytes written (the BLAS thread count itself can move the last bit).
 """
 
 from __future__ import annotations

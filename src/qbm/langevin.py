@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmplitudeVanishes, WindowTooShort
+from .errors import AmplitudeVanishes, InvalidValue, WindowTooShort
 from .model import DiscretizedBath
 from .spectrum import Spectrum
 
@@ -51,6 +51,8 @@ class LangevinInput:
     mass: float = 1.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.x0, self.p0, self.mass))):
+            raise InvalidValue("x0, p0 and mass must be finite (no nan or inf)")
         if not (self.mass > 0.0):
             raise ValueError(f"mass must be positive, got {self.mass}")
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import InvalidValue
 
 
 @dataclass(frozen=True)
@@ -16,6 +19,10 @@ class TimeGrid:
     n_steps: int = 2000
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_step)):
+            raise InvalidValue(
+                f"t_start and t_step must be finite, got {self.t_start}, {self.t_step}"
+            )
         if not (self.t_step > 0.0):
             raise ValueError(f"t_step must be positive, got {self.t_step}")
         if self.t_start < 0.0:

@@ -267,6 +267,18 @@ class TestRecurrencePreset:
         assert ps[late].max() >= 0.999
         assert abs(ts[late][np.argmax(ps[late])] - 10.0 * np.pi) < 1e-9
 
+    def test_explicit_grid_keys_rejected(self, tmp_path, capsys):
+        # the preset sets its own grid; explicit grid keys are an error, not
+        # silently ignored
+        code, out = run_cli(
+            tmp_path,
+            "grid = recurrence\nt_start = 50\nt_step = 0.5\nn_steps = 7\n"
+            "outputs = survival\n",
+        )
+        assert code == 2
+        assert "InvalidValue" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPlotScript:
     def test_empty_products_rejected(self, tmp_path):

@@ -1,7 +1,14 @@
+import re
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbm import ModelParams, RunConfig, build_bath, parse_config, serialize_config
+from qbm.config import _KEYS, GRID_PRESETS, PRODUCTS
 from qbm.errors import InvalidValue, ParseError, UnknownKey
 from qbm.langevin import LangevinInput
 from qbm.series import TimeGrid
@@ -65,7 +72,7 @@ class TestErrors:
         ],
     )
     def test_invalid_values(self, text):
-        with pytest.raises(InvalidValue):
+        with pytest.raises(InvalidValue, match="line 1"):
             parse_config(text)
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
@@ -75,6 +82,12 @@ class TestErrors:
             "Omega = {}\n",
             "A = {}\n",
             "beta = {}\n",
+            "t_start = {}\n",
+            "t_step = {}\n",
+            "X0 = {}\n",
+            "P0 = {}\n",
+            "M = {}\n",
+            "N_Omega0 = {}\n",
             "coupling = explicit\nomegas = 0.5, {}, 1.5\ncouplings = 0.1, 0.1, 0.1\n",
             "coupling = explicit\nomegas = 0.5, 1.0, 1.5\ncouplings = 0.1, {}, 0.1\n",
         ],
@@ -146,12 +159,17 @@ class TestRoundTrip:
         text = (
             f"A = {np.pi / 173.0!r}\nbeta = {1.0 / 3.0!r}\nN = 17\n"
             f"t_step = {np.e / 7.0!r}\nX0 = -0.125\nP0 = 0.7\nM = 2.5\n"
-            "outputs = survival, coefficients\ngrid = recurrence\n"
-            "out_dir = results/deep\n"
+            "outputs = survival, coefficients\nout_dir = results/deep\n"
         )
         cfg = parse_config(text)
         again = parse_config(serialize_config(cfg))
         assert again == cfg
+
+    def test_recurrence_preset(self):
+        cfg = parse_config(f"grid = recurrence\nbeta = {1.0 / 3.0!r}\nN = 17\n")
+        text = serialize_config(cfg)
+        assert "t_step" not in text  # the preset sets its own grid
+        assert parse_config(text) == cfg
 
     def test_explicit_roundtrip(self):
         text = (
@@ -187,3 +205,99 @@ class TestRunConfigValidation:
     def test_bad_preset_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(grid_preset="long")
+
+    def test_recurrence_preset_with_grid_rejected(self):
+        with pytest.raises(ValueError, match="recurrence"):
+            RunConfig(grid_preset="recurrence", grid=TimeGrid(t_start=50.0))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x: TimeGrid(t_start=x),
+            lambda x: TimeGrid(t_step=x),
+            lambda x: LangevinInput(x0=x),
+            lambda x: LangevinInput(p0=x),
+            lambda x: LangevinInput(mass=x),
+            lambda x: RunConfig(n_omega0=x),
+        ],
+        ids=["t_start", "t_step", "x0", "p0", "mass", "n_omega0"],
+    )
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parts_rejected(self, make, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidValue, match="must be finite"):
+                make(x)
+
+
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def run_configs(draw):
+    """Valid RunConfigs: both coupling rules, both grid presets, floats
+    of full precision and any non-empty subset of the products."""
+    omega0 = draw(st.floats(min_value=0.01, max_value=100.0))
+    beta = draw(_positive)
+    if draw(st.booleans()):
+        model = ModelParams(
+            n_bath=draw(st.integers(3, 300)),
+            step=draw(st.floats(min_value=1e-4, max_value=1.0)),
+            omega0=omega0,
+            beta=beta,
+        )
+    else:
+        n = draw(st.integers(1, 8))
+        # bounded so that the bath's frequency differences cannot overflow
+        modes = st.floats(min_value=-1e6, max_value=1e6)
+        omegas = draw(st.lists(modes, min_size=n, max_size=n, unique=True))
+        couplings = draw(st.lists(_finite.filter(bool), min_size=n, max_size=n))
+        model = ModelParams(
+            n_bath=n,
+            step=draw(_positive),
+            omega0=omega0,
+            beta=beta,
+            coupling="explicit",
+            omegas=tuple(sorted(omegas)),
+            couplings=tuple(couplings),
+        )
+    preset = draw(st.sampled_from(GRID_PRESETS))
+    grid = TimeGrid()
+    if preset == "default":
+        grid = TimeGrid(
+            t_start=draw(st.floats(min_value=0.0, allow_infinity=False)),
+            t_step=draw(_positive),
+            n_steps=draw(st.integers(1, 10**6)),
+        )
+    outputs = draw(st.lists(st.sampled_from(PRODUCTS), min_size=1, unique=True))
+    return RunConfig(
+        model=model,
+        n_omega0=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        grid=grid,
+        grid_preset=preset,
+        langevin_input=LangevinInput(
+            x0=draw(_finite), p0=draw(_finite), mass=draw(_positive)
+        ),
+        outputs=tuple(outputs),
+        out_dir=draw(st.from_regex(r"[A-Za-z0-9_./-]+", fullmatch=True)),
+    )
+
+
+class TestRoundTripProperty:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(run_configs())
+    def test_parse_inverts_serialize(self, cfg):
+        assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_readme_key_table_matches_parser():
+    # the first column of README's `| key | default | meaning |` table
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    rows = readme.read_text(encoding="utf-8").split("| key | default | meaning |")[1]
+    keys = []
+    for line in rows.splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        keys += re.findall(r"`([^`]+)`", line.split("|")[1])
+    assert keys == list(_KEYS)
