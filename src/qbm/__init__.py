@@ -18,11 +18,9 @@ from .evolution import (
     transition_probabilities,
 )
 from .langevin import (
-    CoefficientSample,
     GammaEstimate,
     LangevinInput,
     coefficient_series,
-    coefficients,
     estimate_gamma,
     gamma_from_survival,
     golden_rule_rate,
@@ -34,17 +32,13 @@ from .model import (
     DiscretizedBath,
     InitialOccupations,
     ModelParams,
-    bose_einstein,
     build_bath,
-    hamiltonian_matrix,
     thermal_occupations,
 )
 from .series import TimeGrid
 from .spectrum import (
     Spectrum,
-    dense_diagonalize_oracle,
     overlap_matrix,
-    secular_residual,
     solve_spectrum,
 )
 

@@ -36,21 +36,21 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if not self.outputs:
-            raise ValueError("at least one output product must be requested")
+            raise InvalidValue("at least one output product must be requested")
         for p in self.outputs:
             if p not in PRODUCTS:
-                raise ValueError(f"unknown output product {p!r}")
+                raise InvalidValue(f"unknown output product {p!r}")
         if self.grid_preset not in GRID_PRESETS:
-            raise ValueError(f"grid preset must be one of {GRID_PRESETS}")
+            raise InvalidValue(f"grid preset must be one of {GRID_PRESETS}")
         if self.grid_preset == "recurrence" and self.grid != TimeGrid():
-            raise ValueError(
+            raise InvalidValue(
                 "grid = recurrence sets its own time grid; "
                 "t_start, t_step and n_steps must be left at their defaults"
             )
         if not math.isfinite(self.n_omega0):
             raise InvalidValue(f"N_Omega0 must be finite, got {self.n_omega0}")
         if self.n_omega0 < 0.0:
-            raise ValueError(f"N_Omega0 must be >= 0, got {self.n_omega0}")
+            raise InvalidValue(f"N_Omega0 must be >= 0, got {self.n_omega0}")
 
 
 def _items(raw: str) -> tuple[str, ...]:
@@ -128,7 +128,7 @@ def parse_config(text: str) -> RunConfig:
     def build(part, make, **parts):
         try:
             return make(**kwargs[part], **parts)
-        except (ValueError, QbmError) as exc:
+        except QbmError as exc:
             lines = sorted(n for k, n in line_of.items() if _KEYS[k][1] == part)
             raise InvalidValue(f"line {', '.join(map(str, lines))}: {exc}") from exc
 

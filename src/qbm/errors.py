@@ -24,8 +24,9 @@ class UnknownKey(ConfigError):
     """Config key that the schema does not define."""
 
 
-class InvalidValue(ConfigError):
-    """Config value of the wrong type or outside its allowed range."""
+class InvalidValue(ConfigError, ValueError):
+    """Config value or library argument of the wrong type or outside its
+    allowed range."""
 
 
 # --- model construction errors ---
@@ -49,10 +50,6 @@ class NonPositiveFrequency(QbmError):
 
 # --- spectrum solver errors ---
 
-class PoleEvaluation(QbmError):
-    """Secular function evaluated at (or within machine resolution of) a bath pole."""
-
-
 class RootNotBracketed(QbmError):
     """Sign condition for a secular root could not be established; indicates
     corrupted parameters rather than a solver limitation."""
@@ -62,15 +59,7 @@ class ToleranceNotReached(QbmError):
     """The secular iteration exhausted its budget before every root converged."""
 
 
-class NoConvergence(QbmError):
-    """Dense eigensolver failed to converge."""
-
-
 # --- dynamics errors ---
-
-class SizeGuard(QbmError):
-    """Literal double-sum evaluation requested for a bath too large for O(N^4) cost."""
-
 
 class AmplitudeVanishes(QbmError):
     """Survival amplitude too small for a meaningful logarithmic derivative."""

@@ -28,12 +28,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SizeGuard
 from .langevin import _phase_block, moment_signal
 from .model import InitialOccupations
 from .spectrum import Spectrum, overlap_matrix
 
-_NAIVE_LIMIT = 32
 _T_CHUNK = 512  # times per phase block of the row-0 kernel
 _M_BLOCK = 2048  # bath modes per kernel block
 
@@ -50,46 +48,13 @@ def survival_probability(spec: Spectrum, t):
     return np.abs(a) ** 2 if isinstance(a, np.ndarray) else abs(a) ** 2
 
 
-def transition_probabilities(
-    spec: Spectrum, t: float, mode: str = "fast", force: bool = False
-) -> np.ndarray:
+def transition_probabilities(spec: Spectrum, t: float) -> np.ndarray:
     """P_nm(t) = |U_nm(t)|^2 for all N+1 levels, an (N+1) x (N+1) array
-    (row n: target level, column m: source; index 0 is the oscillator).
-
-    mode="fast" squares the spectral propagator (one O(N^3) product).
-    mode="naive" evaluates the displayed pair sums
-
-        P_nm = 2 sum_{mu>nu} cos((alpha_mu - alpha_nu) t) c_mu(n) c_nu(n)
-                   c_mu(m) c_nu(m)  +  sum_nu c_nu(n)^2 c_nu(m)^2
-
-    literally, entry by entry; it is the readable cross-check and costs
-    O(N^4), so it refuses N > 32 unless force=True.
-    """
-    if mode not in ("fast", "naive"):
-        raise ValueError(f"mode must be 'fast' or 'naive', got {mode!r}")
-    if mode == "naive" and spec.bath.n > _NAIVE_LIMIT and not force:
-        raise SizeGuard(
-            f"naive mode is O(N^4); refusing N = {spec.bath.n} > {_NAIVE_LIMIT} "
-            "(pass force=True to override)"
-        )
+    (row n: target level, column m: source; index 0 is the oscillator),
+    from the spectral propagator in one O(N^3) product."""
     c = overlap_matrix(spec)
-    t = float(t)
-    if mode == "fast":
-        u = c.T @ (np.exp(-1j * spec.alphas * t)[:, None] * c)
-        return u.real**2 + u.imag**2
-    nl = spec.n_levels
-    iu, il = np.triu_indices(nl, k=1)
-    cosines = np.cos((spec.alphas[iu] - spec.alphas[il]) * t)
-    p = np.empty((nl, nl), dtype=float)
-    for n in range(nl):
-        cn_pair = c[iu, n] * c[il, n]
-        cn_diag = c[:, n] ** 2
-        for m in range(n, nl):
-            cross = 2.0 * np.sum(cosines * cn_pair * c[iu, m] * c[il, m])
-            diag = np.sum(cn_diag * c[:, m] ** 2)
-            p[n, m] = cross + diag
-            p[m, n] = p[n, m]
-    return p
+    u = c.T @ (np.exp(-1j * spec.alphas * float(t))[:, None] * c)
+    return u.real**2 + u.imag**2
 
 
 def population_series(spec: Spectrum, occ0: InitialOccupations, times) -> np.ndarray:

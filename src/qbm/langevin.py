@@ -54,18 +54,7 @@ class LangevinInput:
         if not all(map(math.isfinite, (self.x0, self.p0, self.mass))):
             raise InvalidValue("x0, p0 and mass must be finite (no nan or inf)")
         if not (self.mass > 0.0):
-            raise ValueError(f"mass must be positive, got {self.mass}")
-
-
-@dataclass(frozen=True)
-class CoefficientSample:
-    """Omega2(t) and Gamma(t) at one time; denominator_ok=False means the
-    shared denominator passed through zero and the values are NaN."""
-
-    time: float
-    omega2: float
-    gamma: float
-    denominator_ok: bool
+            raise InvalidValue(f"mass must be positive, got {self.mass}")
 
 
 @dataclass(frozen=True)
@@ -111,71 +100,27 @@ def moment_signal(spec: Spectrum, k: int, t):
     corresponding complex array.
     """
     if k not in (0, 1, 2):
-        raise ValueError(f"moment order k must be 0, 1 or 2, got {k}")
+        raise InvalidValue(f"moment order k must be 0, 1 or 2, got {k}")
     val = _moments(spec, (k,), t)[0]
     return complex(val) if val.ndim == 0 else val
-
-
-def _denominator_scale(spec: Spectrum) -> float:
-    return float(np.sum(np.abs(spec.alphas) * spec.weights))
 
 
 def coefficient_series(
     spec: Spectrum, times
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized fast-mode coefficients over an array of times.
+    """Omega2(t) and Gamma(t) over an array of times, through S_0, S_1, S_2.
 
     Returns (omega2, gamma, denominator_ok); flagged entries hold NaN.
     """
     s0, s1, s2 = _moments(spec, (0, 1, 2), np.atleast_1d(times))
     den = np.real(np.conj(s1) * s0)
-    ok = np.abs(den) >= _DENOM_RTOL * _denominator_scale(spec)
+    ok = np.abs(den) >= _DENOM_RTOL * float(np.sum(np.abs(spec.alphas) * spec.weights))
     with np.errstate(divide="ignore", invalid="ignore"):
         omega2 = np.real(s1 * np.conj(s2)) / den
         gamma = np.imag(np.conj(s2) * s0) / den
     omega2 = np.where(ok, omega2, np.nan)
     gamma = np.where(ok, gamma, np.nan)
     return omega2, gamma, ok
-
-
-def coefficients(spec: Spectrum, t: float, mode: str = "fast") -> CoefficientSample:
-    """Time-local Langevin coefficients at a single time.
-
-    mode="fast" evaluates the factorized forms through S_0, S_1, S_2.
-    mode="naive" evaluates the underlying pair sums
-
-        Omega2 = sum_{nu,mu} cos(d t) a_nu a_mu^2 w_nu w_mu / D,
-        Gamma  = sum_{nu,mu} sin(d t) a_nu^2 w_nu w_mu / D,
-        D      = sum_{nu,mu} cos(d t) a_nu w_nu w_mu,
-        d      = a_nu - a_mu,
-
-    term by term; it is the O(N^2)-per-entry cross-check intended for
-    N <= 32.  Both modes carry the same damping-positive sign convention.
-    """
-    tt = float(t)
-    if mode == "fast":
-        omega2, gamma, ok = coefficient_series(spec, tt)
-        return CoefficientSample(
-            time=tt,
-            omega2=float(omega2[0]),
-            gamma=float(gamma[0]),
-            denominator_ok=bool(ok[0]),
-        )
-    if mode != "naive":
-        raise ValueError(f"mode must be 'fast' or 'naive', got {mode!r}")
-    al = spec.alphas
-    w = spec.weights
-    delta = al[:, None] - al[None, :]
-    cosd = np.cos(delta * tt)
-    sind = np.sin(delta * tt)
-    ww = np.outer(w, w)
-    den = float(np.sum(cosd * al[:, None] * ww))
-    num_omega2 = float(np.sum(cosd * al[:, None] * al[None, :] ** 2 * ww))
-    num_gamma = float(np.sum(sind * al[:, None] ** 2 * ww))
-    ok = abs(den) >= _DENOM_RTOL * _denominator_scale(spec)
-    if not ok:
-        return CoefficientSample(tt, math.nan, math.nan, False)
-    return CoefficientSample(tt, num_omega2 / den, num_gamma / den, True)
 
 
 def gamma_from_survival(spec: Spectrum, t):

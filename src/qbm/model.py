@@ -60,30 +60,31 @@ class ModelParams:
         lists = tuple(self.omegas or ()) + tuple(self.couplings or ())
         if not all(map(math.isfinite, (self.step, self.omega0, self.beta) + lists)):
             raise InvalidValue("model parameters must be finite (no nan or inf)")
-        if int(self.n_bath) != self.n_bath or self.n_bath < 1:
-            raise ValueError(f"n_bath must be a positive integer, got {self.n_bath}")
+        # past max_intp // 8 modes numpy cannot size the bath arrays
+        if int(self.n_bath) != self.n_bath or not 1 <= self.n_bath <= np.iinfo(np.intp).max // 8:
+            raise InvalidValue(f"n_bath must be a positive integer numpy can size, got {self.n_bath}")
         if not (self.step > 0.0):
-            raise ValueError(f"step must be positive, got {self.step}")
+            raise InvalidValue(f"step must be positive, got {self.step}")
         if not (self.omega0 > 0.0):
-            raise ValueError(f"omega0 must be positive, got {self.omega0}")
+            raise InvalidValue(f"omega0 must be positive, got {self.omega0}")
         if not (self.beta > 0.0):
-            raise ValueError(f"beta must be positive, got {self.beta}")
+            raise InvalidValue(f"beta must be positive, got {self.beta}")
         if self.coupling not in COUPLING_RULES:
-            raise ValueError(
+            raise InvalidValue(
                 f"coupling must be one of {COUPLING_RULES}, got {self.coupling!r}"
             )
         if self.coupling == "lorentzian":
             if self.omegas is not None or self.couplings is not None:
-                raise ValueError("lorentzian rule does not take explicit lists")
+                raise InvalidValue("lorentzian rule does not take explicit lists")
             if self.n_bath < 3:
                 raise DegenerateWidth(
                     f"lorentzian rule needs n_bath >= 3, got {self.n_bath}"
                 )
         else:
             if self.omegas is None or self.couplings is None:
-                raise ValueError("explicit rule requires omegas and couplings")
+                raise InvalidValue("explicit rule requires omegas and couplings")
             if len(self.omegas) != self.n_bath or len(self.couplings) != self.n_bath:
-                raise ValueError(
+                raise InvalidValue(
                     "explicit lists must have length n_bath = "
                     f"{self.n_bath}, got {len(self.omegas)} and {len(self.couplings)}"
                 )
@@ -122,13 +123,17 @@ class DiscretizedBath:
         om = np.atleast_1d(np.asarray(self.omegas, dtype=float)).copy()
         g = np.atleast_1d(np.asarray(self.couplings, dtype=float)).copy()
         if om.ndim != 1 or g.shape != om.shape:
-            raise ValueError("omegas and couplings must be 1-d arrays of equal length")
+            raise InvalidValue("omegas and couplings must be 1-d arrays of equal length")
         if om.size < 1:
-            raise ValueError("bath needs at least one mode")
+            raise InvalidValue("bath needs at least one mode")
         if not (np.all(np.isfinite(om)) and np.all(np.isfinite(g))):
             raise InvalidValue("bath frequencies and couplings must be finite")
-        if np.any(np.diff(om) <= 0.0):
+        if np.any(om[1:] <= om[:-1]):
             raise NonMonotonicGrid("bath frequencies must be strictly increasing")
+        # in Python floats, so an overflow gives inf and no numpy warning
+        span, g2 = float(om[-1]) - float(om[0]), sum(x * x for x in g.tolist())
+        if not (math.isfinite(span) and math.isfinite(g2)):
+            raise InvalidValue("bath frequency span and sum of g^2 must be finite")
         if np.any(g == 0.0):
             raise ZeroCoupling("every bath coupling must be nonzero")
         om.setflags(write=False)
@@ -152,9 +157,9 @@ class InitialOccupations:
     def __post_init__(self) -> None:
         nb = np.atleast_1d(np.asarray(self.n_bath_modes, dtype=float)).copy()
         if not np.isfinite(self.n_omega0) or self.n_omega0 < 0.0:
-            raise ValueError(f"n_omega0 must be finite and >= 0, got {self.n_omega0}")
+            raise InvalidValue(f"n_omega0 must be finite and >= 0, got {self.n_omega0}")
         if not np.all(np.isfinite(nb)) or np.any(nb < 0.0):
-            raise ValueError("bath occupations must be finite and >= 0")
+            raise InvalidValue("bath occupations must be finite and >= 0")
         nb.setflags(write=False)
         object.__setattr__(self, "n_bath_modes", nb)
 
@@ -175,10 +180,6 @@ def build_bath(params: ModelParams) -> DiscretizedBath:
     if params.coupling == "lorentzian":
         n_modes = params.n_bath
         a = params.step * (n_modes - 2) / 2.0
-        if a <= 0.0:
-            raise DegenerateWidth(
-                f"half-width a = {a}; lorentzian rule needs n_bath >= 3"
-            )
         idx = np.arange(1, n_modes + 1, dtype=float)
         omegas = params.omega0 + params.step * (idx - n_modes / 2.0)
         couplings = params.step * a**2 / (a**2 + (omegas - params.omega0) ** 2)
@@ -202,7 +203,7 @@ def thermal_occupations(
     oscillator (default 1 quantum).
     """
     if not (beta > 0.0):
-        raise ValueError(f"beta must be positive, got {beta}")
+        raise InvalidValue(f"beta must be positive, got {beta}")
     if np.any(bath.omegas <= 0.0):
         raise NonPositiveFrequency(
             "thermal occupation undefined for modes with omega <= 0"
@@ -210,26 +211,3 @@ def thermal_occupations(
     with np.errstate(over="ignore"):  # beta*omega > ~709: expm1 = inf, n = 0
         occ = 1.0 / np.expm1(beta * bath.omegas)
     return InitialOccupations(n_omega0=float(n_omega0), n_bath_modes=occ)
-
-
-def hamiltonian_matrix(bath: DiscretizedBath, omega0: float) -> np.ndarray:
-    """Dense (N+1) x (N+1) arrowhead Hamiltonian of the one-excitation sector."""
-    n = bath.n
-    h = np.zeros((n + 1, n + 1), dtype=float)
-    h[0, 0] = omega0
-    h[0, 1:] = bath.couplings
-    h[1:, 0] = bath.couplings
-    h[np.arange(1, n + 1), np.arange(1, n + 1)] = bath.omegas
-    return h
-
-
-def bose_einstein(omega: float, beta: float) -> float:
-    """Scalar convenience: 1 / (exp(beta*omega) - 1)."""
-    if omega <= 0.0:
-        raise NonPositiveFrequency(f"omega must be positive, got {omega}")
-    if not (beta > 0.0):
-        raise ValueError(f"beta must be positive, got {beta}")
-    try:
-        return 1.0 / math.expm1(beta * omega)
-    except OverflowError:  # beta*omega > ~709: n underflows to 0
-        return 0.0

@@ -24,11 +24,17 @@ class TimeGrid:
                 f"t_start and t_step must be finite, got {self.t_start}, {self.t_step}"
             )
         if not (self.t_step > 0.0):
-            raise ValueError(f"t_step must be positive, got {self.t_step}")
+            raise InvalidValue(f"t_step must be positive, got {self.t_step}")
         if self.t_start < 0.0:
-            raise ValueError(f"t_start must be >= 0, got {self.t_start}")
+            raise InvalidValue(f"t_start must be >= 0, got {self.t_start}")
         if int(self.n_steps) != self.n_steps or self.n_steps < 1:
-            raise ValueError(f"n_steps must be a positive integer, got {self.n_steps}")
+            raise InvalidValue(f"n_steps must be a positive integer, got {self.n_steps}")
+        try:  # in Python floats: an overflow gives inf, not a numpy warning
+            last = float(self.t_start) + float(self.t_step) * (int(self.n_steps) - 1)
+        except OverflowError:  # n_steps beyond float range
+            last = math.inf
+        if not math.isfinite(last):
+            raise InvalidValue(f"last grid time must be finite, got {last}")
 
     def times(self) -> np.ndarray:
         return self.t_start + self.t_step * np.arange(self.n_steps, dtype=float)

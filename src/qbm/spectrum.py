@@ -36,14 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidValue,
-    NoConvergence,
-    PoleEvaluation,
-    RootNotBracketed,
-    ToleranceNotReached,
-)
-from .model import DiscretizedBath, hamiltonian_matrix
+from .errors import InvalidValue, RootNotBracketed, ToleranceNotReached
+from .model import DiscretizedBath
 
 _EPS = float(np.finfo(float).eps)
 
@@ -96,21 +90,6 @@ class Spectrum:
     def tau_omega(self) -> float:
         """Bare oscillator period 2*pi/omega0."""
         return 2.0 * np.pi / self.omega0
-
-
-def secular_residual(alpha: float, bath: DiscretizedBath, omega0: float) -> float:
-    """F(alpha) = alpha - omega0 - sum_n g_n^2 / (alpha - omega_n).
-
-    Refuses to evaluate within machine resolution of a pole: |alpha - omega_n|
-    below 4*eps*max(1, |alpha|, |omega_n|) raises PoleEvaluation rather than
-    returning a catastrophically cancelled number.
-    """
-    a = float(alpha)
-    d = a - bath.omegas
-    guard = 4.0 * _EPS * np.maximum(1.0, np.maximum(abs(a), np.abs(bath.omegas)))
-    if np.any(np.abs(d) < guard):
-        raise PoleEvaluation(f"secular function evaluated at a pole (alpha = {a!r})")
-    return a - omega0 - float(np.sum(bath.couplings**2 / d))
 
 
 def _secular_parts(om, g2, omega0, origin, tau, buf):
@@ -217,26 +196,6 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
         np.square(d, out=d)
         weights[i : i + _TILE] = 1.0 / (1.0 + np.sum(d, axis=1))
     return Spectrum(alphas=alphas, weights=weights, omega0=float(omega0), bath=bath)
-
-
-def dense_diagonalize_oracle(bath: DiscretizedBath, omega0: float) -> Spectrum:
-    """Independent route to the same Spectrum through a dense symmetric
-    eigensolve of the arrowhead matrix.  Weights are the squared first
-    components of the eigenvectors.  Meant for cross-checks and small to
-    medium N (the matrix is built densely)."""
-    if bath.n > 2000:
-        raise ValueError("dense oracle limited to N <= 2000")
-    h = hamiltonian_matrix(bath, omega0)
-    try:
-        vals, vecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on real
-        raise NoConvergence(str(exc)) from exc  # symmetric input is robust
-    return Spectrum(
-        alphas=vals,
-        weights=vecs[0, :] ** 2,
-        omega0=float(omega0),
-        bath=bath,
-    )
 
 
 def overlap_matrix(spec: Spectrum) -> np.ndarray:

@@ -197,6 +197,30 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert proc.stderr == ""
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "t_step = 1e308\nn_steps = 3\noutputs = survival\n",
+            "coupling = explicit\nomegas = -1e308, 1e308\ncouplings = 0.1, 0.1\n",
+            "coupling = explicit\nomegas = 1.0\ncouplings = 1e200\noutputs = survival\n",
+        ],
+        ids=["last-time", "bath-span", "bath-g2"],
+    )
+    def test_overflowing_input_is_config_error(self, tmp_path, text):
+        # one error line, no numpy warning and nothing written
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "qbm.cli", "run", "--config", str(cfg), "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("InvalidValue: line ")
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_bad_thread_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QBM_THREADS", "many")
         code, _ = run_cli(tmp_path, "N = 5\nn_steps = 5\noutputs = spectrum\n")

@@ -211,6 +211,16 @@ class TestRunConfigValidation:
             RunConfig(grid_preset="recurrence", grid=TimeGrid(t_start=50.0))
 
     @pytest.mark.parametrize(
+        "kwargs",
+        [{"t_step": 1e308, "n_steps": 3}, {"t_start": 1e308, "t_step": 1e308}, {"n_steps": 10**400}],
+    )
+    def test_overflowing_last_time_rejected(self, kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidValue, match="last grid time"):
+                TimeGrid(**kwargs)
+
+    @pytest.mark.parametrize(
         "make",
         [
             lambda x: TimeGrid(t_start=x),
@@ -252,7 +262,9 @@ def run_configs(draw):
         # bounded so that the bath's frequency differences cannot overflow
         modes = st.floats(min_value=-1e6, max_value=1e6)
         omegas = draw(st.lists(modes, min_size=n, max_size=n, unique=True))
-        couplings = draw(st.lists(_finite.filter(bool), min_size=n, max_size=n))
+        # |g| <= 1e150 keeps the sum of g^2 over 8 modes finite
+        coupling = st.floats(min_value=-1e150, max_value=1e150).filter(bool)
+        couplings = draw(st.lists(coupling, min_size=n, max_size=n))
         model = ModelParams(
             n_bath=n,
             step=draw(_positive),
@@ -265,9 +277,10 @@ def run_configs(draw):
     preset = draw(st.sampled_from(GRID_PRESETS))
     grid = TimeGrid()
     if preset == "default":
+        # bounded so that the last grid time, below 1e300 + 1e296, is finite
         grid = TimeGrid(
-            t_start=draw(st.floats(min_value=0.0, allow_infinity=False)),
-            t_step=draw(_positive),
+            t_start=draw(st.floats(min_value=0.0, max_value=1e300)),
+            t_step=draw(st.floats(min_value=0.0, max_value=1e290, exclude_min=True)),
             n_steps=draw(st.integers(1, 10**6)),
         )
     outputs = draw(st.lists(st.sampled_from(PRODUCTS), min_size=1, unique=True))

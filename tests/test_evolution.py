@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import explicit_spectrum, make_random_bath
+from oracles import naive_transition_probabilities
 from qbm import evolution
 from qbm import (
     ModelParams,
@@ -19,7 +20,6 @@ from qbm import (
     thermal_occupations,
     transition_probabilities,
 )
-from qbm.errors import SizeGuard
 
 
 @pytest.fixture(scope="module")
@@ -91,8 +91,8 @@ class TestTransitionProbabilities:
 
     def test_fast_vs_naive(self, small_spec):
         for t in (0.7, 2.5, 13.0):
-            fast = transition_probabilities(small_spec, t=t, mode="fast")
-            naive = transition_probabilities(small_spec, t=t, mode="naive")
+            fast = transition_probabilities(small_spec, t=t)
+            naive = naive_transition_probabilities(small_spec, t=t)
             np.testing.assert_allclose(fast, naive, rtol=0.0, atol=1e-10)
 
     def test_doubly_stochastic(self, small_spec):
@@ -115,21 +115,6 @@ class TestTransitionProbabilities:
             assert p[0, 0] == pytest.approx(
                 survival_probability(ref_spectrum, t), rel=1e-12
             )
-
-    def test_size_guard(self):
-        rng = np.random.default_rng(3)
-        bath = make_random_bath(rng, 33)
-        spec = solve_spectrum(bath, 1.0)
-        with pytest.raises(SizeGuard):
-            transition_probabilities(spec, t=1.0, mode="naive")
-        # force=True overrides and still matches the fast path
-        fast = transition_probabilities(spec, t=1.0, mode="fast")
-        naive = transition_probabilities(spec, t=1.0, mode="naive", force=True)
-        np.testing.assert_allclose(fast, naive, atol=1e-10)
-
-    def test_bad_mode(self, small_spec):
-        with pytest.raises(ValueError):
-            transition_probabilities(small_spec, t=1.0, mode="exactish")
 
 
 class TestPopulations:

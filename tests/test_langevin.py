@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import explicit_spectrum, make_random_bath
+from oracles import dense_diagonalize_oracle, hamiltonian_matrix, naive_coefficients
 from qbm import (
     LangevinInput,
     ModelParams,
     build_bath,
     coefficient_series,
-    coefficients,
     estimate_gamma,
     gamma_from_survival,
     golden_rule_rate,
-    hamiltonian_matrix,
     mean_position,
     moment_signal,
     recurrence_time,
@@ -58,9 +57,9 @@ OMEGAS = [0.5, 1.0, 2.0]
 class TestCoefficients:
     @pytest.mark.parametrize("omega0", OMEGAS)
     def test_gamma_zero_at_origin(self, omega0):
-        sample = coefficients(explicit_spectrum(omega0), 0.0)
-        assert sample.gamma == 0.0
-        assert sample.denominator_ok
+        _, gamma, ok = coefficient_series(explicit_spectrum(omega0), [0.0])
+        assert gamma[0] == 0.0
+        assert ok[0]
 
     @pytest.mark.parametrize("omega0", OMEGAS)
     def test_omega2_at_origin(self, omega0):
@@ -68,39 +67,29 @@ class TestCoefficients:
         spec = explicit_spectrum(omega0)
         _, m2 = matrix_moments(spec)
         assert m2 == pytest.approx(omega0**2 + np.sum(spec.bath.couplings**2), rel=1e-14)
-        assert coefficients(spec, 0.0).omega2 == pytest.approx(m2, rel=1e-9)
+        assert coefficient_series(spec, [0.0])[0][0] == pytest.approx(m2, rel=1e-9)
 
     def test_fast_vs_naive_seeded(self):
         rng = np.random.default_rng(12345)
         for n in (4, 8, 16, 32):
             spec = solve_spectrum(make_random_bath(rng, n), 1.0)
             for t in rng.uniform(0.0, 20.0, size=20):
-                fast = coefficients(spec, float(t), mode="fast")
-                naive = coefficients(spec, float(t), mode="naive")
-                assert fast.denominator_ok == naive.denominator_ok
-                if fast.denominator_ok:
-                    assert fast.omega2 == pytest.approx(naive.omega2, rel=1e-8)
-                    assert fast.gamma == pytest.approx(
-                        naive.gamma, rel=1e-8, abs=1e-12
+                (omega2,), (gamma,), (ok,) = coefficient_series(spec, [float(t)])
+                naive_omega2, naive_gamma, naive_ok = naive_coefficients(spec, float(t))
+                assert ok == naive_ok
+                if ok:
+                    assert omega2 == pytest.approx(naive_omega2, rel=1e-8)
+                    assert gamma == pytest.approx(
+                        naive_gamma, rel=1e-8, abs=1e-12
                     )
 
     def test_flagged_at_denominator_zero(self, two_level):
         # for the symmetric doublet the shared denominator is
         # (1 + cos(0.2 t))/2, which vanishes at t = 5 pi
-        sample = coefficients(two_level, 5.0 * np.pi)
-        assert not sample.denominator_ok
-        assert np.isnan(sample.omega2) and np.isnan(sample.gamma)
-        naive = coefficients(two_level, 5.0 * np.pi, mode="naive")
-        assert not naive.denominator_ok
-
-    def test_series_matches_scalar(self, ref_spectrum):
-        ts = np.array([0.0, 1.3, 7.7, 19.0])
-        omega2, gamma, ok = coefficient_series(ref_spectrum, ts)
-        assert ok.all()
-        for j, t in enumerate(ts):
-            s = coefficients(ref_spectrum, float(t))
-            assert omega2[j] == pytest.approx(s.omega2, rel=1e-14)
-            assert gamma[j] == pytest.approx(s.gamma, rel=1e-14, abs=1e-15)
+        (omega2,), (gamma,), (ok,) = coefficient_series(two_level, [5.0 * np.pi])
+        assert not ok
+        assert np.isnan(omega2) and np.isnan(gamma)
+        assert not naive_coefficients(two_level, 5.0 * np.pi)[2]
 
     def test_zeno_onset_monotone_to_first_crossing(self, ref_spectrum):
         # Gamma rises monotonically from 0 until it first crosses the
@@ -113,10 +102,6 @@ class TestCoefficients:
         crossing = int(np.argmax(gam >= gamma_ref))
         assert crossing > 0  # sits below gamma for a while
         assert np.all(np.diff(gam[: crossing + 1]) > 0.0)
-
-    def test_bad_mode(self, ref_spectrum):
-        with pytest.raises(ValueError):
-            coefficients(ref_spectrum, 1.0, mode="slow")
 
 
 class TestGammaFromSurvival:
@@ -261,8 +246,6 @@ class TestRatesAndScales:
         assert recurrence_time(two_level) == pytest.approx(10.0 * np.pi, rel=1e-12)
 
     def test_recurrence_reference(self, ref_spectrum, ref_bath):
-        from qbm import dense_diagonalize_oracle
-
         t_r = recurrence_time(ref_spectrum)
         oracle = dense_diagonalize_oracle(ref_bath, 1.0)
         t_r_oracle = 2.0 * np.pi / float(np.diff(oracle.alphas).min())

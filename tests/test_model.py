@@ -4,13 +4,17 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import bose_einstein, hamiltonian_matrix
 from qbm import (
     DiscretizedBath,
     InitialOccupations,
+    LangevinInput,
     ModelParams,
-    bose_einstein,
+    RunConfig,
+    TimeGrid,
     build_bath,
-    hamiltonian_matrix,
+    moment_signal,
+    solve_spectrum,
     thermal_occupations,
 )
 from qbm.errors import (
@@ -18,6 +22,7 @@ from qbm.errors import (
     InvalidValue,
     NonMonotonicGrid,
     NonPositiveFrequency,
+    QbmError,
     ZeroCoupling,
 )
 
@@ -140,6 +145,24 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             ModelParams(n_bath=3, omegas=(1.0, 2.0, 3.0))
 
+    @pytest.mark.parametrize(
+        "omegas, couplings",
+        [([-1e308, 1e308], [0.1, 0.1]), ([1.0], [1e200]), ([0.5, 1.0], [1e154, 1e154])],
+        ids=["span", "g2", "g2-sum"],
+    )
+    def test_overflowing_bath_rejected(self, omegas, couplings):
+        # a span or sum of g^2 beyond float range, caught without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidValue, match="must be finite"):
+                build_bath(ModelParams.explicit(omegas, couplings))
+
+    def test_wide_monotonic_check_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonMonotonicGrid):
+                DiscretizedBath([1e308, -1e308], [0.1, 0.1])
+
 
 class TestThermalOccupations:
     def test_resonant_value(self, ref_bath):
@@ -208,3 +231,48 @@ class TestHamiltonianMatrix:
         bath_block = h[1:, 1:].copy()
         np.fill_diagonal(bath_block, 0.0)
         assert np.all(bath_block == 0.0)
+
+
+def _two_level():
+    return solve_spectrum(build_bath(ModelParams.explicit([1.0], [0.1])), 1.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ModelParams(n_bath=0),
+        lambda: ModelParams(n_bath=10**20),
+        lambda: ModelParams(step=-0.1),
+        lambda: ModelParams(omega0=0.0),
+        lambda: ModelParams(beta=-1.0),
+        lambda: ModelParams(coupling="gaussian"),
+        lambda: ModelParams(n_bath=3, omegas=(1.0, 2.0, 3.0)),
+        lambda: ModelParams(n_bath=8, coupling="explicit"),
+        lambda: ModelParams(n_bath=3, coupling="explicit", omegas=(0.5, 1.0), couplings=(0.1, 0.2)),
+        lambda: DiscretizedBath([0.5, 1.0], [0.1]),
+        lambda: DiscretizedBath([], []),
+        lambda: InitialOccupations(n_omega0=-0.1, n_bath_modes=np.array([0.5])),
+        lambda: InitialOccupations(n_omega0=1.0, n_bath_modes=np.array([-0.5])),
+        lambda: TimeGrid(t_step=-1.0),
+        lambda: TimeGrid(t_start=-1.0),
+        lambda: TimeGrid(n_steps=0),
+        lambda: LangevinInput(mass=0.0),
+        lambda: RunConfig(outputs=()),
+        lambda: RunConfig(outputs=("spectra",)),
+        lambda: RunConfig(grid_preset="long"),
+        lambda: RunConfig(grid_preset="recurrence", grid=TimeGrid(t_start=50.0)),
+        lambda: RunConfig(n_omega0=-1.0),
+        lambda: thermal_occupations(build_bath(ModelParams()), -1.0),
+        lambda: moment_signal(_two_level(), 3, 0.0),
+    ],
+    ids=[
+        "n_bath", "n_bath-huge", "step", "omega0", "beta", "coupling", "lorentzian-lists",
+        "explicit-no-lists", "explicit-lengths", "bath-shapes", "bath-empty",
+        "n_omega0", "bath-occupation", "t_step", "t_start", "n_steps", "mass",
+        "no-outputs", "unknown-product", "preset", "preset-grid", "run-n_omega0",
+        "thermal-beta", "moment-order",
+    ],
+)
+def test_bad_argument_is_typed_error(make):
+    with pytest.raises(QbmError):
+        make()
