@@ -95,6 +95,7 @@ def _resolve_grid(config: RunConfig, spec: Spectrum) -> TimeGrid:
 
 
 def _write_text(path: Path, text: str) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)  # a run that fails early writes nothing
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     return path
@@ -240,7 +241,6 @@ def run(config: RunConfig, out_dir=None) -> list[Path]:
     grid, and write them to out_dir.  Returns the written paths."""
     _worker_count()  # validate QBM_THREADS up front
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     bath = build_bath(config.model)
     spec = solve_spectrum(bath, config.model.omega0)

@@ -71,9 +71,17 @@ class GammaEstimate:
     n_samples: int
 
 
+def _check_phases(ts: np.ndarray, alphas: np.ndarray) -> None:
+    """InvalidValue unless max|t| * max|alpha|, in Python floats, is finite."""
+    big = float(np.max(np.abs(ts), initial=0.0)) * float(np.max(np.abs(alphas), initial=0.0))
+    if not math.isfinite(big):
+        raise InvalidValue(f"phases t*alpha are not finite: max|t| * max|alpha| = {big}")
+
+
 def _phase_block(ts: np.ndarray, alphas: np.ndarray, out=None) -> np.ndarray:
     """Real phase block [cos(t alpha); sin(t alpha)], shape (2T, N+1), for a
     1-d array of T times; written into the leading rows of out if given."""
+    _check_phases(ts, alphas)
     nt = ts.size
     e = np.empty((2 * nt, alphas.size)) if out is None else out[: 2 * nt]
     np.multiply.outer(ts, alphas, out=e[:nt])

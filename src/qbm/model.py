@@ -80,6 +80,10 @@ class ModelParams:
                 raise DegenerateWidth(
                     f"lorentzian rule needs n_bath >= 3, got {self.n_bath}"
                 )
+            # build_bath squares the half-width and detunings, each below step * N
+            span = self.step * self.n_bath
+            if not math.isfinite(span * span):
+                raise InvalidValue(f"step * n_bath = {span} is too wide: its square overflows")
         else:
             if self.omegas is None or self.couplings is None:
                 raise InvalidValue("explicit rule requires omegas and couplings")

@@ -35,6 +35,9 @@ class TimeGrid:
             last = math.inf
         if not math.isfinite(last):
             raise InvalidValue(f"last grid time must be finite, got {last}")
+        # past max_intp // 8 steps numpy cannot size the grid
+        if self.n_steps > np.iinfo(np.intp).max // 8:
+            raise InvalidValue(f"n_steps = {self.n_steps} is more than numpy can size")
 
     def times(self) -> np.ndarray:
         return self.t_start + self.t_step * np.arange(self.n_steps, dtype=float)

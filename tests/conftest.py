@@ -29,6 +29,20 @@ def two_level():
     return solve_spectrum(bath, 1.0)
 
 
+@pytest.fixture(scope="session")
+def plateau_probe():
+    """Spectrum and beta = 1 occupations of the README plateau probe
+    (N = 1000, A = 0.0018), built outside criterion 2's timer."""
+    bath = build_bath(ModelParams(n_bath=1000, step=0.0018))
+    return solve_spectrum(bath, 1.0), thermal_occupations(bath, 1.0, 1.0)
+
+
+@pytest.fixture(scope="session")
+def recurrence_probe():
+    """Spectrum of the README recurrence probe (N = 10^4, A = 1.8e-4)."""
+    return solve_spectrum(build_bath(ModelParams(n_bath=10000, step=1.8e-4)), 1.0)
+
+
 def make_random_bath(rng, n):
     """Well-separated random bath for property tests."""
     gaps = rng.uniform(0.05, 0.15, size=n)

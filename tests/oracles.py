@@ -3,7 +3,8 @@ closed spectral sums.  The dense `hamiltonian_matrix` and its `eigh`
 (`dense_diagonalize_oracle`) check the solve's roots, weights and moments;
 `secular_residual` certifies roots by a sign change of F; the pair sums
 `naive_transition_probabilities` and `naive_coefficients` check
-`transition_probabilities` and `coefficient_series`; the scalar
+`transition_probabilities` and `coefficient_series`; the explicit row-0
+sum `row0_population` checks `oscillator_population`; the scalar
 `bose_einstein` checks `thermal_occupations`."""
 
 import math
@@ -58,6 +59,22 @@ def naive_transition_probabilities(spec: Spectrum, t: float) -> np.ndarray:
             p[n, m] = cross + diag
             p[m, n] = p[n, m]
     return p
+
+
+def row0_population(spec: Spectrum, occ0, times) -> np.ndarray:
+    """<N_Omega(t)> = a0^2 n_0 + sum_m g_m^2 n_m |sum_nu w_nu e^{-i alpha_nu t}
+    / (omega_m - alpha_nu)|^2 at each time, with a0 = |A(t)|: the explicit
+    O(N^2)-per-time row-0 sum in complex arithmetic, no eigh, the Cauchy
+    matrix built in blocks of 1000 modes."""
+    ts = np.atleast_1d(np.asarray(times, dtype=float))
+    n0 = occ0.vector
+    ph = spec.weights[:, None] * np.exp(-1j * np.outer(spec.alphas, ts))
+    out = np.abs(ph.sum(axis=0)) ** 2 * n0[0]
+    om, g2n = spec.bath.omegas, spec.bath.couplings**2 * n0[1:]
+    for m0 in range(0, om.size, 1000):
+        u = (1.0 / (om[m0 : m0 + 1000, None] - spec.alphas)) @ ph
+        out += g2n[m0 : m0 + 1000] @ np.abs(u) ** 2
+    return out
 
 
 def naive_coefficients(spec: Spectrum, t: float) -> tuple[float, float, bool]:

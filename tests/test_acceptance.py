@@ -24,9 +24,7 @@ from conftest import make_random_bath
 from oracles import dense_diagonalize_oracle, naive_coefficients, naive_transition_probabilities
 from qbm import (
     LangevinInput,
-    ModelParams,
     TimeGrid,
-    build_bath,
     coefficient_series,
     estimate_gamma,
     gamma_from_survival,
@@ -39,24 +37,9 @@ from qbm import (
     serialize_config,
     solve_spectrum,
     survival_probability,
-    thermal_occupations,
     transition_probabilities,
 )
 from qbm.cli import main, run
-
-
-@pytest.fixture(scope="module")
-def plateau_probe():
-    """Spectrum and beta = 1 occupations of the README plateau probe
-    (N = 1000, A = 0.0018), built outside criterion 2's timer."""
-    bath = build_bath(ModelParams(n_bath=1000, step=0.0018))
-    return solve_spectrum(bath, 1.0), thermal_occupations(bath, 1.0, 1.0)
-
-
-@pytest.fixture(scope="module")
-def recurrence_probe():
-    """Spectrum of the README recurrence probe (N = 10^4, A = 1.8e-4)."""
-    return solve_spectrum(build_bath(ModelParams(n_bath=10000, step=1.8e-4)), 1.0)
 
 
 def test_criterion_01_spectral_correctness(ref_bath):

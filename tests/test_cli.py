@@ -198,15 +198,19 @@ class TestExitCodes:
         assert proc.stderr == ""
 
     @pytest.mark.parametrize(
-        "text",
+        "text, prefix",
         [
-            "t_step = 1e308\nn_steps = 3\noutputs = survival\n",
-            "coupling = explicit\nomegas = -1e308, 1e308\ncouplings = 0.1, 0.1\n",
-            "coupling = explicit\nomegas = 1.0\ncouplings = 1e200\noutputs = survival\n",
+            ("t_step = 1e308\nn_steps = 3\noutputs = survival\n", "InvalidValue: line "),
+            ("coupling = explicit\nomegas = -1e308, 1e308\ncouplings = 0.1, 0.1\n", "InvalidValue: line "),
+            ("coupling = explicit\nomegas = 1.0\ncouplings = 1e200\noutputs = survival\n", "InvalidValue: line "),
+            # grid and bath are each fine; their phases t * alpha overflow
+            ("t_step = 5e307\nn_steps = 3\noutputs = survival\n", "InvalidValue: phases "),
+            ("A = 1e300\n", "InvalidValue: line "),
+            ("n_steps = 100000000000000000000\n", "InvalidValue: line "),
         ],
-        ids=["last-time", "bath-span", "bath-g2"],
+        ids=["last-time", "bath-span", "bath-g2", "phase", "lorentzian-width", "grid-size"],
     )
-    def test_overflowing_input_is_config_error(self, tmp_path, text):
+    def test_overflowing_input_is_config_error(self, tmp_path, text, prefix):
         # one error line, no numpy warning and nothing written
         cfg = tmp_path / "c.cfg"
         cfg.write_text(text)
@@ -217,7 +221,7 @@ class TestExitCodes:
             text=True,
         )
         assert proc.returncode == 2
-        assert proc.stderr.startswith("InvalidValue: line ")
+        assert proc.stderr.startswith(prefix)
         assert proc.stderr.count("\n") == 1
         assert not out.exists()
 

@@ -1,11 +1,13 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import explicit_spectrum, make_random_bath
-from oracles import naive_transition_probabilities
+from oracles import naive_transition_probabilities, row0_population
 from qbm import evolution
+from qbm.errors import InvalidValue
 from qbm import (
     ModelParams,
     TimeGrid,
@@ -170,6 +172,62 @@ class TestPopulationDecomposition:
         assert total[0] == pytest.approx(1.0, abs=1e-10)
         assert surviving[0] == pytest.approx(1.0, abs=1e-10)
         assert influx[0] == pytest.approx(0.0, abs=1e-10)
+
+
+class TestRow0KernelAccuracy:
+    """The row-0 kernel runs its Cauchy product on Chebyshev node times and
+    interpolates; the explicit row-0 sum at each time is the reference."""
+
+    def test_recurrence_probe_report_window(self, recurrence_probe):
+        # the report's plateau window at N = 10^4: 1273 times on one node set
+        spec = recurrence_probe
+        occ = thermal_occupations(spec.bath, 1.0, 1.0)
+        ts = TimeGrid().times()
+        window = ts[(ts >= 100.0) & (ts <= 300.0)]
+        got = oscillator_population(spec, occ, window)
+        idx = np.linspace(0, window.size - 1, 8).astype(int)
+        want = row0_population(spec, occ, window[idx])
+        np.testing.assert_allclose(got[idx], want, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "t_step, sizes",
+        [(np.pi / 20.0, (2, 9, 64, 300, 1273, 12733)), (1.0, (64, 300, 1273))],
+        ids=["default-step", "step-1"],
+    )
+    def test_plateau_probe_sweep(self, plateau_probe, t_step, sizes):
+        # one call spans r h from ~0 (2 times) to ~900 (12733 times); the
+        # node sets it is cut into reach r h ~ 45 at the default step and
+        # ~ 140 at step 1, so a node count short of the band shows here
+        spec, occ = plateau_probe
+        for n in sizes:
+            ts = 1000.0 + t_step * np.arange(n)
+            got = oscillator_population(spec, occ, ts)
+            idx = np.unique(np.linspace(0, n - 1, 12).astype(int))
+            want = row0_population(spec, occ, ts[idx])
+            np.testing.assert_allclose(got[idx], want, rtol=0.0, atol=1e-13, err_msg=f"T = {n}")
+
+    def test_coarse_grid_times_are_nodes(self, ref_spectrum, ref_occupations):
+        # at t_step = 2 nodes would not be fewer than times: the times are the nodes
+        ts = TimeGrid(t_step=2.0, n_steps=1500).times()
+        got = oscillator_population(ref_spectrum, ref_occupations, ts)
+        want = row0_population(ref_spectrum, ref_occupations, ts)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("t", [1.7e308, float("nan")], ids=["overflow", "nan"])
+def test_phase_overflow_is_typed_error(two_level, t):
+    # max|t| * max|alpha| = 1.7e308 * 1.1 overflows: no product evaluates it
+    occ = InitialOccupations(n_omega0=1.0, n_bath_modes=np.array([0.5]))
+    calls = (
+        lambda: survival_probability(two_level, np.array([0.0, t])),
+        lambda: oscillator_population(two_level, occ, [0.0, t]),
+        lambda: population_decomposition(two_level, occ, [0.0, t]),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(InvalidValue, match="phases"):
+                call()
 
 
 def test_population_memory_does_not_grow_with_times():

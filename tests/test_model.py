@@ -242,6 +242,7 @@ def _two_level():
     [
         lambda: ModelParams(n_bath=0),
         lambda: ModelParams(n_bath=10**20),
+        lambda: ModelParams(step=1e300),
         lambda: ModelParams(step=-0.1),
         lambda: ModelParams(omega0=0.0),
         lambda: ModelParams(beta=-1.0),
@@ -256,6 +257,7 @@ def _two_level():
         lambda: TimeGrid(t_step=-1.0),
         lambda: TimeGrid(t_start=-1.0),
         lambda: TimeGrid(n_steps=0),
+        lambda: TimeGrid(n_steps=10**20),
         lambda: LangevinInput(mass=0.0),
         lambda: RunConfig(outputs=()),
         lambda: RunConfig(outputs=("spectra",)),
@@ -266,9 +268,9 @@ def _two_level():
         lambda: moment_signal(_two_level(), 3, 0.0),
     ],
     ids=[
-        "n_bath", "n_bath-huge", "step", "omega0", "beta", "coupling", "lorentzian-lists",
+        "n_bath", "n_bath-huge", "step-huge", "step", "omega0", "beta", "coupling", "lorentzian-lists",
         "explicit-no-lists", "explicit-lengths", "bath-shapes", "bath-empty",
-        "n_omega0", "bath-occupation", "t_step", "t_start", "n_steps", "mass",
+        "n_omega0", "bath-occupation", "t_step", "t_start", "n_steps", "n_steps-huge", "mass",
         "no-outputs", "unknown-product", "preset", "preset-grid", "run-n_omega0",
         "thermal-beta", "moment-order",
     ],
