@@ -13,7 +13,6 @@ from .evolution import (
     oscillator_population,
     population_decomposition,
     population_series,
-    survival_amplitude,
     survival_probability,
     transition_probabilities,
 )

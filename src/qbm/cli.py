@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import PRODUCTS, RunConfig, parse_config
-from .errors import ConfigError, InvalidValue, MissingProduct, QbmError
+from .errors import ConfigError, InvalidValue, QbmError
 from .evolution import oscillator_population, survival_probability
 from .langevin import (
     coefficient_series,
@@ -166,9 +166,10 @@ _PRODUCTS = {
 
 def _report_text(config: RunConfig, spec: Spectrum, grid: TimeGrid) -> str:
     bath = spec.bath
-    sum_w = float(np.sum(spec.weights))
-    sum_aw = float(spec.alphas @ spec.weights)
-    sum_a2w = float(spec.alphas**2 @ spec.weights)
+    # exactly rounded sums, so the residuals do not depend on BLAS threads
+    sum_w = math.fsum(spec.weights)
+    sum_aw = math.fsum(spec.alphas * spec.weights)
+    sum_a2w = math.fsum(spec.alphas**2 * spec.weights)
     m2 = spec.omega0**2 + float(np.sum(bath.couplings**2))
 
     try:
@@ -204,18 +205,10 @@ def _report_text(config: RunConfig, spec: Spectrum, grid: TimeGrid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_plot_script(products, out_dir) -> Path:
-    """Write a self-contained gnuplot script with one panel per plottable
-    product, titled after the corresponding figure captions.  The CSVs
-    must already exist in out_dir."""
-    out = Path(out_dir)
+def _plot_script(products) -> str:
+    """Self-contained gnuplot script with one panel per plottable product
+    requested, titled after the corresponding figure captions."""
     wanted = [p for p in _PRODUCTS if p in products]
-    if not wanted:
-        raise MissingProduct("no plottable product requested")
-    for p in wanted:
-        if not (out / f"{p}.csv").exists():
-            raise MissingProduct(f"{p}.csv not found in {out}")
-
     lines = [
         "# generated by qbm; run with: gnuplot plot.gp",
         "set datafile separator ','",
@@ -233,7 +226,7 @@ def emit_plot_script(products, out_dir) -> Path:
             f"plot '{p}.csv' using {columns} skip 1 with {style} notitle",
         ]
     lines += ["unset multiplot"]
-    return _write_text(out / "plot.gp", "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def run(config: RunConfig, out_dir=None) -> list[Path]:
@@ -259,7 +252,7 @@ def run(config: RunConfig, out_dir=None) -> list[Path]:
         written.append(_write_text(path, text))
 
     if any(p in config.outputs for p in _PRODUCTS):
-        written.append(emit_plot_script(config.outputs, out))
+        written.append(_write_text(out / "plot.gp", _plot_script(config.outputs)))
     return written
 
 

@@ -31,19 +31,6 @@ class InvalidValue(ConfigError, ValueError):
 
 # --- model construction errors ---
 
-class DegenerateWidth(QbmError):
-    """Lorentzian rule with fewer than 3 bath modes: half-width a = A(N-2)/2
-    is non-positive and every coupling would vanish."""
-
-
-class NonMonotonicGrid(QbmError):
-    """Explicit bath frequencies are not strictly increasing."""
-
-
-class ZeroCoupling(QbmError):
-    """A bath coupling is exactly zero; eigenvalues would collide with poles."""
-
-
 class NonPositiveFrequency(QbmError):
     """Thermal occupation requested for a mode with frequency <= 0."""
 
@@ -63,11 +50,3 @@ class ToleranceNotReached(QbmError):
 
 class AmplitudeVanishes(QbmError):
     """Survival amplitude too small for a meaningful logarithmic derivative."""
-
-
-class WindowTooShort(QbmError):
-    """Decay-rate fit window holds fewer than the minimum number of samples."""
-
-
-class MissingProduct(QbmError):
-    """Plot script requested for a product whose CSV does not exist."""

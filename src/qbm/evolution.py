@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .langevin import _check_phases, _phase_block, moment_signal
+from .langevin import _check_phases, _phase_block, _times, moment_signal
 from .model import InitialOccupations
 from .spectrum import Spectrum, overlap_matrix
 
@@ -49,22 +49,17 @@ _ROWS = 256  # grid times per interpolation block
 _NODE_MARGIN = (12.0, 4.0)
 
 
-def survival_amplitude(spec: Spectrum, t):
-    """A(t) = sum_nu w_nu exp(-i alpha_nu t); scalar t gives a complex
-    scalar, an array of times gives an array."""
-    return moment_signal(spec, 0, t)
-
-
-def survival_probability(spec: Spectrum, t):
-    """|A(t)|^2."""
-    a = survival_amplitude(spec, t)
-    return np.abs(a) ** 2 if isinstance(a, np.ndarray) else abs(a) ** 2
+def survival_probability(spec: Spectrum, t) -> np.ndarray:
+    """|A(t)|^2 over an array of times (a scalar is one time), with
+    A(t) = moment_signal(spec, 0, t)."""
+    return np.abs(moment_signal(spec, 0, t)) ** 2
 
 
 def transition_probabilities(spec: Spectrum, t: float) -> np.ndarray:
     """P_nm(t) = |U_nm(t)|^2 for all N+1 levels, an (N+1) x (N+1) array
     (row n: target level, column m: source; index 0 is the oscillator),
     from the spectral propagator in one O(N^3) product."""
+    _check_phases(np.array([float(t)]), spec.alphas)
     c = overlap_matrix(spec)
     u = c.T @ (np.exp(-1j * spec.alphas * float(t))[:, None] * c)
     return u.real**2 + u.imag**2
@@ -74,7 +69,7 @@ def population_series(spec: Spectrum, occ0: InitialOccupations, times) -> np.nda
     """Occupation vectors <N_n(t)> = sum_m P_nm(t) N_m(0) over an array of
     times, shape (N+1, len(times)), from the dense propagator at each time.
     O(N^3) per time: the reference the row-0 kernel is checked against."""
-    ts = np.atleast_1d(np.asarray(times, dtype=float))
+    ts = _times(times)
     n0 = occ0.vector
     out = np.empty((spec.n_levels, ts.size))
     for j, t in enumerate(ts):
@@ -163,8 +158,7 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
 def oscillator_population(spec: Spectrum, occ0: InitialOccupations, times) -> np.ndarray:
     """<N_Omega(t)> over an array of times.  Uses only row 0 of the
     transition matrix, O(N^2 K + N K T) for T times on K node times."""
-    ts = np.atleast_1d(np.asarray(times, dtype=float))
-    return _row0_contract(spec, ts, occ0.vector[:, None])[0]
+    return _row0_contract(spec, _times(times), occ0.vector[:, None])[0]
 
 
 def population_decomposition(
@@ -178,8 +172,7 @@ def population_decomposition(
     Returns (total, surviving, influx) arrays; total is the full row-0
     contraction, so surviving + influx matches it to rounding.
     """
-    ts = np.atleast_1d(np.asarray(times, dtype=float))
     n0 = occ0.vector
     v = np.zeros((n0.size, 3))
     v[:, 0], v[0, 1], v[1:, 2] = n0, n0[0], n0[1:]
-    return tuple(_row0_contract(spec, ts, v))
+    return tuple(_row0_contract(spec, _times(times), v))

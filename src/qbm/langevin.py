@@ -33,13 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmplitudeVanishes, InvalidValue, WindowTooShort
+from .errors import AmplitudeVanishes, InvalidValue
 from .model import DiscretizedBath
 from .spectrum import Spectrum
 
 _DENOM_RTOL = 1e-12
 _AMPLITUDE_FLOOR = 1e-12
-_MIN_FIT_SAMPLES = 16
+_FIT_SAMPLES = 256
 
 
 @dataclass(frozen=True)
@@ -60,15 +60,12 @@ class LangevinInput:
 @dataclass(frozen=True)
 class GammaEstimate:
     """Least-squares exponential decay rate of |A(t)|^2 over a window,
-    with the fit intercept, rms residual of the linear model in
-    -ln|A|^2, and the golden-rule surrogate for comparison."""
+    with the fit intercept and rms residual of the linear model in
+    -ln|A|^2."""
 
     gamma: float
     intercept: float
     rms_residual: float
-    golden_rule: float
-    window: tuple[float, float]
-    n_samples: int
 
 
 def _check_phases(ts: np.ndarray, alphas: np.ndarray) -> None:
@@ -76,6 +73,14 @@ def _check_phases(ts: np.ndarray, alphas: np.ndarray) -> None:
     big = float(np.max(np.abs(ts), initial=0.0)) * float(np.max(np.abs(alphas), initial=0.0))
     if not math.isfinite(big):
         raise InvalidValue(f"phases t*alpha are not finite: max|t| * max|alpha| = {big}")
+
+
+def _times(t) -> np.ndarray:
+    """Times as a 1-d float array; a scalar counts as one time."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if ts.ndim != 1:
+        raise InvalidValue(f"times must be a scalar or a 1-d array, got shape {ts.shape}")
+    return ts
 
 
 def _phase_block(ts: np.ndarray, alphas: np.ndarray, out=None) -> np.ndarray:
@@ -91,26 +96,21 @@ def _phase_block(ts: np.ndarray, alphas: np.ndarray, out=None) -> np.ndarray:
 
 
 def _moments(spec: Spectrum, ks, t) -> np.ndarray:
-    """S_k(t) for each k in ks, shape (len(ks),) + shape(t): one phase block
-    times the columns alpha^k w in a real GEMM, S = cos part - i sin part."""
-    ts = np.asarray(t, dtype=float)
-    flat = ts.reshape(-1)
+    """S_k(t) for each k in ks, shape (len(ks), T): one phase block times
+    the columns alpha^k w in a real GEMM, S = cos part - i sin part."""
+    ts = _times(t)
     coeff = np.stack([spec.weights * spec.alphas**k for k in ks], axis=1)
-    r = _phase_block(flat, spec.alphas) @ coeff
-    s = r[: flat.size] - 1j * r[flat.size :]
-    return s.T.reshape((len(ks),) + ts.shape)
+    r = _phase_block(ts, spec.alphas) @ coeff
+    return (r[: ts.size] - 1j * r[ts.size :]).T
 
 
-def moment_signal(spec: Spectrum, k: int, t):
-    """S_k(t) = sum_nu alpha_nu^k w_nu exp(-i alpha_nu t) for k in {0, 1, 2}.
-
-    Scalar t returns a complex scalar; an array of times returns the
-    corresponding complex array.
-    """
+def moment_signal(spec: Spectrum, k: int, t) -> np.ndarray:
+    """S_k(t) = sum_nu alpha_nu^k w_nu exp(-i alpha_nu t) for k in {0, 1, 2},
+    over an array of times (a scalar is one time).  S_0 is the survival
+    amplitude A(t)."""
     if k not in (0, 1, 2):
         raise InvalidValue(f"moment order k must be 0, 1 or 2, got {k}")
-    val = _moments(spec, (k,), t)[0]
-    return complex(val) if val.ndim == 0 else val
+    return _moments(spec, (k,), t)[0]
 
 
 def coefficient_series(
@@ -120,7 +120,7 @@ def coefficient_series(
 
     Returns (omega2, gamma, denominator_ok); flagged entries hold NaN.
     """
-    s0, s1, s2 = _moments(spec, (0, 1, 2), np.atleast_1d(times))
+    s0, s1, s2 = _moments(spec, (0, 1, 2), times)
     den = np.real(np.conj(s1) * s0)
     ok = np.abs(den) >= _DENOM_RTOL * float(np.sum(np.abs(spec.alphas) * spec.weights))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -131,28 +131,28 @@ def coefficient_series(
     return omega2, gamma, ok
 
 
-def gamma_from_survival(spec: Spectrum, t):
-    """Instantaneous decay rate of the survival probability,
+def gamma_from_survival(spec: Spectrum, t) -> np.ndarray:
+    """Instantaneous decay rate of the survival probability over an array
+    of times,
 
         -d ln|A(t)|^2 / dt = -2 Re[dA/dt / A] = -2 Re[-i S_1 / S_0],
 
     evaluated with the analytic derivative.  Raises AmplitudeVanishes if
     |A| is at (or below) 1e-12 anywhere in the request.
     """
-    ts = np.asarray(t, dtype=float)
+    ts = _times(t)
     s0, s1 = _moments(spec, (0, 1), ts)
-    a0 = np.abs(np.atleast_1d(s0))
+    a0 = np.abs(s0)
     if np.any(a0 <= _AMPLITUDE_FLOOR):
-        t_bad = np.atleast_1d(ts)[int(np.argmin(a0))]
+        t_bad = ts[int(np.argmin(a0))]
         raise AmplitudeVanishes(
             f"|A(t)| = {float(a0.min()):.3e} at t = {float(t_bad)!r}"
         )
-    val = -2.0 * np.real(-1j * s1 / s0)
-    return float(val) if ts.ndim == 0 else val
+    return -2.0 * np.real(-1j * s1 / s0)
 
 
-def mean_position(spec: Spectrum, inp: LangevinInput, t):
-    """Deterministic mean path
+def mean_position(spec: Spectrum, inp: LangevinInput, t) -> np.ndarray:
+    """Deterministic mean path over an array of times,
 
         X(t) = sum_nu w_nu cos(alpha_nu t) X(0)
              + sum_nu w_nu sin(alpha_nu t) P(0)/(M Omega)
@@ -163,8 +163,7 @@ def mean_position(spec: Spectrum, inp: LangevinInput, t):
     by construction.
     """
     s0 = moment_signal(spec, 0, t)
-    val = np.real(s0) * inp.x0 - np.imag(s0) * (inp.p0 / (inp.mass * spec.omega0))
-    return float(val) if np.ndim(val) == 0 else val
+    return np.real(s0) * inp.x0 - np.imag(s0) * (inp.p0 / (inp.mass * spec.omega0))
 
 
 def golden_rule_rate(bath: DiscretizedBath, omega0: float) -> float:
@@ -179,27 +178,19 @@ def golden_rule_rate(bath: DiscretizedBath, omega0: float) -> float:
     return 2.0 * math.pi * float(g_res) ** 2 / spacing
 
 
-def estimate_gamma(
-    spec: Spectrum,
-    fit_window: tuple[float, float],
-    n_samples: int = 256,
-) -> GammaEstimate:
+def estimate_gamma(spec: Spectrum, fit_window: tuple[float, float]) -> GammaEstimate:
     """Exponential decay rate of |A(t)|^2 over a window.
 
-    Samples -ln|A(t)|^2 uniformly over [t0, t1] and fits a straight line
-    by least squares; the slope is gamma.  The rms residual is reported so
-    callers can tell a genuine exponential regime from a meaningless fit
-    (two-level dynamics, for example, never decays and leaves a large
-    residual).  The window must contain at least 16 samples.
+    Samples -ln|A(t)|^2 at 256 uniform times over [t0, t1] and fits a
+    straight line by least squares; the slope is gamma.  The rms residual
+    is reported so callers can tell a genuine exponential regime from a
+    meaningless fit (two-level dynamics, for example, never decays and
+    leaves a large residual).  An empty window (t1 <= t0) is InvalidValue.
     """
     t0, t1 = float(fit_window[0]), float(fit_window[1])
-    if n_samples < _MIN_FIT_SAMPLES:
-        raise WindowTooShort(
-            f"need at least {_MIN_FIT_SAMPLES} samples, got {n_samples}"
-        )
     if not t1 > t0:
-        raise WindowTooShort(f"empty fit window [{t0}, {t1}]")
-    ts = np.linspace(t0, t1, n_samples)
+        raise InvalidValue(f"empty fit window [{t0}, {t1}]")
+    ts = np.linspace(t0, t1, _FIT_SAMPLES)
     a = moment_signal(spec, 0, ts)
     p = np.abs(a) ** 2
     if np.any(p <= _AMPLITUDE_FLOOR**2):
@@ -212,9 +203,6 @@ def estimate_gamma(
         gamma=float(slope),
         intercept=float(intercept),
         rms_residual=rms,
-        golden_rule=golden_rule_rate(spec.bath, spec.omega0),
-        window=(t0, t1),
-        n_samples=int(n_samples),
     )
 
 

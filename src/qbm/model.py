@@ -28,13 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateWidth,
-    InvalidValue,
-    NonMonotonicGrid,
-    NonPositiveFrequency,
-    ZeroCoupling,
-)
+from .errors import InvalidValue, NonPositiveFrequency
 
 COUPLING_RULES = ("lorentzian", "explicit")
 
@@ -77,9 +71,7 @@ class ModelParams:
             if self.omegas is not None or self.couplings is not None:
                 raise InvalidValue("lorentzian rule does not take explicit lists")
             if self.n_bath < 3:
-                raise DegenerateWidth(
-                    f"lorentzian rule needs n_bath >= 3, got {self.n_bath}"
-                )
+                raise InvalidValue(f"lorentzian rule needs n_bath >= 3, got {self.n_bath}")
             # build_bath squares the half-width and detunings, each below step * N
             span = self.step * self.n_bath
             if not math.isfinite(span * span):
@@ -116,12 +108,11 @@ class ModelParams:
 
 @dataclass(frozen=True, eq=False)
 class DiscretizedBath:
-    """Frozen bath arrays: frequencies, couplings and (if Lorentzian) the
-    half-width a of the coupling profile."""
+    """Frozen bath arrays: strictly increasing frequencies and nonzero
+    couplings."""
 
     omegas: np.ndarray
     couplings: np.ndarray
-    width: float | None = None
 
     def __post_init__(self) -> None:
         om = np.atleast_1d(np.asarray(self.omegas, dtype=float)).copy()
@@ -133,13 +124,13 @@ class DiscretizedBath:
         if not (np.all(np.isfinite(om)) and np.all(np.isfinite(g))):
             raise InvalidValue("bath frequencies and couplings must be finite")
         if np.any(om[1:] <= om[:-1]):
-            raise NonMonotonicGrid("bath frequencies must be strictly increasing")
+            raise InvalidValue("bath frequencies must be strictly increasing")
         # in Python floats, so an overflow gives inf and no numpy warning
         span, g2 = float(om[-1]) - float(om[0]), sum(x * x for x in g.tolist())
         if not (math.isfinite(span) and math.isfinite(g2)):
             raise InvalidValue("bath frequency span and sum of g^2 must be finite")
         if np.any(g == 0.0):
-            raise ZeroCoupling("every bath coupling must be nonzero")
+            raise InvalidValue("every bath coupling must be nonzero")
         om.setflags(write=False)
         g.setflags(write=False)
         object.__setattr__(self, "omegas", om)
@@ -187,13 +178,12 @@ def build_bath(params: ModelParams) -> DiscretizedBath:
         idx = np.arange(1, n_modes + 1, dtype=float)
         omegas = params.omega0 + params.step * (idx - n_modes / 2.0)
         couplings = params.step * a**2 / (a**2 + (omegas - params.omega0) ** 2)
-        return DiscretizedBath(omegas, couplings, width=a)  # rejects zero couplings
+        return DiscretizedBath(omegas, couplings)  # rejects zero couplings
 
     # explicit rule; DiscretizedBath validates monotonicity and zeros
     return DiscretizedBath(
         np.asarray(params.omegas, dtype=float),
         np.asarray(params.couplings, dtype=float),
-        width=None,
     )
 
 

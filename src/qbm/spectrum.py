@@ -65,9 +65,9 @@ class Spectrum:
         al = np.asarray(self.alphas, dtype=float).copy()
         w = np.asarray(self.weights, dtype=float).copy()
         if al.ndim != 1 or w.shape != al.shape:
-            raise ValueError("alphas and weights must be 1-d arrays of equal length")
+            raise InvalidValue("alphas and weights must be 1-d arrays of equal length")
         if al.size != self.bath.n + 1:
-            raise ValueError("spectrum must hold exactly N+1 eigenvalues")
+            raise InvalidValue("spectrum must hold exactly N+1 eigenvalues")
         if np.any(np.diff(al) <= 0.0):
             raise RootNotBracketed("eigenvalues not strictly increasing")
         om = self.bath.omegas
@@ -76,7 +76,7 @@ class Spectrum:
         ):  # alpha_nu < omega_{nu+1} < alpha_{nu+1}
             raise RootNotBracketed("eigenvalues do not interlace the bath grid")
         if np.any(w <= 0.0) or np.any(w > 1.0 + 1e-12):
-            raise ValueError("weights must lie in (0, 1]")
+            raise InvalidValue("weights must lie in (0, 1]")
         al.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "alphas", al)

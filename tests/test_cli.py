@@ -1,12 +1,14 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qbm
 from qbm import parse_config
-from qbm.cli import build_report, emit_plot_script, main, run
-from qbm.errors import MissingProduct
+from qbm.cli import build_report, main, run
 
 TWO_LEVEL_CFG = "coupling = explicit\nomegas = 1.0\ncouplings = 0.1\n"
 
@@ -232,6 +234,20 @@ class TestExitCodes:
         assert "InvalidValue" in capsys.readouterr().err
 
 
+# report text of a saved spectrum on grid times 0 .. 9, which miss the
+# plateau window, so no population kernel runs
+SUM_RULE_REPORT = """
+import sys
+import numpy as np
+from qbm import DiscretizedBath, RunConfig, Spectrum, TimeGrid
+from qbm.cli import _report_text
+d = np.load(sys.argv[1])
+bath = DiscretizedBath(d["omegas"], d["couplings"])
+spec = Spectrum(d["alphas"], d["weights"], float(sys.argv[2]), bath)
+sys.stdout.write(_report_text(RunConfig(), spec, TimeGrid(t_step=1.0, n_steps=10)))
+"""
+
+
 class TestReport:
     def test_report_subcommand(self, tmp_path, capsys):
         cfg = tmp_path / "r.cfg"
@@ -278,6 +294,31 @@ class TestReport:
         )
         assert np.isfinite(float(fields["plateau_mean"]))
 
+    def test_sum_rules_do_not_depend_on_blas_threads(self, tmp_path, recurrence_probe):
+        spec = recurrence_probe
+        saved = tmp_path / "spec.npz"
+        np.savez(
+            saved,
+            alphas=spec.alphas,
+            weights=spec.weights,
+            omegas=spec.bath.omegas,
+            couplings=spec.bath.couplings,
+        )
+        src = str(Path(qbm.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        texts = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", SUM_RULE_REPORT, str(saved), repr(spec.omega0)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path},
+                check=True,
+            )
+            texts.append([line for line in proc.stdout.splitlines() if line.startswith("sum_")])
+        assert len(texts[0]) == 3
+        assert texts[0] == texts[1]
+
 
 class TestRecurrencePreset:
     def test_grid_covers_revival(self, tmp_path):
@@ -309,18 +350,6 @@ class TestRecurrencePreset:
 
 
 class TestPlotScript:
-    def test_empty_products_rejected(self, tmp_path):
-        with pytest.raises(MissingProduct):
-            emit_plot_script([], tmp_path)
-
-    def test_report_only_rejected(self, tmp_path):
-        with pytest.raises(MissingProduct):
-            emit_plot_script(["report"], tmp_path)
-
-    def test_missing_csv_rejected(self, tmp_path):
-        with pytest.raises(MissingProduct):
-            emit_plot_script(["population"], tmp_path)
-
     def test_population_panel(self, tmp_path):
         code, out = run_cli(
             tmp_path, "N = 5\nn_steps = 10\noutputs = population\n"

@@ -13,11 +13,11 @@ from qbm import (
     TimeGrid,
     InitialOccupations,
     build_bath,
+    moment_signal,
     oscillator_population,
     population_decomposition,
     population_series,
     solve_spectrum,
-    survival_amplitude,
     survival_probability,
     thermal_occupations,
     transition_probabilities,
@@ -32,25 +32,27 @@ def small_spec():
 
 
 class TestSurvivalAmplitude:
+    # A(t) is the moment signal S_0(t)
     def test_two_level_closed_form(self, two_level):
         ts = np.linspace(0.0, 40.0, 200)
-        got = survival_amplitude(two_level, ts)
+        got = moment_signal(two_level, 0, ts)
         want = np.exp(-1j * ts) * np.cos(0.1 * ts)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_scalar_input(self, two_level):
-        val = survival_amplitude(two_level, 3.0)
-        assert isinstance(val, complex)
-        assert val == pytest.approx(np.exp(-3j) * np.cos(0.3), abs=1e-12)
+        # a scalar time is one time: a length-1 complex array
+        val = moment_signal(two_level, 0, 3.0)
+        assert isinstance(val, np.ndarray) and val.shape == (1,)
+        assert val[0] == pytest.approx(np.exp(-3j) * np.cos(0.3), abs=1e-12)
 
     def test_unit_at_zero(self, ref_spectrum):
-        assert survival_amplitude(ref_spectrum, 0.0) == pytest.approx(
+        assert moment_signal(ref_spectrum, 0, 0.0)[0] == pytest.approx(
             1.0 + 0.0j, abs=1e-12
         )
 
     def test_modulus_bounded(self, ref_spectrum):
         ts = np.linspace(0.0, 500.0, 800)
-        assert np.all(np.abs(survival_amplitude(ref_spectrum, ts)) <= 1.0 + 1e-12)
+        assert np.all(np.abs(moment_signal(ref_spectrum, 0, ts)) <= 1.0 + 1e-12)
 
     def test_short_time_quadratic_loss(self, two_level):
         # 1 - |A|^2 = (sum g^2) t^2 + O(t^4)
@@ -222,6 +224,7 @@ def test_phase_overflow_is_typed_error(two_level, t):
         lambda: survival_probability(two_level, np.array([0.0, t])),
         lambda: oscillator_population(two_level, occ, [0.0, t]),
         lambda: population_decomposition(two_level, occ, [0.0, t]),
+        lambda: transition_probabilities(two_level, t),
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")

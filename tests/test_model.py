@@ -11,27 +11,22 @@ from qbm import (
     LangevinInput,
     ModelParams,
     RunConfig,
+    Spectrum,
     TimeGrid,
     build_bath,
+    estimate_gamma,
     moment_signal,
+    oscillator_population,
     solve_spectrum,
     thermal_occupations,
 )
-from qbm.errors import (
-    DegenerateWidth,
-    InvalidValue,
-    NonMonotonicGrid,
-    NonPositiveFrequency,
-    QbmError,
-    ZeroCoupling,
-)
+from qbm.errors import InvalidValue, NonPositiveFrequency
 
 
 class TestLorentzianBath:
     def test_reference_values(self, ref_bath):
         # N=100, A=0.018: a = A(N-2)/2 = 0.882, grid 0.118 .. 1.9
         assert ref_bath.n == 100
-        assert ref_bath.width == pytest.approx(0.882, rel=1e-12)
         assert ref_bath.omegas[0] == pytest.approx(0.118, rel=1e-12)
         assert ref_bath.omegas[49] == 1.0  # mode N/2 sits exactly at Omega
         assert ref_bath.omegas[-1] == pytest.approx(1.9, rel=1e-12)
@@ -44,8 +39,10 @@ class TestLorentzianBath:
         g = ref_bath.couplings
         assert np.all(g > 0.0)
         assert np.argmax(g) == 49
-        # wings: g at the band edge is a^2/(a^2 + (0.882)^2) = half the peak
+        # wings: g at detuning a = 0.882 is a^2/(a^2 + a^2) = half the peak,
+        # at the bottom mode and at its mirror
         assert g[0] == pytest.approx(0.009, rel=1e-12)
+        assert g[98] == pytest.approx(0.009, rel=1e-12)
 
     def test_profile_symmetric_about_resonance(self, ref_bath):
         # modes n and N-n mirror each other; the top mode has no partner
@@ -59,12 +56,13 @@ class TestLorentzianBath:
         )
 
     def test_degenerate_width_rejected(self):
-        with pytest.raises(DegenerateWidth):
+        with pytest.raises(InvalidValue, match="n_bath >= 3"):
             build_bath(ModelParams(n_bath=2, step=1.0))
 
     def test_small_valid_bath(self):
+        # a = 0.25; the bottom mode sits at detuning -a, so g = step / 2
         bath = build_bath(ModelParams(n_bath=3, step=0.5))
-        assert bath.width == pytest.approx(0.25)
+        assert bath.couplings[0] == pytest.approx(0.25)
         assert bath.n == 3
 
 
@@ -73,16 +71,15 @@ class TestExplicitBath:
         bath = build_bath(ModelParams.explicit([0.5, 1.0, 1.5], [0.1, -0.2, 0.3]))
         np.testing.assert_array_equal(bath.omegas, [0.5, 1.0, 1.5])
         np.testing.assert_array_equal(bath.couplings, [0.1, -0.2, 0.3])
-        assert bath.width is None
 
     def test_non_monotonic_rejected(self):
-        with pytest.raises(NonMonotonicGrid):
+        with pytest.raises(InvalidValue, match="strictly increasing"):
             build_bath(ModelParams.explicit([1.0, 1.0], [0.1, 0.1]))
-        with pytest.raises(NonMonotonicGrid):
+        with pytest.raises(InvalidValue, match="strictly increasing"):
             build_bath(ModelParams.explicit([1.0, 0.5], [0.1, 0.1]))
 
     def test_zero_coupling_rejected(self):
-        with pytest.raises(ZeroCoupling):
+        with pytest.raises(InvalidValue, match="nonzero"):
             build_bath(ModelParams.explicit([0.5, 1.0], [0.1, 0.0]))
 
     def test_single_mode_allowed(self):
@@ -121,7 +118,7 @@ class TestParamValidation:
         ],
     )
     def test_bad_scalars(self, kwargs):
-        with pytest.raises((ValueError, DegenerateWidth)):
+        with pytest.raises(ValueError):
             ModelParams(**kwargs)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -160,7 +157,7 @@ class TestParamValidation:
     def test_wide_monotonic_check_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonMonotonicGrid):
+            with pytest.raises(InvalidValue, match="strictly increasing"):
                 DiscretizedBath([1e308, -1e308], [0.1, 0.1])
 
 
@@ -266,15 +263,27 @@ def _two_level():
         lambda: RunConfig(n_omega0=-1.0),
         lambda: thermal_occupations(build_bath(ModelParams()), -1.0),
         lambda: moment_signal(_two_level(), 3, 0.0),
+        lambda: ModelParams(n_bath=2),
+        lambda: DiscretizedBath([1.0, 0.5], [0.1, 0.1]),
+        lambda: DiscretizedBath([0.5, 1.0], [0.1, 0.0]),
+        lambda: estimate_gamma(_two_level(), (20.0, 1.0)),
+        lambda: moment_signal(_two_level(), 0, [[0.0, 1.0]]),
+        lambda: oscillator_population(
+            _two_level(), InitialOccupations(1.0, np.array([0.5])), np.zeros((2, 2))
+        ),
+        lambda: Spectrum(np.array([0.9]), np.array([1.0]), 1.0, _two_level().bath),
+        lambda: Spectrum(np.array([0.9, 1.1]), np.array([0.0, 1.0]), 1.0, _two_level().bath),
     ],
     ids=[
         "n_bath", "n_bath-huge", "step-huge", "step", "omega0", "beta", "coupling", "lorentzian-lists",
         "explicit-no-lists", "explicit-lengths", "bath-shapes", "bath-empty",
         "n_omega0", "bath-occupation", "t_step", "t_start", "n_steps", "n_steps-huge", "mass",
         "no-outputs", "unknown-product", "preset", "preset-grid", "run-n_omega0",
-        "thermal-beta", "moment-order",
+        "thermal-beta", "moment-order", "lorentzian-n_bath", "bath-order",
+        "zero-coupling", "fit-window", "times-2d", "population-times-2d",
+        "spectrum-size", "spectrum-weights",
     ],
 )
 def test_bad_argument_is_typed_error(make):
-    with pytest.raises(QbmError):
+    with pytest.raises(InvalidValue):
         make()
