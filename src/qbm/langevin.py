@@ -76,11 +76,17 @@ def _check_phases(ts: np.ndarray, alphas: np.ndarray) -> None:
 
 
 def _times(t) -> np.ndarray:
-    """Times as a 1-d float array; a scalar counts as one time."""
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    """Times as a 1-d float array; a scalar counts as one time.  Anything
+    but real numbers (strings, complex values, None) is InvalidValue."""
+    try:
+        ts = np.atleast_1d(np.asarray(t))
+    except ValueError as exc:  # ragged nesting
+        raise InvalidValue(f"times must be a scalar or a 1-d array: {exc}") from None
+    if ts.dtype.kind not in "biuf":
+        raise InvalidValue(f"times must be real numbers, got {ts.dtype} values")
     if ts.ndim != 1:
         raise InvalidValue(f"times must be a scalar or a 1-d array, got shape {ts.shape}")
-    return ts
+    return ts.astype(float, copy=False)
 
 
 def _phase_block(ts: np.ndarray, alphas: np.ndarray, out=None) -> np.ndarray:

@@ -1,8 +1,11 @@
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import explicit_spectrum, make_random_bath
 from oracles import naive_transition_probabilities, row0_population
@@ -143,8 +146,9 @@ class TestPopulations:
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_partial_blocks_match_full_propagator(self, ref_spectrum, ref_occupations, monkeypatch):
-        # blocks of 7 modes and 5 times leave a short last block of each
-        monkeypatch.setattr(evolution, "_M_BLOCK", 7)
+        # boxes of 7 modes and runs of 5 times leave a short last one of each;
+        # 15 boxes put most box pairs of the N = 100 bath in the far field
+        monkeypatch.setattr(evolution, "_BOX", 7)
         monkeypatch.setattr(evolution, "_T_CHUNK", 5)
         grid = TimeGrid(t_start=3.0, t_step=1.7, n_steps=23)
         want = population_series(ref_spectrum, ref_occupations, grid.times())[0, :]
@@ -208,6 +212,52 @@ class TestRow0KernelAccuracy:
             want = row0_population(spec, occ, ts[idx])
             np.testing.assert_allclose(got[idx], want, rtol=0.0, atol=1e-13, err_msg=f"T = {n}")
 
+    @pytest.mark.parametrize(
+        "omegas, omega0",
+        [
+            (np.concatenate([np.linspace(0.5, 0.6, 500), np.linspace(2.0, 9.0, 500)]), 1.0),
+            (np.geomspace(0.1, 10.0, 1000), 1.0),
+            (np.linspace(0.1, 1.0, 1000), 5.0),
+        ],
+        ids=["two-clusters", "geometric", "above-band"],
+    )
+    def test_uneven_baths(self, omegas, omega0):
+        # a box across the clusters' gap, or the last one stretched out to
+        # the root near Omega = 5, is near the boxes its width reaches;
+        # neighbours by index alone would send those pairs to the far field
+        bath = build_bath(ModelParams.explicit(omegas, np.full(omegas.size, 0.002)))
+        spec = solve_spectrum(bath, omega0)
+        occ = thermal_occupations(bath, 1.0, 1.0)
+        ts = 50.0 + 0.1 * np.arange(400)
+        got = oscillator_population(spec, occ, ts)
+        idx = np.linspace(0, ts.size - 1, 8).astype(int)
+        want = row0_population(spec, occ, ts[idx])
+        np.testing.assert_allclose(got[idx], want, rtol=0.0, atol=1e-13)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.data())
+    def test_small_boxes_on_random_baths(self, data):
+        # uneven gaps, some of them wide (clusters), Omega inside or outside
+        # the band, and boxes of a few modes so most pairs are far
+        n = data.draw(st.integers(2, 200), label="n")
+        gaps = data.draw(st.lists(st.floats(1e-3, 0.05), min_size=n, max_size=n), label="gaps")
+        jumps = data.draw(st.lists(st.integers(0, n - 1), max_size=3), label="cluster starts")
+        gaps = np.array(gaps)
+        gaps[jumps] += 1.0
+        omegas = 0.1 + np.cumsum(gaps)
+        couplings = data.draw(st.lists(st.floats(1e-3, 0.03), min_size=n, max_size=n), label="g")
+        omega0 = data.draw(st.floats(0.05, omegas[-1] + 2.0), label="omega0")
+        box = data.draw(st.integers(2, 16), label="box")
+        t0 = data.draw(st.floats(0.0, 200.0), label="t0")
+        bath = build_bath(ModelParams.explicit(omegas, couplings))
+        spec = solve_spectrum(bath, omega0)
+        occ = thermal_occupations(bath, 1.0, 1.0)
+        ts = t0 + 0.1 * np.arange(64)
+        with mock.patch.object(evolution, "_BOX", box):
+            got = oscillator_population(spec, occ, ts)
+        want = row0_population(spec, occ, ts[::9])
+        np.testing.assert_allclose(got[::9], want, rtol=0.0, atol=1e-13)
+
     def test_coarse_grid_times_are_nodes(self, ref_spectrum, ref_occupations):
         # at t_step = 2 nodes would not be fewer than times: the times are the nodes
         ts = TimeGrid(t_step=2.0, n_steps=1500).times()
@@ -247,3 +297,19 @@ def test_population_memory_does_not_grow_with_times():
         finally:
             tracemalloc.stop()
     assert peaks[1] == pytest.approx(peaks[0], rel=0.1)
+
+
+def test_population_memory_on_report_window(recurrence_probe):
+    # the N = 10^4 report window on 148 node times: the phase block and the
+    # boxed Cauchy product's output, 24 MB each, and small blocks besides
+    spec = recurrence_probe
+    occ = thermal_occupations(spec.bath, 1.0, 1.0)
+    ts = TimeGrid().times()
+    window = ts[(ts >= 100.0) & (ts <= 300.0)]
+    tracemalloc.start()
+    try:
+        oscillator_population(spec, occ, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80e6

@@ -19,6 +19,7 @@ from qbm import (
     oscillator_population,
     solve_spectrum,
     thermal_occupations,
+    transition_probabilities,
 )
 from qbm.errors import InvalidValue, NonPositiveFrequency
 
@@ -273,6 +274,11 @@ def _two_level():
         ),
         lambda: Spectrum(np.array([0.9]), np.array([1.0]), 1.0, _two_level().bath),
         lambda: Spectrum(np.array([0.9, 1.1]), np.array([0.0, 1.0]), 1.0, _two_level().bath),
+        lambda: moment_signal(_two_level(), 0, ["a"]),
+        lambda: moment_signal(_two_level(), 0, [1j]),
+        lambda: transition_probabilities(_two_level(), [1.0, 2.0]),
+        lambda: transition_probabilities(_two_level(), None),
+        lambda: transition_probabilities(_two_level(), "a"),
     ],
     ids=[
         "n_bath", "n_bath-huge", "step-huge", "step", "omega0", "beta", "coupling", "lorentzian-lists",
@@ -281,7 +287,8 @@ def _two_level():
         "no-outputs", "unknown-product", "preset", "preset-grid", "run-n_omega0",
         "thermal-beta", "moment-order", "lorentzian-n_bath", "bath-order",
         "zero-coupling", "fit-window", "times-2d", "population-times-2d",
-        "spectrum-size", "spectrum-weights",
+        "spectrum-size", "spectrum-weights", "times-text", "times-complex",
+        "transition-two-times", "transition-none", "transition-text",
     ],
 )
 def test_bad_argument_is_typed_error(make):
