@@ -7,7 +7,7 @@ product, a text report, and a gnuplot script for the plottable products.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  All
 diagnostics go to stderr.  Output is deterministic: fixed product order,
 fixed float formatting (17 significant digits, scientific), Unix
-newlines.  The environment variable QBM_THREADS (0 = auto) fans the
+newlines.  The environment variable QBM_THREADS (0 = one worker) fans the
 per-time-point work out to a thread pool; results are assembled in grid
 order, so at a fixed BLAS thread count the worker count never changes the
 bytes written (the BLAS thread count itself can move the last bit).

@@ -7,9 +7,7 @@ moment signals
 
 carry all the time dependence: S_0 is the survival amplitude A(t) of the
 distinguished oscillator, and its derivatives are analytic resummations
-(dA/dt = -i S_1, d2A/dt2 = -S_2) rather than finite differences.  All
-three come from one real phase block [cos(t alpha); sin(t alpha)], the
-one the row-0 population kernel in evolution uses too.  The
+(dA/dt = -i S_1, d2A/dt2 = -S_2) rather than finite differences.  The
 time-local frequency and damping coefficients of the mean-path equation
 
     X'' + Gamma(t) X' + Omega2(t) X = <f>/M
@@ -24,6 +22,16 @@ with it Gamma(0) = 0 exactly and Gamma grows onto the golden-rule plateau
 gamma_GR = 2 pi g(Omega)^2 / spacing, which is what the decay of |A|^2
 shows.  The shared denominator has isolated zero crossings; samples taken
 within 1e-12 (relative to sum |alpha| w) of one are flagged, not fatal.
+
+The moments share one phase kernel, _node_sums, with the row-0 population
+kernel in evolution.  Demodulated by the band centre abar,
+sum_nu c_nu exp(-i alpha_nu t) = exp(-i abar t) sum_nu c_nu
+exp(-i (alpha_nu - abar) t) has frequencies within r = (alpha_N -
+alpha_0)/2, so on a run of times [tc - h, tc + h] the phase block is
+formed at K ~ r h Chebyshev node times only, contracted along the mode
+axis and carried to the times by the second (true) barycentric form
+(Berrut & Trefethen, SIAM Rev. 46, 2004), taken on the nodes as rounded,
+so rounding the nodes leaves no error floor.
 """
 
 from __future__ import annotations
@@ -40,6 +48,12 @@ from .spectrum import Spectrum
 _DENOM_RTOL = 1e-12
 _AMPLITUDE_FLOOR = 1e-12
 _FIT_SAMPLES = 256
+_T_CHUNK = 512  # most node times per phase block
+_T_SPAN = 8192  # most grid times one run looks ahead
+_CELLS = 1 << 18  # most entries in one interpolation block
+# K = r h + 12 (r h)^(1/3) + 4 nodes: 4 sum_{k>=K} |J_k(r h)| < 1e-17 bounds
+# the Chebyshev tail of exp(-i beta x), |beta| <= r h, on [-1, 1]
+_NODE_MARGIN = (12.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -89,25 +103,97 @@ def _times(t) -> np.ndarray:
     return ts.astype(float, copy=False)
 
 
-def _phase_block(ts: np.ndarray, alphas: np.ndarray, out=None) -> np.ndarray:
-    """Real phase block [cos(t alpha); sin(t alpha)], shape (2T, N+1), for a
-    1-d array of T times; written into the leading rows of out if given."""
-    _check_phases(ts, alphas)
-    nt = ts.size
-    e = np.empty((2 * nt, alphas.size)) if out is None else out[: 2 * nt]
-    np.multiply.outer(ts, alphas, out=e[:nt])
-    np.sin(e[:nt], out=e[nt:])
-    np.cos(e[:nt], out=e[:nt])
-    return e
+def _chebyshev(lo, hi, k):
+    """k Chebyshev points of the first kind on [lo, hi] (broadcast over
+    arrays of intervals) and their barycentric weights (-1)^j sin(theta_j)."""
+    theta = (np.arange(k) + 0.5) * (np.pi / k)
+    x = lo / 2 + hi / 2 + (hi / 2 - lo / 2) * np.cos(theta)
+    return x, np.sin(theta) * (-1.0) ** np.arange(k)
+
+
+def _barycentric(t, x, w):
+    """Matrix (len(t), K) that carries values at the K nodes x to the points
+    t by the second barycentric form with weights w (Berrut & Trefethen);
+    a point equal to a node takes its value."""
+    d = np.subtract.outer(t, x)
+    hit = d == 0.0
+    d[hit] = 1.0
+    b = np.divide(w, d, out=d)
+    on_node = hit.any(axis=1)
+    b[on_node] = hit[on_node]
+    b /= b.sum(axis=1, keepdims=True)
+    return b
+
+
+def _node_runs(ts, r, n_levels):
+    """(i0, t, x, w) per run: the times ts are cut, in order, into runs
+    t = ts[i0 : i0 + n], each evaluated on K = r h + 12 (r h)^(1/3) + 4
+    Chebyshev nodes x with barycentric weights w or, where those save no
+    flops (K (n_levels + n) / n >= n_levels per time), on its own times
+    (x = t, w None); runs take the cheapest length, spread evenly, with at
+    most _T_CHUNK nodes."""
+    i0 = 0
+    while i0 < ts.size:
+        t, rest = ts[i0 : i0 + _T_SPAN], ts.size - i0
+        rh = r * (np.maximum.accumulate(t) / 2 - np.minimum.accumulate(t) / 2)
+        nodes = np.ceil(rh + _NODE_MARGIN[0] * np.cbrt(rh) + _NODE_MARGIN[1])
+        sizes = np.arange(1, t.size + 1)
+        ok = (nodes < sizes) & (nodes <= _T_CHUNK)
+        cost = np.where(ok, nodes * (n_levels + sizes) / sizes, np.inf)
+        n = int(np.argmin(cost)) + 1
+        # equal runs over the times left, so no short last run pays for a contraction
+        even = -(-rest // max(1, round(rest / n)))
+        if even <= t.size and ok[even - 1]:
+            n = even
+        if cost[n - 1] < n_levels:
+            x, w = _chebyshev(t[:n].min(), t[:n].max(), int(nodes[n - 1]))
+        else:
+            n = min(_T_CHUNK, t.size)
+            x, w = t[:n], None
+        yield i0, t[:n], x, w
+        i0 += n
+
+
+def _node_sums(spec: Spectrum, ts: np.ndarray, contract, finish, out: np.ndarray) -> np.ndarray:
+    """out[:, rows] = finish(u) per block of the times ts; returns out.  Per
+    run of _node_runs the phase block e = [w cos(x (alpha - abar));
+    w sin(x (alpha - abar))], shape (2K, N+1), at its K nodes x meets
+    contract along the mode axis, and the result (2K, m) is carried to the
+    times ts[rows] as u, shape (2, rows, m): sum_nu (...) e^{-i alpha_nu t}
+    = e^{-i abar t} (u[0] - i u[1]).  finish may overwrite u.  The phase
+    block is sized to the most nodes a run uses; a block of times holds at
+    most _CELLS entries."""
+    al = spec.alphas
+    _check_phases(ts, al)
+    mid, r = al[0] / 2 + al[-1] / 2, al[-1] / 2 - al[0] / 2
+    runs = list(_node_runs(ts, r, al.size))
+    phase = np.empty((2 * max((x.size for _, _, x, _ in runs), default=0), al.size))
+    for i0, t, x, w in runs:
+        k = x.size
+        e = phase[: 2 * k]
+        np.multiply.outer(x, al - mid, out=e[:k])
+        np.sin(e[:k], out=e[k:])
+        np.cos(e[:k], out=e[:k])
+        e *= spec.weights
+        a = contract(e).reshape(2, k, -1)
+        step = max(1, _CELLS // max(k, a.shape[2]))
+        for j in range(0, t.size, step):
+            tj = t[j : j + step]
+            u = a[:, j : j + step] if w is None else _barycentric(tj, x, w) @ a
+            out[:, i0 + j : i0 + j + tj.size] = finish(u)
+            del u
+        del a  # freed before the next run's contraction
+    return out
 
 
 def _moments(spec: Spectrum, ks, t) -> np.ndarray:
-    """S_k(t) for each k in ks, shape (len(ks), T): one phase block times
-    the columns alpha^k w in a real GEMM, S = cos part - i sin part."""
-    ts = _times(t)
-    coeff = np.stack([spec.weights * spec.alphas**k for k in ks], axis=1)
-    r = _phase_block(ts, spec.alphas) @ coeff
-    return (r[: ts.size] - 1j * r[ts.size :]).T
+    """S_k(t) for each k in ks, shape (len(ks), T): the node sums of the
+    columns alpha^k, remodulated by e^{-i abar t}."""
+    ts, al = _times(t), spec.alphas
+    coeff = np.stack([al**k for k in ks], axis=1)
+    out = np.empty((len(ks), ts.size), dtype=complex)
+    s = _node_sums(spec, ts, lambda e: e @ coeff, lambda u: (u[0] - 1j * u[1]).T, out)
+    return s * np.exp(-1j * (al[0] / 2 + al[-1] / 2) * ts)
 
 
 def moment_signal(spec: Spectrum, k: int, t) -> np.ndarray:
@@ -191,9 +277,12 @@ def estimate_gamma(spec: Spectrum, fit_window: tuple[float, float]) -> GammaEsti
     straight line by least squares; the slope is gamma.  The rms residual
     is reported so callers can tell a genuine exponential regime from a
     meaningless fit (two-level dynamics, for example, never decays and
-    leaves a large residual).  An empty window (t1 <= t0) is InvalidValue.
+    leaves a large residual).  A window that is empty (t1 <= t0) or not
+    finite in its ends or width is InvalidValue.
     """
     t0, t1 = float(fit_window[0]), float(fit_window[1])
+    if not all(map(math.isfinite, (t0, t1, t1 - t0))):
+        raise InvalidValue(f"fit window [{t0}, {t1}] and its width must be finite")
     if not t1 > t0:
         raise InvalidValue(f"empty fit window [{t0}, {t1}]")
     ts = np.linspace(t0, t1, _FIT_SAMPLES)

@@ -4,7 +4,8 @@ closed spectral sums.  The dense `hamiltonian_matrix` and its `eigh`
 `secular_residual` certifies roots by a sign change of F; the pair sums
 `naive_transition_probabilities` and `naive_coefficients` check
 `transition_probabilities` and `coefficient_series`; the explicit row-0
-sum `row0_population` checks `oscillator_population`; the scalar
+sum `row0_population` checks `oscillator_population`; the extended
+precision sum `direct_moments` checks the moment signals; the scalar
 `bose_einstein` checks `thermal_occupations`."""
 
 import math
@@ -75,6 +76,17 @@ def row0_population(spec: Spectrum, occ0, times) -> np.ndarray:
         u = (1.0 / (om[m0 : m0 + 1000, None] - spec.alphas)) @ ph
         out += g2n[m0 : m0 + 1000] @ np.abs(u) ** 2
     return out
+
+
+def direct_moments(spec: Spectrum, ks, times) -> np.ndarray:
+    """S_k(t) = sum_nu alpha_nu^k w_nu e^{-i alpha_nu t} for each k in ks,
+    shape (len(ks), T): the direct sum over modes, phases and all, in
+    np.longdouble, rounded to complex at the end."""
+    ts = np.atleast_1d(np.asarray(times, dtype=np.longdouble))
+    al, w = spec.alphas.astype(np.longdouble), spec.weights.astype(np.longdouble)
+    ph = np.multiply.outer(ts, al)
+    cos, sin = np.cos(ph), np.sin(ph)
+    return np.array([cos @ (al**k * w) - 1j * (sin @ (al**k * w)) for k in ks], dtype=complex)
 
 
 def naive_coefficients(spec: Spectrum, t: float) -> tuple[float, float, bool]:

@@ -38,7 +38,9 @@ ROUTES = {
 
 
 @pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES.keys())
-@pytest.mark.parametrize("times, n", [(2.0, 1), ([0.5, 1.0, 2.0], 3)], ids=["scalar", "list"])
+@pytest.mark.parametrize(
+    "times, n", [(2.0, 1), ([0.5, 1.0, 2.0], 3), ([], 0)], ids=["scalar", "list", "empty"]
+)
 def test_times_in_arrays_out(two_level, route, times, n):
     out = route(two_level, times)
     for part in out if isinstance(out, tuple) else (out,):

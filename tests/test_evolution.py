@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import explicit_spectrum, make_random_bath
-from oracles import naive_transition_probabilities, row0_population
-from qbm import evolution
+from oracles import direct_moments, naive_transition_probabilities, row0_population
+from qbm import evolution, langevin
 from qbm.errors import InvalidValue
 from qbm import (
     ModelParams,
@@ -147,9 +147,10 @@ class TestPopulations:
 
     def test_partial_blocks_match_full_propagator(self, ref_spectrum, ref_occupations, monkeypatch):
         # boxes of 7 modes and runs of 5 times leave a short last one of each;
-        # 15 boxes put most box pairs of the N = 100 bath in the far field
+        # 15 boxes put most box pairs of the N = 100 bath in the far field,
+        # and the moments cross every run boundary of the same kernel
         monkeypatch.setattr(evolution, "_BOX", 7)
-        monkeypatch.setattr(evolution, "_T_CHUNK", 5)
+        monkeypatch.setattr(langevin, "_T_CHUNK", 5)
         grid = TimeGrid(t_start=3.0, t_step=1.7, n_steps=23)
         want = population_series(ref_spectrum, ref_occupations, grid.times())[0, :]
         got = oscillator_population(ref_spectrum, ref_occupations, grid.times())
@@ -157,6 +158,10 @@ class TestPopulations:
         total, _, _ = population_decomposition(ref_spectrum, ref_occupations, grid.times())
         np.testing.assert_allclose(total, want, rtol=0.0, atol=1e-13)
         assert oscillator_population(ref_spectrum, ref_occupations, []).shape == (0,)
+        got = np.array([moment_signal(ref_spectrum, k, grid.times()) for k in (0, 1, 2)])
+        np.testing.assert_allclose(
+            got, direct_moments(ref_spectrum, (0, 1, 2), grid.times()), rtol=0.0, atol=2e-15
+        )
 
 
 class TestPopulationDecomposition:

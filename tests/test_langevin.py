@@ -1,11 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import explicit_spectrum, make_random_bath
-from oracles import dense_diagonalize_oracle, hamiltonian_matrix, naive_coefficients
+from oracles import (
+    dense_diagonalize_oracle,
+    direct_moments,
+    hamiltonian_matrix,
+    naive_coefficients,
+)
 from qbm import (
     LangevinInput,
     ModelParams,
+    TimeGrid,
     build_bath,
     coefficient_series,
     estimate_gamma,
@@ -49,6 +57,29 @@ class TestMomentSignals:
     def test_bounded_amplitude(self, ref_spectrum):
         ts = np.linspace(0.0, 400.0, 600)
         assert np.all(np.abs(moment_signal(ref_spectrum, 0, ts)) <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("probe", ["default", "plateau"])
+    def test_match_extended_precision_sum(self, probe, ref_spectrum, plateau_probe):
+        # the default grid on N = 100 and the plateau grid on N = 1000, taken
+        # in 256-point blocks as the CLI does; 64 times compared per grid
+        if probe == "default":
+            spec, ts = ref_spectrum, TimeGrid().times()
+        else:
+            spec, ts = plateau_probe[0], TimeGrid(t_start=1000.0, n_steps=12800).times()
+        blocks = [ts[i : i + 256] for i in range(0, ts.size, 256)]
+        idx = np.linspace(0, ts.size - 1, 64).astype(int)
+        want = direct_moments(spec, (0, 1, 2), ts[idx])
+        for k in (0, 1, 2):
+            got = np.concatenate([moment_signal(spec, k, b) for b in blocks])
+            np.testing.assert_allclose(got[idx], want[k], rtol=0.0, atol=2e-15)
+
+    def test_shuffled_times(self, ref_spectrum):
+        ts = TimeGrid().times()[::7]
+        perm = np.random.default_rng(7).permutation(ts.size)
+        for k in (0, 1, 2):
+            got = moment_signal(ref_spectrum, k, ts[perm])
+            want = moment_signal(ref_spectrum, k, ts)[perm]
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=2e-15)
 
 
 OMEGAS = [0.5, 1.0, 2.0]
@@ -219,6 +250,16 @@ class TestEstimateGamma:
     def test_empty_window(self, ref_spectrum):
         with pytest.raises(InvalidValue, match="empty fit window"):
             estimate_gamma(ref_spectrum, (5.0, 5.0))
+
+    @pytest.mark.parametrize(
+        "window", [(0.0, np.inf), (-np.inf, 1.0), (-1e308, 1e308), (np.nan, 2.0)]
+    )
+    def test_non_finite_window(self, ref_spectrum, window):
+        # the end points and the width are checked before any numpy arithmetic
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidValue, match="finite"):
+                estimate_gamma(ref_spectrum, window)
 
     def test_vanishing_amplitude_inside_window(self):
         # engineer a symmetric doublet whose node lands on a sample point
