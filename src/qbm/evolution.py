@@ -19,7 +19,8 @@ and runs on the node-time phase kernel of langevin (|U_0m|^2 does not see
 the band-centre phase): the Cauchy product against 1/(omega_m - alpha_nu)
 runs on the K node times, not the T grid times, and is a single-level fast
 multipole sum (Greengard & Rokhlin, J. Comput. Phys. 73, 1987) with
-Chebyshev proxies (Fong & Darve, J. Comput. Phys. 228, 2009): boxes of B
+Chebyshev proxies (Fong & Darve, J. Comput. Phys. 228, 2009) on the boxes
+of spectrum._boxes, the helper behind the secular solve's sums: boxes of B
 modes that lie close are summed exactly, far ones through p proxies per
 box, O(K (N n_near + N p + (N p / B)^2) + N K T) in all, n_near ~ 3 B on an
 even bath.  The survival amplitude, on the same kernel, is the (0,0) element
@@ -35,12 +36,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidValue
-from .langevin import _barycentric, _check_phases, _chebyshev, _node_sums, _times, moment_signal
+from .langevin import _check_phases, _node_sums, _times, moment_signal
 from .model import InitialOccupations
-from .spectrum import Spectrum, overlap_matrix
-
-_BOX = 128  # bath modes per box of the row-0 kernel's Cauchy product
-_PROXIES = 20  # Chebyshev proxies per box for the far field
+from .spectrum import _PROXIES, Spectrum, _barycentric, _boxes, overlap_matrix
 
 
 def survival_probability(spec: Spectrum, t) -> np.ndarray:
@@ -77,34 +75,21 @@ def population_series(spec: Spectrum, occ0: InitialOccupations, times) -> np.nda
 
 def _cauchy(e, al, om):
     """[e.sum(axis=1), e @ (1 / (om_m - al_nu))^T], shape (len(e), N + 1),
-    for the N + 1 sorted roots al and N sorted modes om.  Box j holds
-    om[jB : (j+1)B] and al[jB : (j+1)B] (the last box also al[N]), B = _BOX,
-    and spans the interval from its least to its greatest member.  Two
-    boxes are far when the gap between them is at least the wider one's
-    width, near otherwise: distance, not index, decides, so a box that a gap
-    in the bath or an outlying edge root widens stays near every box its
-    width reaches.  Near
-    pairs are summed exactly; a far pair goes through p = _PROXIES
-    Chebyshev proxies per box: the charges are anterpolated onto their
-    box's proxies, the proxies meet in a p x p Cauchy product and the
-    barycentric interpolant carries the proxy potentials to the modes.
+    for the N + 1 sorted roots al and N sorted modes om, on the boxes of
+    spectrum._boxes.  Near pairs are summed exactly; a far pair goes through
+    p = _PROXIES Chebyshev proxies per box: the charges are anterpolated
+    onto their box's proxies, the proxies meet in a p x p Cauchy product and
+    the barycentric interpolant carries the proxy potentials to the modes.
     Per row 2 N n_near + 4 N p + 2 (N p / B)^2 flops, n_near the near
-    columns per mode (about 3 B on an even bath); one box (N <= B) is the
-    dense product."""
-    cut = np.append(np.arange(0, om.size, _BOX), om.size)
-    ca = np.append(cut[:-1], al.size)
-    lo = np.minimum(al[ca[:-1]], om[cut[:-1]])
-    hi = np.maximum(al[ca[1:] - 1], om[cut[1:] - 1])
-    gap = np.subtract.outer(lo, hi)
-    gap = np.maximum(gap, gap.T)
-    near = gap < np.maximum.outer(hi - lo, hi - lo)
-    px, pw = _chebyshev(lo[:, None], hi[:, None], _PROXIES)
+    columns per mode (about 3 B on an even bath); all near is dense."""
+    cm, cr, near, px, pw = _boxes(al, om)
     if not near.all():
-        anterp = (e[:, a0:a1] @ _barycentric(al[a0:a1], p, pw) for a0, a1, p in zip(ca, ca[1:], px))
+        anterp = (e[:, a0:a1] @ _barycentric(al[a0:a1], p, pw) for a0, a1, p in zip(cr, cr[1:], px))
         q = np.concatenate(list(anterp), axis=1)
-    out, sizes = np.empty((e.shape[0], om.size + 1)), np.diff(ca)
+    out, sizes = np.empty((e.shape[0], om.size + 1)), np.diff(cr)
     out[:, 0] = e.sum(axis=1)
-    for j, (m0, m1) in enumerate(zip(cut, cut[1:])):
+    for j in range(1, near.shape[0] - 1):  # the edge boxes hold no modes
+        m0, m1 = cm[j], cm[j + 1]
         src = np.repeat(near[j], sizes)
         a = e[:, src] @ (1.0 / np.subtract.outer(om[m0:m1], al[src])).T
         if not near[j].all():

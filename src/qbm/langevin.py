@@ -28,10 +28,10 @@ kernel in evolution.  Demodulated by the band centre abar,
 sum_nu c_nu exp(-i alpha_nu t) = exp(-i abar t) sum_nu c_nu
 exp(-i (alpha_nu - abar) t) has frequencies within r = (alpha_N -
 alpha_0)/2, so on a run of times [tc - h, tc + h] the phase block is
-formed at K ~ r h Chebyshev node times only, contracted along the mode
-axis and carried to the times by the second (true) barycentric form
-(Berrut & Trefethen, SIAM Rev. 46, 2004), taken on the nodes as rounded,
-so rounding the nodes leaves no error floor.
+formed at K ~ r h Chebyshev node times only (second kind: the run's ends
+are nodes, so t = 0 is exact), contracted along the mode axis and carried
+to the times by the second (true) barycentric form (Berrut & Trefethen,
+SIAM Rev. 46, 2004), taken on the nodes as rounded: no error floor.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import AmplitudeVanishes, InvalidValue
 from .model import DiscretizedBath
-from .spectrum import Spectrum
+from .spectrum import Spectrum, _barycentric, _chebyshev
 
 _DENOM_RTOL = 1e-12
 _AMPLITUDE_FLOOR = 1e-12
@@ -101,28 +101,6 @@ def _times(t) -> np.ndarray:
     if ts.ndim != 1:
         raise InvalidValue(f"times must be a scalar or a 1-d array, got shape {ts.shape}")
     return ts.astype(float, copy=False)
-
-
-def _chebyshev(lo, hi, k):
-    """k Chebyshev points of the first kind on [lo, hi] (broadcast over
-    arrays of intervals) and their barycentric weights (-1)^j sin(theta_j)."""
-    theta = (np.arange(k) + 0.5) * (np.pi / k)
-    x = lo / 2 + hi / 2 + (hi / 2 - lo / 2) * np.cos(theta)
-    return x, np.sin(theta) * (-1.0) ** np.arange(k)
-
-
-def _barycentric(t, x, w):
-    """Matrix (len(t), K) that carries values at the K nodes x to the points
-    t by the second barycentric form with weights w (Berrut & Trefethen);
-    a point equal to a node takes its value."""
-    d = np.subtract.outer(t, x)
-    hit = d == 0.0
-    d[hit] = 1.0
-    b = np.divide(w, d, out=d)
-    on_node = hit.any(axis=1)
-    b[on_node] = hit[on_node]
-    b /= b.sum(axis=1, keepdims=True)
-    return b
 
 
 def _node_runs(ts, r, n_levels):

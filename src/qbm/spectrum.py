@@ -28,6 +28,11 @@ Completeness of the eigenbasis gives the moment sum rules
 
 which are exact in exact arithmetic and serve as the standing accuracy
 check on any computed spectrum.
+
+The solve's sums over the bath are boxed Cauchy sums, a single-level fast
+multipole method (Greengard & Rokhlin, J. Comput. Phys. 73, 1987) on the
+boxes of _boxes, O(N (n_near + p) + (N p / B)^2) per pass, not O(N^2); the
+row-0 population kernel in evolution runs the transposed product on them.
 """
 
 from __future__ import annotations
@@ -42,7 +47,8 @@ from .model import DiscretizedBath
 _EPS = float(np.finfo(float).eps)
 
 _TINY = 1e-308  # g^2 below this underflows: its root cannot leave the pole
-_TILE = 64  # roots per tile of the secular sums
+_BOX = 128  # modes and roots per box of the boxed Cauchy sums
+_PROXIES = 20  # Chebyshev proxies per box for the far field
 _MAX_ITER = 100
 
 
@@ -92,22 +98,89 @@ class Spectrum:
         return 2.0 * np.pi / self.omega0
 
 
-def _secular_parts(om, g2, omega0, origin, tau, buf):
+def _chebyshev(lo, hi, k):
+    """k >= 2 Chebyshev points of the second kind on [lo, hi] (broadcast over
+    arrays of intervals), from hi down to lo with both ends exact, and their
+    barycentric weights (-1)^j, halved at the ends."""
+    x = lo / 2 + hi / 2 + (hi / 2 - lo / 2) * np.cos(np.arange(k) * (np.pi / (k - 1)))
+    x[..., :1], x[..., -1:] = hi, lo
+    w = (-1.0) ** np.arange(k)
+    w[[0, -1]] /= 2
+    return x, w
+
+
+def _barycentric(t, x, w):
+    """Matrix (len(t), K) that carries values at the K nodes x to the points
+    t by the second barycentric form with weights w (Berrut & Trefethen);
+    a point equal to a node takes its value."""
+    d = np.subtract.outer(t, x)
+    hit = d == 0.0
+    d[hit] = 1.0
+    b = np.divide(w, d, out=d)
+    on_node = hit.any(axis=1)
+    b[on_node] = hit[on_node]
+    b /= b.sum(axis=1, keepdims=True)
+    return b
+
+
+def _boxes(al, om):
+    """Box geometry of the N+1 sorted roots al and the N sorted modes om that
+    interlace them: (cm, cr, near, px, pw).  Box j holds the modes
+    om[cm[j] : cm[j+1]] and the roots al[cr[j] : cr[j+1]]: the middle boxes
+    _BOX modes and roots each by index, the first and last box only the edge
+    root al[0] or al[N], so an outlying edge root widens no box of modes.  A
+    box spans its least to its greatest member; two boxes are near when the
+    gap between them is less than the wider one's width or when they are
+    neighbours (a root's bounding poles are always near it), and the edge
+    boxes, which never meet, count as near.  px[j] are box j's _PROXIES
+    Chebyshev proxies, pw their barycentric weights."""
+    n = om.size
+    cm = np.concatenate(([0], np.arange(0, n, _BOX), [n, n]))
+    cr = np.concatenate(([0, 1], np.arange(_BOX, n, _BOX), [n, n + 1]))
+    z = np.empty(2 * n + 1)
+    z[0::2], z[1::2] = al, om
+    lo, hi = np.minimum.reduceat(z, (cm + cr)[:-1]), np.maximum.reduceat(z, (cm + cr)[:-1])
+    gap, k = np.subtract.outer(lo, hi), np.arange(lo.size)
+    near = (np.maximum(gap, gap.T) < np.maximum.outer(hi - lo, hi - lo)) | (abs(k - k[:, None]) <= 1)
+    near[0, -1] = near[-1, 0] = True
+    px, pw = _chebyshev(lo[:, None], hi[:, None], _PROXIES)
+    return cm, cr, near, px, pw
+
+
+def _secular_parts(om, g2, omega0, origin, tau, act):
     """h = alpha - omega0 - sum' g_n^2/(alpha - omega_n) and
-    h' = 1 + sum' g_n^2/(alpha - omega_n)^2, the sums skipping each root's
-    origin pole o and forming alpha - omega_n as (omega_o - omega_n) + tau.
-    Tiles of _TILE roots keep the work array buf at _TILE x N."""
-    h = om[origin] - omega0 + tau
-    hp = np.ones(tau.size)
-    for i in range(0, tau.size, _TILE):
-        o, t = origin[i : i + _TILE], tau[i : i + _TILE]
-        d = np.subtract.outer(om[o], om, out=buf[: t.size])
-        d[np.arange(t.size), o] = np.inf  # drops the origin's own term
-        d += t[:, None]
-        np.divide(1.0, d, out=d)
-        h[i : i + _TILE] -= d @ g2
-        np.square(d, out=d)
-        hp[i : i + _TILE] += d @ g2
+    h' = 1 + sum' g_n^2/(alpha - omega_n)^2 for the roots act (ascending),
+    alpha = omega_o + tau from each root's origin pole o, the sums skipping
+    the origin's term.  The boxes of _boxes, placed by all N+1 roots, split
+    the sums: near modes are summed exactly, alpha - omega_n formed as
+    (omega_o - omega_n) + tau; the g_n^2 of a far box are anterpolated onto
+    its proxies, meet the root box's proxies through 1/(x - y) and
+    1/(x - y)^2 and are interpolated to alpha."""
+    x = om[origin] + tau
+    cm, cr, near, px, pw = _boxes(x, om)
+    if not near.all():
+        anterp = (g2[m0:m1] @ _barycentric(om[m0:m1], p, pw) for m0, m1, p in zip(cm, cm[1:], px))
+        q = np.concatenate(list(anterp))
+    o, t = origin[act], tau[act]
+    h, hp = om[o] - omega0 + t, np.ones(act.size)
+    rows, sizes = np.searchsorted(act, cr), np.diff(cm)
+    for j, (r0, r1) in enumerate(zip(rows, rows[1:])):
+        if r0 == r1:
+            continue
+        src = np.flatnonzero(np.repeat(near[j], sizes))
+        d = np.subtract.outer(om[o[r0:r1]], om[src])
+        d[np.arange(r1 - r0), np.searchsorted(src, o[r0:r1])] = np.inf  # the origin's own term
+        d += t[r0:r1, None]
+        r = np.divide(1.0, d, out=d)
+        h[r0:r1] -= r @ g2[src]
+        hp[r0:r1] += np.square(r, out=r) @ g2[src]
+        if not near[j].all():
+            d = np.subtract.outer(px[j], px.ravel())
+            d[:, np.repeat(near[j], _PROXIES)] = np.inf
+            r = np.divide(1.0, d, out=d)
+            b = _barycentric(x[act[r0:r1]], px[j], pw)
+            h[r0:r1] -= b @ (r @ q)
+            hp[r0:r1] += b @ (np.square(r, out=r) @ q)
     return h, hp
 
 
@@ -123,7 +196,9 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
     at the interval's far end q (for outer roots, twice the Gershgorin
     distance).  Steps leaving the sign bracket F(lo) < 0 < F(hi) bisect.
     Roots leave the active set once a step moves alpha by about a rounding
-    unit; w = 1/F'(alpha) is taken at the stored alpha.  A non-finite or
+    unit.  Every pass sums F and F' over the boxes of _boxes (_secular_parts).
+    The weights w = 1/F'(alpha) = 1/(h' + g_o^2/tau^2) come from one more
+    pass at the stored alpha, with tau = alpha - omega_o.  A non-finite or
     non-positive omega0 raises InvalidValue."""
     if not 0.0 < omega0 < np.inf:
         raise InvalidValue(f"omega0 must be finite and > 0, got {omega0}")
@@ -132,7 +207,6 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
     n = bath.n
     if np.any(g2 < _TINY):
         raise RootNotBracketed("a coupling below 1e-154 leaves its root on its pole")
-    buf = np.empty((min(_TILE, n + 1), n))
     spread = float(np.sum(np.abs(g)))
     outer = (min(omega0, om[0]) - spread - om[0], max(omega0, om[-1]) + spread - om[-1])
     gaps = np.diff(om)
@@ -143,7 +217,8 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
     q = np.concatenate(([2.0 * outer[0]], gaps, [2.0 * outer[1]]))
     lo = np.concatenate(([outer[0]], np.zeros(n)))
     hi = np.concatenate(([0.0], 0.5 * gaps, [outer[1]]))
-    h, hp = _secular_parts(om, g2, omega0, origin, tau, buf)
+    act = np.arange(n + 1)
+    h, hp = _secular_parts(om, g2, omega0, origin, tau, act)
 
     # interior roots with F(mid) < 0 lie in the upper half: rebase them on
     # the upper pole, where F(mid) < 0 makes the midpoint the lower end
@@ -155,7 +230,6 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
     origin[up], tau[up], q[up], lo[up], hi[up] = up, -t_lo, -q[up], -t_lo, 0.0
 
     alphas = np.empty(n + 1)
-    act = np.arange(n + 1)
     for _ in range(_MAX_ITER):
         o, t, qa = origin[act], tau[act], q[act]
         go2 = g2[o]
@@ -182,19 +256,15 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
         act = act[~done]
         if not act.size:
             break
-        h, hp = _secular_parts(om, g2, omega0, origin[act], tau[act], buf)
+        h, hp = _secular_parts(om, g2, omega0, origin, tau, act)
     else:
         raise ToleranceNotReached(f"{act.size} roots unconverged after {_MAX_ITER} steps")
 
     if not (np.all(alphas[:-1] < om) and np.all(om < alphas[1:])):
         raise RootNotBracketed("a root rounds onto its pole; its mode would need deflation")
-    weights = np.empty(n + 1)
-    for i in range(0, n + 1, _TILE):
-        a = alphas[i : i + _TILE]
-        d = np.subtract.outer(a, om, out=buf[: a.size])
-        np.divide(g, d, out=d)
-        np.square(d, out=d)
-        weights[i : i + _TILE] = 1.0 / (1.0 + np.sum(d, axis=1))
+    tau = alphas - om[origin]
+    _, hp = _secular_parts(om, g2, omega0, origin, tau, np.arange(n + 1))
+    weights = 1.0 / (hp + g2[origin] / tau**2)
     return Spectrum(alphas=alphas, weights=weights, omega0=float(omega0), bath=bath)
 
 

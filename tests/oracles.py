@@ -1,7 +1,8 @@
 """Cross-check oracles: slow, literal routes to what the package computes as
 closed spectral sums.  The dense `hamiltonian_matrix` and its `eigh`
 (`dense_diagonalize_oracle`) check the solve's roots, weights and moments;
-`secular_residual` certifies roots by a sign change of F; the pair sums
+`secular_residual` certifies roots by a sign change of F and
+`secular_values` gives (F, F') at every root in double precision; the pair sums
 `naive_transition_probabilities` and `naive_coefficients` check
 `transition_probabilities` and `coefficient_series`; the explicit row-0
 sum `row0_population` checks `oscillator_population`; the extended
@@ -40,6 +41,22 @@ def secular_residual(alpha: float, bath: DiscretizedBath, omega0: float) -> floa
     if np.any(np.abs(d) < guard):
         raise ValueError(f"secular function evaluated at a pole (alpha = {a!r})")
     return a - omega0 - float(np.sum(bath.couplings**2 / d))
+
+
+def secular_values(alphas, bath: DiscretizedBath, omega0: float):
+    """(F(alpha), F'(alpha)) at every alpha, F = alpha - omega0 - sum_n
+    g_n^2 / (alpha - omega_n) and F' = 1 + sum_n g_n^2 / (alpha - omega_n)^2,
+    summed densely in blocks of 256 roots."""
+    al = np.asarray(alphas, dtype=float)
+    f, fp = np.empty_like(al), np.empty_like(al)
+    g2 = bath.couplings**2
+    for lo in range(0, al.size, 256):
+        a = al[lo : lo + 256]
+        d = a[:, None] - bath.omegas[None, :]
+        r = g2 / d
+        f[lo : lo + 256] = a - omega0 - r.sum(axis=1)
+        fp[lo : lo + 256] = 1.0 + (r / d).sum(axis=1)
+    return f, fp
 
 
 def naive_transition_probabilities(spec: Spectrum, t: float) -> np.ndarray:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import explicit_spectrum, make_random_bath
 from oracles import direct_moments, naive_transition_probabilities, row0_population
-from qbm import evolution, langevin
+from qbm import langevin, spectrum
 from qbm.errors import InvalidValue
 from qbm import (
     ModelParams,
@@ -149,7 +149,7 @@ class TestPopulations:
         # boxes of 7 modes and runs of 5 times leave a short last one of each;
         # 15 boxes put most box pairs of the N = 100 bath in the far field,
         # and the moments cross every run boundary of the same kernel
-        monkeypatch.setattr(evolution, "_BOX", 7)
+        monkeypatch.setattr(spectrum, "_BOX", 7)
         monkeypatch.setattr(langevin, "_T_CHUNK", 5)
         grid = TimeGrid(t_start=3.0, t_step=1.7, n_steps=23)
         want = population_series(ref_spectrum, ref_occupations, grid.times())[0, :]
@@ -258,7 +258,7 @@ class TestRow0KernelAccuracy:
         spec = solve_spectrum(bath, omega0)
         occ = thermal_occupations(bath, 1.0, 1.0)
         ts = t0 + 0.1 * np.arange(64)
-        with mock.patch.object(evolution, "_BOX", box):
+        with mock.patch.object(spectrum, "_BOX", box):
             got = oscillator_population(spec, occ, ts)
         want = row0_population(spec, occ, ts[::9])
         np.testing.assert_allclose(got[::9], want, rtol=0.0, atol=1e-13)

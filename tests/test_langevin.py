@@ -86,6 +86,17 @@ OMEGAS = [0.5, 1.0, 2.0]
 
 
 class TestCoefficients:
+    def test_origin_exact_in_cli_blocks(self, ref_spectrum):
+        # in 256-point blocks of the default grid, as the CLI evaluates it,
+        # t = 0 ends a run of node times, so Gamma(0) and Im S_k(0) are exact
+        ts = TimeGrid().times()
+        blocks = np.split(ts, np.arange(256, ts.size, 256))
+        gamma = np.concatenate([coefficient_series(ref_spectrum, b)[1] for b in blocks])
+        assert gamma[0] == 0.0
+        for k in (0, 1, 2):
+            s = np.concatenate([moment_signal(ref_spectrum, k, b) for b in blocks])
+            assert s[0].imag == 0.0
+
     @pytest.mark.parametrize("omega0", OMEGAS)
     def test_gamma_zero_at_origin(self, omega0):
         _, gamma, ok = coefficient_series(explicit_spectrum(omega0), [0.0])

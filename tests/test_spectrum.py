@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import make_random_bath
-from oracles import dense_diagonalize_oracle, hamiltonian_matrix, secular_residual
+from oracles import dense_diagonalize_oracle, hamiltonian_matrix, secular_residual, secular_values
 from qbm import (
     DiscretizedBath,
     ModelParams,
@@ -16,6 +17,7 @@ from qbm import (
     build_bath,
     overlap_matrix,
     solve_spectrum,
+    spectrum,
 )
 from qbm.errors import InvalidValue, QbmError, RootNotBracketed
 
@@ -222,10 +224,12 @@ def adversarial_baths(draw):
 
 class TestAgainstDenseOracle:
     @settings(derandomize=True, deadline=None, max_examples=100)
-    @given(adversarial_baths())
-    def test_adversarial_baths(self, case):
+    @given(adversarial_baths(), st.integers(2, 16))
+    def test_adversarial_baths(self, case, box):
+        # boxes of a few modes put most pairs of the secular sums in the far field
         bath, omega0 = case
-        spec = solve_spectrum(bath, omega0)
+        with mock.patch.object(spectrum, "_BOX", box):
+            spec = solve_spectrum(bath, omega0)
         al, om = spec.alphas, bath.omegas
         assert np.all(al[:-1] < om) and np.all(om < al[1:])
         m2 = omega0**2 + float(np.sum(bath.couplings**2))
@@ -296,3 +300,23 @@ def test_solver_memory_stays_below_one_dense_array():
     finally:
         tracemalloc.stop()
     assert peak < 2001 * 2000 * 8
+
+
+def test_recurrence_probe_weights_are_inverse_slopes(recurrence_probe):
+    # the band-edge roots sit about 9e-9 from their poles, so a far-field
+    # error in the weights shows here first
+    al, w = recurrence_probe.alphas, recurrence_probe.weights
+    f, fp = secular_values(al, recurrence_probe.bath, 1.0)
+    assert np.max(np.abs(w * fp - 1.0)) <= 1e-12
+    assert np.max(np.abs(f / fp) / np.maximum(1.0, np.abs(al))) <= 1e-14
+
+
+def test_recurrence_probe_solve_memory(recurrence_probe):
+    # the boxed sums keep every work array near one box's near block
+    tracemalloc.start()
+    try:
+        solve_spectrum(recurrence_probe.bath, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
