@@ -22,8 +22,10 @@ multipole sum (Greengard & Rokhlin, J. Comput. Phys. 73, 1987) with
 Chebyshev proxies (Fong & Darve, J. Comput. Phys. 228, 2009) on the boxes
 of spectrum._boxes, the helper behind the secular solve's sums: boxes of B
 modes that lie close are summed exactly, far ones through p proxies per
-box, O(K (N n_near + N p + (N p / B)^2) + N K T) in all, n_near ~ 3 B on an
-even bath.  The survival amplitude, on the same kernel, is the (0,0) element
+box, O(K (N n_near + N p + (N p / B)^2)), n_near ~ 3 B on an even bath.
+Its K x K Gram matrix, O(N K^2), turns the population at each of the T
+times into a quadratic form in that time's barycentric row, O(K^2 T) in
+all.  The survival amplitude, on the same kernel, is the (0,0) element
 
     A(t) = sum_nu w_nu exp(-i alpha_nu t),
 
@@ -106,22 +108,34 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
     K_num = w_nu g_m / (alpha_nu - omega_m) (g_m^2 moves onto v; a column's
     sign drops out of |U_0m|^2, and so does the band-centre phase).  The
     node-run kernel contracts its phase block with the boxed product
-    _cauchy, column 0 the plain sum, and |U_0m|^2 at the times meets v."""
-    vg = v * np.append(1.0, spec.bath.couplings**2)[:, None]
+    _cauchy, column 0 the plain sum.  On a node run, that product [a_c; a_s]
+    scaled by sqrt(v g^2) gives a K x K Gram matrix G = a_c a_c^T + a_s a_s^T
+    per column of v, and the times take b G b^T, b their barycentric rows;
+    on a run of its own times |U_0m|^2 meets v g^2 directly."""
+    vg = v * np.append(1.0, spec.bath.couplings**2)[:, None]  # >= 0: sqrt(vg) is real
 
-    def finish(u):  # |U_0m|^2 = cos part^2 + sin part^2, squared and added in place
-        np.square(u, out=u)
-        return (np.add(u[0], u[1], out=u[0]) @ vg).T
+    def contract(e, on_nodes):
+        a, k = _cauchy(e, spec.alphas, spec.bath.omegas), e.shape[0] // 2
+        if not on_nodes:  # |U_0m|^2 = cos part^2 + sin part^2, squared and added in place
+            np.square(a, out=a)
+            return np.add(a[:k], a[k:], out=a[:k]) @ vg
+        g = np.empty((vg.shape[1], k, k))
+        for c, root in enumerate(np.sqrt(vg).T):  # the last column scales a in place
+            s = np.multiply(a, root, out=a if c == vg.shape[1] - 1 else None)
+            g[c] = s[:k] @ s[:k].T + s[k:] @ s[k:].T
+        return g
 
-    out = np.empty((v.shape[1], ts.size))
-    return _node_sums(spec, ts, lambda e: _cauchy(e, spec.alphas, spec.bath.omegas), finish, out)
+    def carry(a, b):  # b G b^T, row by row of b, for each G
+        return a.T if b is None else np.multiply(q := b @ a, b, out=q).sum(axis=2)
+
+    return _node_sums(spec, ts, contract, carry, np.empty((v.shape[1], ts.size)))
 
 
 def oscillator_population(spec: Spectrum, occ0: InitialOccupations, times) -> np.ndarray:
     """<N_Omega(t)> over an array of times.  Uses only row 0 of the
     transition matrix: for T times on K node times, O(K N n_near) near-field,
-    O(K N p) proxy, O(K (N p / B)^2) proxy-to-proxy and O(N K T)
-    interpolation flops (boxes of B modes with p Chebyshev proxies each,
+    O(K N p) proxy, O(K (N p / B)^2) proxy-to-proxy, O(N K^2) Gram and
+    O(K^2 T) carry flops (boxes of B modes with p Chebyshev proxies each,
     n_near ~ 3 B exactly summed columns per mode on an even bath)."""
     return _row0_contract(spec, _times(times), occ0.vector[:, None])[0]
 

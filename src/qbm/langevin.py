@@ -29,9 +29,10 @@ sum_nu c_nu exp(-i alpha_nu t) = exp(-i abar t) sum_nu c_nu
 exp(-i (alpha_nu - abar) t) has frequencies within r = (alpha_N -
 alpha_0)/2, so on a run of times [tc - h, tc + h] the phase block is
 formed at K ~ r h Chebyshev node times only (second kind: the run's ends
-are nodes, so t = 0 is exact), contracted along the mode axis and carried
-to the times by the second (true) barycentric form (Berrut & Trefethen,
-SIAM Rev. 46, 2004), taken on the nodes as rounded: no error floor.
+are nodes, so t = 0 is exact) and contracted along the mode axis; the
+caller's carry step takes that to the times with the matrix of the second
+(true) barycentric form (Berrut & Trefethen, SIAM Rev. 46, 2004), taken on
+the nodes as rounded: no error floor.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ _AMPLITUDE_FLOOR = 1e-12
 _FIT_SAMPLES = 256
 _T_CHUNK = 512  # most node times per phase block
 _T_SPAN = 8192  # most grid times one run looks ahead
-_CELLS = 1 << 18  # most entries in one interpolation block
+_CELLS = 1 << 18  # most entries in one barycentric block
 # K = r h + 12 (r h)^(1/3) + 4 nodes: 4 sum_{k>=K} |J_k(r h)| < 1e-17 bounds
 # the Chebyshev tail of exp(-i beta x), |beta| <= r h, on [-1, 1]
 _NODE_MARGIN = (12.0, 4.0)
@@ -132,15 +133,15 @@ def _node_runs(ts, r, n_levels):
         i0 += n
 
 
-def _node_sums(spec: Spectrum, ts: np.ndarray, contract, finish, out: np.ndarray) -> np.ndarray:
-    """out[:, rows] = finish(u) per block of the times ts; returns out.  Per
-    run of _node_runs the phase block e = [w cos(x (alpha - abar));
-    w sin(x (alpha - abar))], shape (2K, N+1), at its K nodes x meets
-    contract along the mode axis, and the result (2K, m) is carried to the
-    times ts[rows] as u, shape (2, rows, m): sum_nu (...) e^{-i alpha_nu t}
-    = e^{-i abar t} (u[0] - i u[1]).  finish may overwrite u.  The phase
-    block is sized to the most nodes a run uses; a block of times holds at
-    most _CELLS entries."""
+def _node_sums(spec: Spectrum, ts: np.ndarray, contract, carry, out: np.ndarray) -> np.ndarray:
+    """out[:, rows] = carry(a, b) per block of the times ts; returns out.
+    Per run of _node_runs the phase block e = [w cos(x (alpha - abar));
+    w sin(x (alpha - abar))], shape (2K, N+1), at its K nodes x meets the
+    mode axis in a = contract(e, on_nodes): sum_nu (...) e^{-i alpha_nu t}
+    = e^{-i abar t} (cos part - i sin part).  b is the (rows, K) barycentric
+    matrix to the times ts[rows] or, on a run of its own times, None with a
+    sliced to those rows on axis -2.  The phase block is sized to the most
+    nodes a run uses; b holds at most _CELLS entries."""
     al = spec.alphas
     _check_phases(ts, al)
     mid, r = al[0] / 2 + al[-1] / 2, al[-1] / 2 - al[0] / 2
@@ -153,13 +154,13 @@ def _node_sums(spec: Spectrum, ts: np.ndarray, contract, finish, out: np.ndarray
         np.sin(e[:k], out=e[k:])
         np.cos(e[:k], out=e[:k])
         e *= spec.weights
-        a = contract(e).reshape(2, k, -1)
-        step = max(1, _CELLS // max(k, a.shape[2]))
+        a = contract(e, w is not None)
+        step = max(1, _CELLS // k)
         for j in range(0, t.size, step):
-            tj = t[j : j + step]
-            u = a[:, j : j + step] if w is None else _barycentric(tj, x, w) @ a
-            out[:, i0 + j : i0 + j + tj.size] = finish(u)
-            del u
+            n = min(step, t.size - j)
+            b = None if w is None else _barycentric(t[j : j + n], x, w)
+            out[:, i0 + j : i0 + j + n] = carry(a[..., j : j + n, :] if b is None else a, b)
+            del b
         del a  # freed before the next run's contraction
     return out
 
@@ -170,7 +171,12 @@ def _moments(spec: Spectrum, ks, t) -> np.ndarray:
     ts, al = _times(t), spec.alphas
     coeff = np.stack([al**k for k in ks], axis=1)
     out = np.empty((len(ks), ts.size), dtype=complex)
-    s = _node_sums(spec, ts, lambda e: e @ coeff, lambda u: (u[0] - 1j * u[1]).T, out)
+
+    def carry(a, b):
+        u = a if b is None else b @ a
+        return (u[0] - 1j * u[1]).T
+
+    s = _node_sums(spec, ts, lambda e, _: (e @ coeff).reshape(2, -1, len(ks)), carry, out)
     return s * np.exp(-1j * (al[0] / 2 + al[-1] / 2) * ts)
 
 

@@ -129,38 +129,36 @@ def _boxes(al, om):
     om[cm[j] : cm[j+1]] and the roots al[cr[j] : cr[j+1]]: the middle boxes
     _BOX modes and roots each by index, the first and last box only the edge
     root al[0] or al[N], so an outlying edge root widens no box of modes.  A
-    box spans its least to its greatest member; two boxes are near when the
-    gap between them is less than the wider one's width or when they are
-    neighbours (a root's bounding poles are always near it), and the edge
-    boxes, which never meet, count as near.  px[j] are box j's _PROXIES
-    Chebyshev proxies, pw their barycentric weights."""
+    middle box spans the pole below its first root to its last mode, wherever
+    its roots lie; an edge box spans its root.  Two boxes are near when the
+    gap between them falls short of the wider one's width by more than a
+    relative 1e-9 (on an even bath boxes two apart are one width apart to
+    rounding) or when they are neighbours (a root's bounding poles are always
+    near it); the edge boxes, which never meet, count as near.  px[j] are
+    box j's _PROXIES Chebyshev proxies, pw their barycentric weights."""
     n = om.size
     cm = np.concatenate(([0], np.arange(0, n, _BOX), [n, n]))
     cr = np.concatenate(([0, 1], np.arange(_BOX, n, _BOX), [n, n + 1]))
-    z = np.empty(2 * n + 1)
-    z[0::2], z[1::2] = al, om
-    lo, hi = np.minimum.reduceat(z, (cm + cr)[:-1]), np.maximum.reduceat(z, (cm + cr)[:-1])
-    gap, k = np.subtract.outer(lo, hi), np.arange(lo.size)
-    near = (np.maximum(gap, gap.T) < np.maximum.outer(hi - lo, hi - lo)) | (abs(k - k[:, None]) <= 1)
+    lo = np.concatenate((al[:1], om[cr[1:-2] - 1], al[-1:]))
+    hi = np.concatenate((al[:1], om[cm[2:-1] - 1], al[-1:]))
+    gap, k, wide = np.subtract.outer(lo, hi), np.arange(lo.size), (hi - lo) * (1.0 - 1e-9)
+    near = (np.maximum(gap, gap.T) < np.maximum.outer(wide, wide)) | (abs(k - k[:, None]) <= 1)
     near[0, -1] = near[-1, 0] = True
     px, pw = _chebyshev(lo[:, None], hi[:, None], _PROXIES)
     return cm, cr, near, px, pw
 
 
-def _secular_parts(om, g2, omega0, origin, tau, act):
+def _secular_parts(om, g2, omega0, origin, tau, act, q):
     """h = alpha - omega0 - sum' g_n^2/(alpha - omega_n) and
     h' = 1 + sum' g_n^2/(alpha - omega_n)^2 for the roots act (ascending),
     alpha = omega_o + tau from each root's origin pole o, the sums skipping
-    the origin's term.  The boxes of _boxes, placed by all N+1 roots, split
-    the sums: near modes are summed exactly, alpha - omega_n formed as
-    (omega_o - omega_n) + tau; the g_n^2 of a far box are anterpolated onto
-    its proxies, meet the root box's proxies through 1/(x - y) and
-    1/(x - y)^2 and are interpolated to alpha."""
+    the origin's term.  The boxes of _boxes (only the edge ones move with
+    the roots) split the sums: near modes are summed exactly, alpha -
+    omega_n formed as (omega_o - omega_n) + tau; q, the g_n^2 of each box
+    anterpolated onto its proxies, meets the root box's proxies through
+    1/(x - y) and 1/(x - y)^2 and is interpolated to alpha."""
     x = om[origin] + tau
     cm, cr, near, px, pw = _boxes(x, om)
-    if not near.all():
-        anterp = (g2[m0:m1] @ _barycentric(om[m0:m1], p, pw) for m0, m1, p in zip(cm, cm[1:], px))
-        q = np.concatenate(list(anterp))
     o, t = origin[act], tau[act]
     h, hp = om[o] - omega0 + t, np.ones(act.size)
     rows, sizes = np.searchsorted(act, cr), np.diff(cm)
@@ -196,7 +194,8 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
     at the interval's far end q (for outer roots, twice the Gershgorin
     distance).  Steps leaving the sign bracket F(lo) < 0 < F(hi) bisect.
     Roots leave the active set once a step moves alpha by about a rounding
-    unit.  Every pass sums F and F' over the boxes of _boxes (_secular_parts).
+    unit.  Every pass sums F and F' over the boxes of _boxes (_secular_parts);
+    g^2 is anterpolated onto the boxes' proxies once per solve.
     The weights w = 1/F'(alpha) = 1/(h' + g_o^2/tau^2) come from one more
     pass at the stored alpha, with tau = alpha - omega_o.  A non-finite or
     non-positive omega0 raises InvalidValue."""
@@ -218,7 +217,10 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
     lo = np.concatenate(([outer[0]], np.zeros(n)))
     hi = np.concatenate(([0.0], 0.5 * gaps, [outer[1]]))
     act = np.arange(n + 1)
-    h, hp = _secular_parts(om, g2, omega0, origin, tau, act)
+    cm, _, _, px, pw = _boxes(om[origin] + tau, om)  # the edge boxes hold no g^2
+    anterp = (g2[m0:m1] @ _barycentric(om[m0:m1], p, pw) for m0, m1, p in zip(cm, cm[1:], px))
+    g2_px = np.concatenate(list(anterp))
+    h, hp = _secular_parts(om, g2, omega0, origin, tau, act, g2_px)
 
     # interior roots with F(mid) < 0 lie in the upper half: rebase them on
     # the upper pole, where F(mid) < 0 makes the midpoint the lower end
@@ -256,14 +258,14 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
         act = act[~done]
         if not act.size:
             break
-        h, hp = _secular_parts(om, g2, omega0, origin, tau, act)
+        h, hp = _secular_parts(om, g2, omega0, origin, tau, act, g2_px)
     else:
         raise ToleranceNotReached(f"{act.size} roots unconverged after {_MAX_ITER} steps")
 
     if not (np.all(alphas[:-1] < om) and np.all(om < alphas[1:])):
         raise RootNotBracketed("a root rounds onto its pole; its mode would need deflation")
     tau = alphas - om[origin]
-    _, hp = _secular_parts(om, g2, omega0, origin, tau, np.arange(n + 1))
+    _, hp = _secular_parts(om, g2, omega0, origin, tau, np.arange(n + 1), g2_px)
     weights = 1.0 / (hp + g2[origin] / tau**2)
     return Spectrum(alphas=alphas, weights=weights, omega0=float(omega0), bath=bath)
 

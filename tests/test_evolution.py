@@ -263,6 +263,31 @@ class TestRow0KernelAccuracy:
         want = row0_population(spec, occ, ts[::9])
         np.testing.assert_allclose(got[::9], want, rtol=0.0, atol=1e-13)
 
+    # 600 fine times, one run on 173 node times, then 700 coarse ones, two
+    # runs on their own times: both carry steps write into one output
+    MIXED = np.concatenate([1000.0 + 0.05 * np.arange(600), 1100.0 + 3.0 * np.arange(700)])
+
+    def test_node_and_direct_runs_in_one_call(self, plateau_probe):
+        spec, occ = plateau_probe
+        ts = self.MIXED
+        r = spec.alphas[-1] / 2 - spec.alphas[0] / 2
+        runs = [(x.size, w is None) for _, _, x, w in langevin._node_runs(ts, r, spec.n_levels)]
+        assert runs == [(173, False), (512, True), (138, True)]
+        want = row0_population(spec, occ, ts)
+        total, surviving, influx = population_decomposition(spec, occ, ts)
+        np.testing.assert_allclose(oscillator_population(spec, occ, ts), want, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(total, want, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(surviving + influx, total, rtol=0.0, atol=1e-14)
+
+    def test_carry_blocks_match_one_block(self, plateau_probe):
+        # 4096 cells cut the 173-node run into blocks of 23 times, the runs
+        # on their own times into blocks of 8 and 29
+        spec, occ = plateau_probe
+        whole = population_decomposition(spec, occ, self.MIXED)
+        with mock.patch.object(langevin, "_CELLS", 4096):
+            blocked = population_decomposition(spec, occ, self.MIXED)
+        np.testing.assert_allclose(blocked, whole, rtol=0.0, atol=1e-15)
+
     def test_coarse_grid_times_are_nodes(self, ref_spectrum, ref_occupations):
         # at t_step = 2 nodes would not be fewer than times: the times are the nodes
         ts = TimeGrid(t_step=2.0, n_steps=1500).times()
@@ -306,7 +331,8 @@ def test_population_memory_does_not_grow_with_times():
 
 def test_population_memory_on_report_window(recurrence_probe):
     # the N = 10^4 report window on 148 node times: the phase block and the
-    # boxed Cauchy product's output, 24 MB each, and small blocks besides
+    # boxed Cauchy product's output, 24 MB each; the 148 x 148 Gram matrix
+    # and the one (1273, 148) carry block besides are small
     spec = recurrence_probe
     occ = thermal_occupations(spec.bath, 1.0, 1.0)
     ts = TimeGrid().times()
