@@ -7,27 +7,27 @@ product, a text report, and a gnuplot script for the plottable products.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  All
 diagnostics go to stderr.  Output is deterministic: fixed product order,
 fixed float formatting (17 significant digits, scientific), Unix
-newlines.  The environment variable QBM_THREADS (0 = one worker) fans the
-per-time-point work out to a thread pool; results are assembled in grid
-order, so at a fixed BLAS thread count the worker count never changes the
-bytes written (the BLAS thread count itself can move the last bit).
+newlines.  Each product evaluates its kernel once, on the whole grid; the
+environment variable QBM_THREADS (0 = one worker) sets how many threads
+run the kernel's node runs, which depend on the times alone, so at a fixed
+BLAS thread count the worker count never changes the bytes written (the
+BLAS thread count itself can move the last bit).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .config import PRODUCTS, RunConfig, parse_config
-from .errors import ConfigError, InvalidValue, QbmError
+from .errors import ConfigError, QbmError
 from .evolution import oscillator_population, survival_probability
 from .langevin import (
+    _worker_count,
     coefficient_series,
     estimate_gamma,
     golden_rule_rate,
@@ -45,43 +45,6 @@ _PLATEAU_WINDOW = (100.0, 300.0)
 
 def _fmt(x: float) -> str:
     return f"{x:.16e}"
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("QBM_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise InvalidValue(f"QBM_THREADS must be an integer, got {raw!r}")
-    if workers < 0:
-        raise InvalidValue(f"QBM_THREADS must be >= 0, got {workers}")
-    # 0 = auto: the vectorized single pass already saturates one core and
-    # keeps the memory footprint flat, so auto means one worker.
-    return workers if workers > 0 else 1
-
-
-_BLOCK = 256
-
-
-def _over_grid(fn, ts: np.ndarray) -> np.ndarray:
-    """Evaluate fn over the grid in fixed 256-point blocks, reassembled in
-    grid order.  fn maps a time array to an array whose last axis is time.
-    The block partition is independent of the worker count (floating-point
-    reductions depend on array length, so a worker-dependent split would
-    change the last ulp of the output); QBM_THREADS only decides how many
-    blocks run concurrently."""
-    if ts.size <= _BLOCK:
-        return fn(ts)
-    blocks = np.split(ts, np.arange(_BLOCK, ts.size, _BLOCK))
-    workers = _worker_count()
-    if workers <= 1:
-        parts = [fn(b) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(fn, blocks))
-    return np.concatenate(parts, axis=-1)
 
 
 def _resolve_grid(config: RunConfig, spec: Spectrum) -> TimeGrid:
@@ -113,22 +76,22 @@ def _csv(header: str, rows) -> str:
 
 def _population_rows(config: RunConfig, spec: Spectrum, ts: np.ndarray):
     occ = thermal_occupations(spec.bath, config.model.beta, config.n_omega0)
-    return zip(ts, _over_grid(lambda a: oscillator_population(spec, occ, a), ts))
+    return zip(ts, oscillator_population(spec, occ, ts))
 
 
 def _coefficient_rows(config: RunConfig, spec: Spectrum, ts: np.ndarray):
-    stacked = _over_grid(lambda a: np.vstack(coefficient_series(spec, a)), ts)
     # flagged samples keep the row (rectangular series) but carry empty
     # value fields and denominator_ok = 0
     return (
-        (t, o, g, "1") if k else (t, "", "", "0") for t, o, g, k in zip(ts, *stacked)
+        (t, o, g, "1") if k else (t, "", "", "0")
+        for t, o, g, k in zip(ts, *coefficient_series(spec, ts))
     )
 
 
 # product: (CSV header, rows(config, spec, ts), plot panel as (title,
 # x label, y label, columns, style)), in evaluation and panel order.  Rows
-# look the grid kernels up as module globals block by block, so a kernel
-# patched on this module (bench/spans.py traces them so) is the one called.
+# look the grid kernels up as module globals, so a kernel patched on this
+# module (bench/spans.py traces them so) is the one called.
 _PRODUCTS = {
     "spectrum": (
         "nu,alpha,weight",
@@ -144,16 +107,12 @@ _PRODUCTS = {
     ),
     "survival": (
         "t,p_surv",
-        lambda config, spec, ts: zip(
-            ts, _over_grid(lambda a: survival_probability(spec, a), ts)
-        ),
+        lambda config, spec, ts: zip(ts, survival_probability(spec, ts)),
         ("Survival probability vs. t", "t", "P_ΩΩ(t)", "1:2", "lines"),
     ),
     "position": (
         "t,x",
-        lambda config, spec, ts: zip(
-            ts, _over_grid(lambda a: mean_position(spec, config.langevin_input, a), ts)
-        ),
+        lambda config, spec, ts: zip(ts, mean_position(spec, config.langevin_input, ts)),
         ("Mean position of the Brownian oscillator vs. t", "t", "X(t)", "1:2", "lines"),
     ),
     "coefficients": (

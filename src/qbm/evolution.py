@@ -23,7 +23,8 @@ Chebyshev proxies (Fong & Darve, J. Comput. Phys. 228, 2009) on the boxes
 of spectrum._boxes, the helper behind the secular solve's sums: boxes of B
 modes that lie close are summed exactly, far ones through p proxies per
 box, O(K (N n_near + N p + (N p / B)^2)), n_near ~ 3 B on an even bath.
-Its K x K Gram matrix, O(N K^2), turns the population at each of the T
+The product is folded box by box into a K x K Gram matrix, O(N K^2), and
+never stored whole; the Gram matrix turns the population at each of the T
 times into a quadratic form in that time's barycentric row, O(K^2 T) in
 all.  The survival amplitude, on the same kernel, is the (0,0) element
 
@@ -76,30 +77,32 @@ def population_series(spec: Spectrum, occ0: InitialOccupations, times) -> np.nda
 
 
 def _cauchy(e, al, om):
-    """[e.sum(axis=1), e @ (1 / (om_m - al_nu))^T], shape (len(e), N + 1),
-    for the N + 1 sorted roots al and N sorted modes om, on the boxes of
-    spectrum._boxes.  Near pairs are summed exactly; a far pair goes through
-    p = _PROXIES Chebyshev proxies per box: the charges are anterpolated
-    onto their box's proxies, the proxies meet in a p x p Cauchy product and
-    the barycentric interpolant carries the proxy potentials to the modes.
-    Per row 2 N n_near + 4 N p + 2 (N p / B)^2 flops, n_near the near
-    columns per mode (about 3 B on an even bath); all near is dense."""
+    """The columns [e.sum(axis=1), e @ (1 / (om_m - al_nu))^T], N + 1 in
+    all, for the N + 1 sorted roots al and N sorted modes om, yielded box by
+    box of spectrum._boxes as (first column, block of len(e) rows); the whole
+    product is never stored.  Near pairs are summed exactly; a far pair goes
+    through p = _PROXIES Chebyshev proxies per box: the charges are
+    anterpolated onto their box's proxies, the proxies meet in a p x p
+    Cauchy product and the barycentric interpolant carries the proxy
+    potentials to the modes.  Per row 2 N n_near + 4 N p + 2 (N p / B)^2
+    flops, n_near the near columns per mode (about 3 B on an even bath); all
+    near is dense."""
     cm, cr, near, px, pw = _boxes(al, om)
     if not near.all():
         anterp = (e[:, a0:a1] @ _barycentric(al[a0:a1], p, pw) for a0, a1, p in zip(cr, cr[1:], px))
         q = np.concatenate(list(anterp), axis=1)
-    out, sizes = np.empty((e.shape[0], om.size + 1)), np.diff(cr)
-    out[:, 0] = e.sum(axis=1)
+    sizes = np.diff(cr)
+    yield 0, e.sum(axis=1)[:, None]
     for j in range(1, near.shape[0] - 1):  # the edge boxes hold no modes
         m0, m1 = cm[j], cm[j + 1]
         src = np.repeat(near[j], sizes)
-        a = e[:, src] @ (1.0 / np.subtract.outer(om[m0:m1], al[src])).T
+        d = np.subtract.outer(om[m0:m1], al[src])
+        a = e[:, src] @ np.divide(1.0, d, out=d).T
         if not near[j].all():
             d = np.subtract.outer(px[j], px.ravel())
             d[:, np.repeat(near[j], _PROXIES)] = np.inf
             a += (q @ np.divide(1.0, d, out=d).T) @ _barycentric(om[m0:m1], px[j], pw).T
-        out[:, m0 + 1 : m1 + 1] = a
-    return out
+        yield m0 + 1, a
 
 
 def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -108,21 +111,26 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
     K_num = w_nu g_m / (alpha_nu - omega_m) (g_m^2 moves onto v; a column's
     sign drops out of |U_0m|^2, and so does the band-centre phase).  The
     node-run kernel contracts its phase block with the boxed product
-    _cauchy, column 0 the plain sum.  On a node run, that product [a_c; a_s]
-    scaled by sqrt(v g^2) gives a K x K Gram matrix G = a_c a_c^T + a_s a_s^T
-    per column of v, and the times take b G b^T, b their barycentric rows;
-    on a run of its own times |U_0m|^2 meets v g^2 directly."""
+    _cauchy, column 0 the plain sum, and folds it in box by box.  On a node
+    run, each block [s_c; s_s] of that product scaled by sqrt(v g^2) adds
+    s_c s_c^T + s_s s_s^T to a K x K Gram matrix G per column of v, and the
+    times take b G b^T, b their barycentric rows; on a run of its own times
+    |U_0m|^2 meets v g^2 directly."""
     vg = v * np.append(1.0, spec.bath.couplings**2)[:, None]  # >= 0: sqrt(vg) is real
 
     def contract(e, on_nodes):
-        a, k = _cauchy(e, spec.alphas, spec.bath.omegas), e.shape[0] // 2
-        if not on_nodes:  # |U_0m|^2 = cos part^2 + sin part^2, squared and added in place
-            np.square(a, out=a)
-            return np.add(a[:k], a[k:], out=a[:k]) @ vg
-        g = np.empty((vg.shape[1], k, k))
-        for c, root in enumerate(np.sqrt(vg).T):  # the last column scales a in place
-            s = np.multiply(a, root, out=a if c == vg.shape[1] - 1 else None)
-            g[c] = s[:k] @ s[:k].T + s[k:] @ s[k:].T
+        k = e.shape[0] // 2
+        g = np.zeros((vg.shape[1], k, k) if on_nodes else (k, vg.shape[1]))
+        for m0, a in _cauchy(e, spec.alphas, spec.bath.omegas):
+            m1 = m0 + a.shape[1]
+            if on_nodes:
+                for c, (gc, rc) in enumerate(zip(g, np.sqrt(vg[m0:m1]).T)):
+                    s = np.multiply(a, rc, out=a if c == len(g) - 1 else None)  # the last in place
+                    gc += s[:k] @ s[:k].T
+                    gc += s[k:] @ s[k:].T
+            else:  # |U_0m|^2 = cos part^2 + sin part^2, squared in place
+                np.square(a, out=a)
+                g += (a[:k] + a[k:]) @ vg[m0:m1]
         return g
 
     def carry(a, b):  # b G b^T, row by row of b, for each G

@@ -32,12 +32,15 @@ formed at K ~ r h Chebyshev node times only (second kind: the run's ends
 are nodes, so t = 0 is exact) and contracted along the mode axis; the
 caller's carry step takes that to the times with the matrix of the second
 (true) barycentric form (Berrut & Trefethen, SIAM Rev. 46, 2004), taken on
-the nodes as rounded: no error floor.
+the nodes as rounded: no error floor.  The runs are the only partition of
+the time axis: QBM_THREADS worker threads take whole runs, each with a
+phase block of its own.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +53,7 @@ _DENOM_RTOL = 1e-12
 _AMPLITUDE_FLOOR = 1e-12
 _FIT_SAMPLES = 256
 _T_CHUNK = 512  # most node times per phase block
+_PHASE_CELLS = 1 << 21  # most K x (N+1) entries in one half of a phase block
 _T_SPAN = 8192  # most grid times one run looks ahead
 _CELLS = 1 << 18  # most entries in one barycentric block
 # K = r h + 12 (r h)^(1/3) + 4 nodes: 4 sum_{k>=K} |J_k(r h)| < 1e-17 bounds
@@ -110,14 +114,14 @@ def _node_runs(ts, r, n_levels):
     Chebyshev nodes x with barycentric weights w or, where those save no
     flops (K (n_levels + n) / n >= n_levels per time), on its own times
     (x = t, w None); runs take the cheapest length, spread evenly, with at
-    most _T_CHUNK nodes."""
-    i0 = 0
+    most _T_CHUNK nodes and K n_levels <= _PHASE_CELLS."""
+    i0, chunk = 0, max(1, min(_T_CHUNK, _PHASE_CELLS // n_levels))
     while i0 < ts.size:
         t, rest = ts[i0 : i0 + _T_SPAN], ts.size - i0
         rh = r * (np.maximum.accumulate(t) / 2 - np.minimum.accumulate(t) / 2)
         nodes = np.ceil(rh + _NODE_MARGIN[0] * np.cbrt(rh) + _NODE_MARGIN[1])
         sizes = np.arange(1, t.size + 1)
-        ok = (nodes < sizes) & (nodes <= _T_CHUNK)
+        ok = (nodes < sizes) & (nodes <= chunk)
         cost = np.where(ok, nodes * (n_levels + sizes) / sizes, np.inf)
         n = int(np.argmin(cost)) + 1
         # equal runs over the times left, so no short last run pays for a contraction
@@ -127,10 +131,27 @@ def _node_runs(ts, r, n_levels):
         if cost[n - 1] < n_levels:
             x, w = _chebyshev(t[:n].min(), t[:n].max(), int(nodes[n - 1]))
         else:
-            n = min(_T_CHUNK, t.size)
+            n = min(chunk, t.size)
             x, w = t[:n], None
         yield i0, t[:n], x, w
         i0 += n
+
+
+def _worker_count() -> int:
+    """Threads that run the node runs: QBM_THREADS, unset or 0 meaning one;
+    anything but an integer >= 0 is InvalidValue."""
+    raw = os.environ.get("QBM_THREADS", "").strip()
+    if not raw:
+        return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise InvalidValue(f"QBM_THREADS must be an integer, got {raw!r}")
+    if workers < 0:
+        raise InvalidValue(f"QBM_THREADS must be >= 0, got {workers}")
+    # 0 = auto: the vectorized single pass already saturates one core and
+    # keeps the memory footprint flat, so auto means one worker.
+    return workers if workers > 0 else 1
 
 
 def _node_sums(spec: Spectrum, ts: np.ndarray, contract, carry, out: np.ndarray) -> np.ndarray:
@@ -140,16 +161,20 @@ def _node_sums(spec: Spectrum, ts: np.ndarray, contract, carry, out: np.ndarray)
     mode axis in a = contract(e, on_nodes): sum_nu (...) e^{-i alpha_nu t}
     = e^{-i abar t} (cos part - i sin part).  b is the (rows, K) barycentric
     matrix to the times ts[rows] or, on a run of its own times, None with a
-    sliced to those rows on axis -2.  The phase block is sized to the most
-    nodes a run uses; b holds at most _CELLS entries."""
+    sliced to those rows on axis -2.  The runs are mapped over _worker_count
+    threads; each allocates its own phase block and writes only its own
+    columns of out, and the runs depend on the times alone, so the worker
+    count never changes a value.  b holds at most _CELLS entries."""
+    workers = _worker_count()
     al = spec.alphas
     _check_phases(ts, al)
     mid, r = al[0] / 2 + al[-1] / 2, al[-1] / 2 - al[0] / 2
+    # a list, not the generator: a run being built would sit on a worker's peak
     runs = list(_node_runs(ts, r, al.size))
-    phase = np.empty((2 * max((x.size for _, _, x, _ in runs), default=0), al.size))
-    for i0, t, x, w in runs:
+
+    def run(i0, t, x, w):
         k = x.size
-        e = phase[: 2 * k]
+        e = np.empty((2 * k, al.size))
         np.multiply.outer(x, al - mid, out=e[:k])
         np.sin(e[:k], out=e[k:])
         np.cos(e[:k], out=e[:k])
@@ -161,7 +186,14 @@ def _node_sums(spec: Spectrum, ts: np.ndarray, contract, carry, out: np.ndarray)
             b = None if w is None else _barycentric(t[j : j + n], x, w)
             out[:, i0 + j : i0 + j + n] = carry(a[..., j : j + n, :] if b is None else a, b)
             del b
-        del a  # freed before the next run's contraction
+
+    if min(workers, len(runs)) <= 1:
+        for args in runs:
+            run(*args)
+    else:  # imported here, so that import qbm does not load it (and logging)
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, *zip(*runs)))
     return out
 
 

@@ -279,6 +279,19 @@ class TestRow0KernelAccuracy:
         np.testing.assert_allclose(total, want, rtol=0.0, atol=1e-13)
         np.testing.assert_allclose(surviving + influx, total, rtol=0.0, atol=1e-14)
 
+    def test_runs_bound_the_phase_block(self, recurrence_probe):
+        # 3000 steps of the recurrence preset on the N = 10^4 bath would take 442
+        # nodes per run: K (N+1) <= _PHASE_CELLS caps them at 209; past
+        # _PHASE_CELLS levels each run is one time of its own
+        spec = recurrence_probe
+        ts = spec.tau_omega / 8.0 * np.arange(3000)
+        r = spec.alphas[-1] / 2 - spec.alphas[0] / 2
+        runs = list(langevin._node_runs(ts, r, spec.n_levels))
+        assert 0 < max(x.size for *_, x, w in runs if w is not None) <= 209
+        assert np.array_equal(np.concatenate([t for _, t, _, _ in runs]), ts)
+        runs = list(langevin._node_runs(ts[:20], r, langevin._PHASE_CELLS + 1))
+        assert [t.size for _, t, _, w in runs if w is None] == [1] * 20
+
     def test_carry_blocks_match_one_block(self, plateau_probe):
         # 4096 cells cut the 173-node run into blocks of 23 times, the runs
         # on their own times into blocks of 8 and 29
@@ -317,22 +330,26 @@ def test_population_memory_does_not_grow_with_times():
     bath = build_bath(ModelParams(n_bath=1000, step=0.0018))
     spec = solve_spectrum(bath, 1.0)
     occ = thermal_occupations(bath, 1.0, 1.0)
-    peaks = []
-    for n_times in (2048, 12733):
+    r, peaks, nodes = spec.alphas[-1] / 2 - spec.alphas[0] / 2, [], []
+    # both lengths run on the same node count: the kernel's buffers scale
+    # with it, so only then does a peak that grows mean it grows with times
+    for n_times in (8192, 12733):
         ts = 1000.0 + np.pi / 20.0 * np.arange(n_times)
+        nodes.append({x.size for *_, x, _ in langevin._node_runs(ts, r, spec.n_levels)})
         tracemalloc.start()
         try:
             oscillator_population(spec, occ, ts)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    assert nodes[0] == nodes[1]
     assert peaks[1] == pytest.approx(peaks[0], rel=0.1)
 
 
 def test_population_memory_on_report_window(recurrence_probe):
-    # the N = 10^4 report window on 148 node times: the phase block and the
-    # boxed Cauchy product's output, 24 MB each; the 148 x 148 Gram matrix
-    # and the one (1273, 148) carry block besides are small
+    # the N = 10^4 report window on 148 node times: the phase block is
+    # 24 MB; the boxed Cauchy product, folded into the 148 x 148 Gram matrix
+    # box by box, and the one (1273, 148) carry block besides are small
     spec = recurrence_probe
     occ = thermal_occupations(spec.bath, 1.0, 1.0)
     ts = TimeGrid().times()
@@ -343,4 +360,4 @@ def test_population_memory_on_report_window(recurrence_probe):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 80e6
+    assert peak < 40e6

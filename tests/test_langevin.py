@@ -61,16 +61,15 @@ class TestMomentSignals:
     @pytest.mark.parametrize("probe", ["default", "plateau"])
     def test_match_extended_precision_sum(self, probe, ref_spectrum, plateau_probe):
         # the default grid on N = 100 and the plateau grid on N = 1000, taken
-        # in 256-point blocks as the CLI does; 64 times compared per grid
+        # whole as the CLI does; 64 times compared per grid
         if probe == "default":
             spec, ts = ref_spectrum, TimeGrid().times()
         else:
             spec, ts = plateau_probe[0], TimeGrid(t_start=1000.0, n_steps=12800).times()
-        blocks = [ts[i : i + 256] for i in range(0, ts.size, 256)]
         idx = np.linspace(0, ts.size - 1, 64).astype(int)
         want = direct_moments(spec, (0, 1, 2), ts[idx])
         for k in (0, 1, 2):
-            got = np.concatenate([moment_signal(spec, k, b) for b in blocks])
+            got = moment_signal(spec, k, ts)
             np.testing.assert_allclose(got[idx], want[k], rtol=0.0, atol=2e-15)
 
     def test_shuffled_times(self, ref_spectrum):
@@ -86,16 +85,14 @@ OMEGAS = [0.5, 1.0, 2.0]
 
 
 class TestCoefficients:
-    def test_origin_exact_in_cli_blocks(self, ref_spectrum):
-        # in 256-point blocks of the default grid, as the CLI evaluates it,
-        # t = 0 ends a run of node times, so Gamma(0) and Im S_k(0) are exact
+    def test_origin_exact_on_cli_grid(self, ref_spectrum, monkeypatch):
+        # on the whole default grid, as the CLI evaluates it, t = 0 ends a
+        # run of node times, so Gamma(0) and Im S_k(0) are exact
+        monkeypatch.setenv("QBM_THREADS", "2")
         ts = TimeGrid().times()
-        blocks = np.split(ts, np.arange(256, ts.size, 256))
-        gamma = np.concatenate([coefficient_series(ref_spectrum, b)[1] for b in blocks])
-        assert gamma[0] == 0.0
+        assert coefficient_series(ref_spectrum, ts)[1][0] == 0.0
         for k in (0, 1, 2):
-            s = np.concatenate([moment_signal(ref_spectrum, k, b) for b in blocks])
-            assert s[0].imag == 0.0
+            assert moment_signal(ref_spectrum, k, ts)[0].imag == 0.0
 
     @pytest.mark.parametrize("omega0", OMEGAS)
     def test_gamma_zero_at_origin(self, omega0):
