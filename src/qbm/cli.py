@@ -64,60 +64,55 @@ def _write_text(path: Path, text: str) -> Path:
     return path
 
 
-def _csv(header: str, rows) -> str:
-    # numbers take the fixed float format; string fields (the spectrum's
-    # index, the coefficients' flag and the empty values of a flagged
-    # sample) are written as they are
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(f if isinstance(f, str) else _fmt(f) for f in row))
-    return "\n".join(lines) + "\n"
+def _csv(header: str, cols) -> str:
+    # one %-template per row kind fills the whole table in one %: numbers
+    # take %.16e (the same string as _fmt for every float64: nan, +-inf,
+    # -0.0 and subnormals too), the spectrum's integer index %d; a boolean
+    # last column is the coefficients' flag, 1, or 0 with the row's values
+    # but the first left empty (the series stays rectangular)
+    *cols, ok = cols if cols[-1].dtype == bool else (*cols, None)
+    table = np.column_stack(cols)
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.16e" for c in cols)
+    keep, rows = np.ones(table.shape, bool), [row] * len(table)
+    if ok is not None:
+        keep[~ok, 1:] = False
+        rows = np.where(ok, row + ",1", "%.16e" + "," * len(cols) + "0")
+    return header + "\n" + "\n".join([*rows, ""]) % tuple(table[keep].tolist())
 
 
-def _population_rows(config: RunConfig, spec: Spectrum, ts: np.ndarray):
+def _population(config: RunConfig, spec: Spectrum, ts: np.ndarray):
     occ = thermal_occupations(spec.bath, config.model.beta, config.n_omega0)
-    return zip(ts, oscillator_population(spec, occ, ts))
+    return ts, oscillator_population(spec, occ, ts)
 
 
-def _coefficient_rows(config: RunConfig, spec: Spectrum, ts: np.ndarray):
-    # flagged samples keep the row (rectangular series) but carry empty
-    # value fields and denominator_ok = 0
-    return (
-        (t, o, g, "1") if k else (t, "", "", "0")
-        for t, o, g, k in zip(ts, *coefficient_series(spec, ts))
-    )
-
-
-# product: (CSV header, rows(config, spec, ts), plot panel as (title,
-# x label, y label, columns, style)), in evaluation and panel order.  Rows
-# look the grid kernels up as module globals, so a kernel patched on this
-# module (bench/spans.py traces them so) is the one called.
+# product: (CSV header, columns(config, spec, ts), plot panel as (title,
+# x label, y label, columns, style)), in evaluation and panel order.  The
+# columns look the grid kernels up as module globals, so a kernel patched on
+# this module (bench/spans.py traces them so) is the one called.
 _PRODUCTS = {
     "spectrum": (
         "nu,alpha,weight",
-        lambda config, spec, ts: zip(
-            map(str, range(spec.n_levels)), spec.alphas, spec.weights
-        ),
+        lambda config, spec, ts: (np.arange(spec.n_levels), spec.alphas, spec.weights),
         ("Eigenvalue weights", "α_ν", "w_ν", "2:3", "impulses"),
     ),
     "population": (
         "t,n_omega",
-        _population_rows,
+        _population,
         ("Population of the Brownian oscillator vs. t", "t", "⟨N_Ω⟩", "1:2", "lines"),
     ),
     "survival": (
         "t,p_surv",
-        lambda config, spec, ts: zip(ts, survival_probability(spec, ts)),
+        lambda config, spec, ts: (ts, survival_probability(spec, ts)),
         ("Survival probability vs. t", "t", "P_ΩΩ(t)", "1:2", "lines"),
     ),
     "position": (
         "t,x",
-        lambda config, spec, ts: zip(ts, mean_position(spec, config.langevin_input, ts)),
+        lambda config, spec, ts: (ts, mean_position(spec, config.langevin_input, ts)),
         ("Mean position of the Brownian oscillator vs. t", "t", "X(t)", "1:2", "lines"),
     ),
     "coefficients": (
         "t,omega2,gamma,denominator_ok",
-        _coefficient_rows,
+        lambda config, spec, ts: (ts, *coefficient_series(spec, ts)),
         ("Damping factor of the Langevin equation vs. t", "t", "Γ(t)", "1:3", "lines"),
     ),
 }
@@ -206,8 +201,8 @@ def run(config: RunConfig, out_dir=None) -> list[Path]:
         if product == "report":
             path, text = out / "report.txt", _report_text(config, spec, grid)
         else:
-            header, rows, _ = _PRODUCTS[product]
-            path, text = out / f"{product}.csv", _csv(header, rows(config, spec, ts))
+            header, cols, _ = _PRODUCTS[product]
+            path, text = out / f"{product}.csv", _csv(header, cols(config, spec, ts))
         written.append(_write_text(path, text))
 
     if any(p in config.outputs for p in _PRODUCTS):

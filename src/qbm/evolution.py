@@ -39,9 +39,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidValue
-from .langevin import _check_phases, _node_sums, _times, moment_signal
+from .langevin import _CELLS, _check_phases, _node_sums, _times, moment_signal
 from .model import InitialOccupations
-from .spectrum import _PROXIES, Spectrum, _barycentric, _boxes, overlap_matrix
+from .spectrum import _PROXIES, Spectrum, _barycentric, _boxes, _proxy_block, overlap_matrix
 
 
 def survival_probability(spec: Spectrum, t) -> np.ndarray:
@@ -80,29 +80,35 @@ def _cauchy(e, al, om):
     """The columns [e.sum(axis=1), e @ (1 / (om_m - al_nu))^T], N + 1 in
     all, for the N + 1 sorted roots al and N sorted modes om, yielded box by
     box of spectrum._boxes as (first column, block of len(e) rows); the whole
-    product is never stored.  Near pairs are summed exactly; a far pair goes
-    through p = _PROXIES Chebyshev proxies per box: the charges are
-    anterpolated onto their box's proxies, the proxies meet in a p x p
-    Cauchy product and the barycentric interpolant carries the proxy
-    potentials to the modes.  Per row 2 N n_near + 4 N p + 2 (N p / B)^2
-    flops, n_near the near columns per mode (about 3 B on an even bath); all
-    near is dense."""
+    product is never stored.  Near pairs are summed exactly, one product per
+    run of near boxes on a slice of e; a far pair goes through p = _PROXIES
+    Chebyshev proxies per box: the charges are anterpolated onto their box's
+    proxies, the proxies meet in a Cauchy product, one for a group of target
+    boxes whose block holds at most _CELLS / 4 entries, and the barycentric
+    interpolant carries the proxy potentials to the modes.  Per row
+    2 N n_near + 4 N p + 2 (N p / B)^2 flops, n_near the near columns per
+    mode (about 3 B on an even bath); all near is dense."""
     cm, cr, near, px, pw = _boxes(al, om)
     if not near.all():
         anterp = (e[:, a0:a1] @ _barycentric(al[a0:a1], p, pw) for a0, a1, p in zip(cr, cr[1:], px))
         q = np.concatenate(list(anterp), axis=1)
-    sizes = np.diff(cr)
     yield 0, e.sum(axis=1)[:, None]
-    for j in range(1, near.shape[0] - 1):  # the edge boxes hold no modes
-        m0, m1 = cm[j], cm[j + 1]
-        src = np.repeat(near[j], sizes)
-        d = np.subtract.outer(om[m0:m1], al[src])
-        a = e[:, src] @ np.divide(1.0, d, out=d).T
-        if not near[j].all():
-            d = np.subtract.outer(px[j], px.ravel())
-            d[:, np.repeat(near[j], _PROXIES)] = np.inf
-            a += (q @ np.divide(1.0, d, out=d).T) @ _barycentric(om[m0:m1], px[j], pw).T
-        yield m0 + 1, a
+    last, step = near.shape[0] - 1, max(1, _CELLS // 4 // (_PROXIES * px.size))
+    for g0 in range(1, last, step):  # the edge boxes hold no modes
+        js = slice(g0, min(g0 + step, last))
+        if not near[js].all():
+            qp = q @ _proxy_block(px, near, js).T
+        for j in range(js.start, js.stop):
+            m0, m1, a = cm[j], cm[j + 1], None
+            cuts = cr[np.flatnonzero(np.diff(near[j], prepend=False, append=False))]
+            for s0, s1 in cuts.reshape(-1, 2):  # a run of near boxes: a slice of e
+                d = np.subtract.outer(om[m0:m1], al[s0:s1])
+                c = e[:, s0:s1] @ np.divide(1.0, d, out=d).T
+                a = c if a is None else np.add(a, c, out=a)
+            if not near[j].all():
+                i = (j - g0) * _PROXIES
+                a += qp[:, i : i + _PROXIES] @ _barycentric(om[m0:m1], px[j], pw).T
+            yield m0 + 1, a
 
 
 def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:

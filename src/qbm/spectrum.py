@@ -31,8 +31,10 @@ check on any computed spectrum.
 
 The solve's sums over the bath are boxed Cauchy sums, a single-level fast
 multipole method (Greengard & Rokhlin, J. Comput. Phys. 73, 1987) on the
-boxes of _boxes, O(N (n_near + p) + (N p / B)^2) per pass, not O(N^2); the
-row-0 population kernel in evolution runs the transposed product on them.
+boxes of _boxes, O(N (n_near + p)) per pass and O((N p / B)^2) once per
+solve, not O(N^2): the middle boxes' proxies do not move with the roots, so
+their far-field potentials are fixed.  The row-0 population kernel in
+evolution runs the transposed product on the same boxes.
 """
 
 from __future__ import annotations
@@ -148,15 +150,31 @@ def _boxes(al, om):
     return cm, cr, near, px, pw
 
 
-def _secular_parts(om, g2, omega0, origin, tau, act, q):
+def _proxy_block(px, near, js):
+    """1/(x - y) from the proxies x of the boxes js (a slice) to the proxies
+    y of every box, shape (len(js) p, nbox p), 0 where the boxes are near."""
+    d = np.subtract.outer(px[js], px)
+    np.copyto(d, np.inf, where=near[js, None, :, None])
+    return np.divide(1.0, d, out=d).reshape(-1, px.size)
+
+
+def _far_field(px, near, q, j):
+    """sum' q/(x - y) and sum' q/(x - y)^2 over the far boxes' proxies y, at
+    the proxies x of box j; q holds each box's anterpolated charges."""
+    r = _proxy_block(px, near, slice(j, j + 1))
+    return r @ q, np.square(r, out=r) @ q
+
+
+def _secular_parts(om, g2, omega0, origin, tau, act, q, far):
     """h = alpha - omega0 - sum' g_n^2/(alpha - omega_n) and
     h' = 1 + sum' g_n^2/(alpha - omega_n)^2 for the roots act (ascending),
     alpha = omega_o + tau from each root's origin pole o, the sums skipping
-    the origin's term.  The boxes of _boxes (only the edge ones move with
-    the roots) split the sums: near modes are summed exactly, alpha -
-    omega_n formed as (omega_o - omega_n) + tau; q, the g_n^2 of each box
-    anterpolated onto its proxies, meets the root box's proxies through
-    1/(x - y) and 1/(x - y)^2 and is interpolated to alpha."""
+    the origin's term.  The boxes of _boxes split the sums: near modes are
+    summed exactly, alpha - omega_n formed as (omega_o - omega_n) + tau; the
+    far field of q, the g_n^2 of each box anterpolated onto its proxies, is
+    interpolated to alpha from its potentials at the root box's proxies:
+    far[j] (_far_field, fixed for the solve) for a middle box, recomputed
+    for the edge boxes, the only ones that move with the roots."""
     x = om[origin] + tau
     cm, cr, near, px, pw = _boxes(x, om)
     o, t = origin[act], tau[act]
@@ -173,12 +191,10 @@ def _secular_parts(om, g2, omega0, origin, tau, act, q):
         h[r0:r1] -= r @ g2[src]
         hp[r0:r1] += np.square(r, out=r) @ g2[src]
         if not near[j].all():
-            d = np.subtract.outer(px[j], px.ravel())
-            d[:, np.repeat(near[j], _PROXIES)] = np.inf
-            r = np.divide(1.0, d, out=d)
+            phi, phi2 = far[j] if 0 < j < len(px) - 1 else _far_field(px, near, q, j)
             b = _barycentric(x[act[r0:r1]], px[j], pw)
-            h[r0:r1] -= b @ (r @ q)
-            hp[r0:r1] += b @ (np.square(r, out=r) @ q)
+            h[r0:r1] -= b @ phi
+            hp[r0:r1] += b @ phi2
     return h, hp
 
 
@@ -195,7 +211,8 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
     distance).  Steps leaving the sign bracket F(lo) < 0 < F(hi) bisect.
     Roots leave the active set once a step moves alpha by about a rounding
     unit.  Every pass sums F and F' over the boxes of _boxes (_secular_parts);
-    g^2 is anterpolated onto the boxes' proxies once per solve.
+    g^2 is anterpolated onto the boxes' proxies, and its far field taken at
+    the middle boxes' proxies, once per solve.
     The weights w = 1/F'(alpha) = 1/(h' + g_o^2/tau^2) come from one more
     pass at the stored alpha, with tau = alpha - omega_o.  A non-finite or
     non-positive omega0 raises InvalidValue."""
@@ -217,10 +234,12 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
     lo = np.concatenate(([outer[0]], np.zeros(n)))
     hi = np.concatenate(([0.0], 0.5 * gaps, [outer[1]]))
     act = np.arange(n + 1)
-    cm, _, _, px, pw = _boxes(om[origin] + tau, om)  # the edge boxes hold no g^2
+    cm, _, near, px, pw = _boxes(om[origin] + tau, om)  # the edge boxes hold no g^2
     anterp = (g2[m0:m1] @ _barycentric(om[m0:m1], p, pw) for m0, m1, p in zip(cm, cm[1:], px))
     g2_px = np.concatenate(list(anterp))
-    h, hp = _secular_parts(om, g2, omega0, origin, tau, act, g2_px)
+    # box by box; the edge boxes' entries go unread, they move with the roots
+    far = [_far_field(px, near, g2_px, j) for j in range(len(px))]
+    h, hp = _secular_parts(om, g2, omega0, origin, tau, act, g2_px, far)
 
     # interior roots with F(mid) < 0 lie in the upper half: rebase them on
     # the upper pole, where F(mid) < 0 makes the midpoint the lower end
@@ -258,14 +277,14 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
         act = act[~done]
         if not act.size:
             break
-        h, hp = _secular_parts(om, g2, omega0, origin, tau, act, g2_px)
+        h, hp = _secular_parts(om, g2, omega0, origin, tau, act, g2_px, far)
     else:
         raise ToleranceNotReached(f"{act.size} roots unconverged after {_MAX_ITER} steps")
 
     if not (np.all(alphas[:-1] < om) and np.all(om < alphas[1:])):
         raise RootNotBracketed("a root rounds onto its pole; its mode would need deflation")
     tau = alphas - om[origin]
-    _, hp = _secular_parts(om, g2, omega0, origin, tau, np.arange(n + 1), g2_px)
+    _, hp = _secular_parts(om, g2, omega0, origin, tau, np.arange(n + 1), g2_px, far)
     weights = 1.0 / (hp + g2[origin] / tau**2)
     return Spectrum(alphas=alphas, weights=weights, omega0=float(omega0), bath=bath)
 

@@ -43,6 +43,20 @@ def recurrence_probe():
     return solve_spectrum(build_bath(ModelParams(n_bath=10000, step=1.8e-4)), 1.0)
 
 
+# (omegas, omega0) of three explicit baths with 0.002 couplings whose boxes
+# are uneven: a box across the clusters' gap, boxes that widen geometrically,
+# and the last one stretched out to the root near Omega = 5
+UNEVEN_BATHS = pytest.mark.parametrize(
+    "omegas, omega0",
+    [
+        (np.concatenate([np.linspace(0.5, 0.6, 500), np.linspace(2.0, 9.0, 500)]), 1.0),
+        (np.geomspace(0.1, 10.0, 1000), 1.0),
+        (np.linspace(0.1, 1.0, 1000), 5.0),
+    ],
+    ids=["two-clusters", "geometric", "above-band"],
+)
+
+
 def make_random_bath(rng, n):
     """Well-separated random bath for property tests."""
     gaps = rng.uniform(0.05, 0.15, size=n)

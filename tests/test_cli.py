@@ -132,6 +132,47 @@ class TestRunProducts:
         assert paths[0].parent.name == "here"
 
 
+class TestCsvBytes:
+    """Every field of a CSV file is f"{x:.16e}" of the library's value."""
+
+    def test_files_render_library_arrays(self, tmp_path):
+        # the symmetric doublet's denominator vanishes at t = 5 pi: row 0 is flagged
+        text = TWO_LEVEL_CFG + f"t_start = {5.0 * np.pi!r}\nt_step = 0.7\nn_steps = 12\n"
+        code, out = run_cli(tmp_path, text + "outputs = spectrum, population, coefficients\n")
+        assert code == 0
+        cfg = parse_config(text)
+        spec = qbm.solve_spectrum(qbm.build_bath(cfg.model), cfg.model.omega0)
+        ts = cfg.grid.times()
+        occ = qbm.thermal_occupations(spec.bath, cfg.model.beta, cfg.n_omega0)
+        omega2, gamma, ok = qbm.coefficient_series(spec, ts)
+        assert not ok[0] and ok[1:].all()
+        want = {
+            "spectrum": ["nu,alpha,weight"]
+            + [f"{k},{a:.16e},{w:.16e}" for k, (a, w) in enumerate(zip(spec.alphas, spec.weights))],
+            "population": ["t,n_omega"]
+            + [f"{t:.16e},{n:.16e}" for t, n in zip(ts, qbm.oscillator_population(spec, occ, ts))],
+            "coefficients": ["t,omega2,gamma,denominator_ok"]
+            + [
+                f"{t:.16e},{o:.16e},{g:.16e},1" if k else f"{t:.16e},,,0"
+                for t, o, g, k in zip(ts, omega2, gamma, ok)
+            ],
+        }
+        for name, lines in want.items():
+            assert (out / f"{name}.csv").read_text().split("\n") == lines + [""], name
+
+    def test_special_values(self, tmp_path, monkeypatch):
+        values = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1])
+        monkeypatch.setattr(qbm.cli, "survival_probability", lambda spec, ts: values)
+        code, out = run_cli(tmp_path, "N = 3\nn_steps = 6\noutputs = survival\n")
+        assert code == 0
+        lines = (out / "survival.csv").read_text().splitlines()[1:]
+        ts = parse_config("n_steps = 6\n").grid.times()
+        assert lines == [f"{t:.16e},{v:.16e}" for t, v in zip(ts, values)]
+        assert [line.split(",")[1] for line in lines[:5]] == [
+            "nan", "inf", "-inf", "-0.0000000000000000e+00", "4.9406564584124654e-324"
+        ]
+
+
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, tmp_path):
         text = "N = 12\nn_steps = 600\n"

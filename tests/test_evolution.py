@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import explicit_spectrum, make_random_bath
+from conftest import UNEVEN_BATHS, explicit_spectrum, make_random_bath
 from oracles import direct_moments, naive_transition_probabilities, row0_population
-from qbm import langevin, spectrum
+from qbm import evolution, langevin, spectrum
 from qbm.errors import InvalidValue
 from qbm import (
     ModelParams,
@@ -217,15 +217,7 @@ class TestRow0KernelAccuracy:
             want = row0_population(spec, occ, ts[idx])
             np.testing.assert_allclose(got[idx], want, rtol=0.0, atol=1e-13, err_msg=f"T = {n}")
 
-    @pytest.mark.parametrize(
-        "omegas, omega0",
-        [
-            (np.concatenate([np.linspace(0.5, 0.6, 500), np.linspace(2.0, 9.0, 500)]), 1.0),
-            (np.geomspace(0.1, 10.0, 1000), 1.0),
-            (np.linspace(0.1, 1.0, 1000), 5.0),
-        ],
-        ids=["two-clusters", "geometric", "above-band"],
-    )
+    @UNEVEN_BATHS
     def test_uneven_baths(self, omegas, omega0):
         # a box across the clusters' gap, or the last one stretched out to
         # the root near Omega = 5, is near the boxes its width reaches;
@@ -235,6 +227,32 @@ class TestRow0KernelAccuracy:
         occ = thermal_occupations(bath, 1.0, 1.0)
         ts = 50.0 + 0.1 * np.arange(400)
         got = oscillator_population(spec, occ, ts)
+        idx = np.linspace(0, ts.size - 1, 8).astype(int)
+        want = row0_population(spec, occ, ts[idx])
+        np.testing.assert_allclose(got[idx], want, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("groups", [False, True], ids=["one-group", "groups-of-3"])
+    def test_wide_box_among_narrow_ones(self, groups):
+        # three narrow 128-mode boxes, a very wide one, a narrow one: box 1 is
+        # near box 4, whose width reaches it, but not box 3 between them, so
+        # its near boxes are no single run; in groups of 3 target boxes the
+        # second, short group starts on the all-near box 4, and box 5 in it
+        # still needs the group's proxy product
+        narrow = 1e-3 * np.arange(128)
+        omegas = np.concatenate(
+            [0.5 + narrow, 0.628 + narrow, 0.756 + narrow, np.linspace(1.0, 5.0, 128), 5.001 + narrow]
+        )
+        bath = build_bath(ModelParams.explicit(omegas, np.full(omegas.size, 0.002)))
+        spec = solve_spectrum(bath, 1.0)
+        _, _, near, px, _ = spectrum._boxes(spec.alphas, bath.omegas)
+        assert near.shape == (7, 7)
+        assert near[1].tolist() == [True, True, True, False, True, False, False]
+        assert near[4].all() and not near[5].all()
+        cells = 4 * 3 * spectrum._PROXIES * px.size if groups else evolution._CELLS
+        occ = thermal_occupations(bath, 1.0, 1.0)
+        ts = 50.0 + 0.1 * np.arange(400)
+        with mock.patch.object(evolution, "_CELLS", cells):
+            got = oscillator_population(spec, occ, ts)
         idx = np.linspace(0, ts.size - 1, 8).astype(int)
         want = row0_population(spec, occ, ts[idx])
         np.testing.assert_allclose(got[idx], want, rtol=0.0, atol=1e-13)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import make_random_bath
+from conftest import UNEVEN_BATHS, make_random_bath
 from oracles import dense_diagonalize_oracle, hamiltonian_matrix, secular_residual, secular_values
 from qbm import (
     DiscretizedBath,
@@ -247,6 +247,27 @@ class TestAgainstDenseOracle:
         oracle = dense_diagonalize_oracle(bath, 1.0)
         np.testing.assert_allclose(spec.alphas, oracle.alphas, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(spec.weights, oracle.weights, rtol=0.0, atol=1e-10)
+
+    @UNEVEN_BATHS
+    def test_uneven_baths(self, omegas, omega0):
+        bath = build_bath(ModelParams.explicit(omegas, np.full(omegas.size, 0.002)))
+        spec = solve_spectrum(bath, omega0)
+        oracle = dense_diagonalize_oracle(bath, omega0)
+        np.testing.assert_allclose(spec.alphas, oracle.alphas, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(spec.weights, oracle.weights, rtol=0.0, atol=1e-10)
+
+    @UNEVEN_BATHS
+    def test_middle_boxes_do_not_move_with_the_roots(self, omegas, omega0):
+        # the solve takes the middle boxes' far-field potentials once, on the
+        # boxes of its first roots (the midpoints), for every later pass
+        bath = build_bath(ModelParams.explicit(omegas, np.full(omegas.size, 0.002)))
+        om = bath.omegas
+        mid = np.concatenate(([om[0] - 1.0], om[:-1] / 2 + om[1:] / 2, [om[-1] + 1.0]))
+        _, _, near, px, _ = spectrum._boxes(mid, om)
+        _, _, near_s, px_s, _ = spectrum._boxes(solve_spectrum(bath, omega0).alphas, om)
+        assert px.shape[0] > 3
+        np.testing.assert_array_equal(px[1:-1], px_s[1:-1])
+        np.testing.assert_array_equal(near[1:-1, 1:-1], near_s[1:-1, 1:-1])
 
     def test_poles_1e15_apart_resolved(self, ref_bath):
         # about five rounding units apart: the root between them is placed
