@@ -47,14 +47,19 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _resolve_grid(config: RunConfig, spec: Spectrum) -> TimeGrid:
+def _setup(config: RunConfig) -> tuple[Spectrum, TimeGrid]:
+    """The spectrum and time grid of a config, QBM_THREADS validated before
+    the solve.  build_bath and solve_spectrum are looked up as module
+    globals, so that bench/spans.py traces them."""
+    _worker_count()
+    spec = solve_spectrum(build_bath(config.model), config.model.omega0)
     if config.grid_preset == "default":
-        return config.grid
+        return spec, config.grid
     # recurrence preset: coarse step (tau_Omega/8), long horizon (1.2 t_r)
     step = spec.tau_omega / 8.0
     horizon = 1.2 * recurrence_time(spec)
     n_steps = max(2, int(math.ceil(horizon / step)) + 1)
-    return TimeGrid(t_start=0.0, t_step=step, n_steps=n_steps)
+    return spec, TimeGrid(t_start=0.0, t_step=step, n_steps=n_steps)
 
 
 def _write_text(path: Path, text: str) -> Path:
@@ -186,12 +191,8 @@ def _plot_script(products) -> str:
 def run(config: RunConfig, out_dir=None) -> list[Path]:
     """Execute a run: diagonalize, evaluate the requested products over the
     grid, and write them to out_dir.  Returns the written paths."""
-    _worker_count()  # validate QBM_THREADS up front
+    spec, grid = _setup(config)
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir)
-
-    bath = build_bath(config.model)
-    spec = solve_spectrum(bath, config.model.omega0)
-    grid = _resolve_grid(config, spec)
     ts = grid.times()
 
     written: list[Path] = []
@@ -212,10 +213,7 @@ def run(config: RunConfig, out_dir=None) -> list[Path]:
 
 def build_report(config: RunConfig) -> str:
     """Report text for a config without writing any files."""
-    bath = build_bath(config.model)
-    spec = solve_spectrum(bath, config.model.omega0)
-    grid = _resolve_grid(config, spec)
-    return _report_text(config, spec, grid)
+    return _report_text(config, *_setup(config))
 
 
 def main(argv=None) -> int:

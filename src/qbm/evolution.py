@@ -17,16 +17,12 @@ per time: it is the reference that the row-0 kernel behind
 That kernel needs only row 0, U_0m(t) = sum_nu K_num exp(-i alpha_nu t),
 and runs on the node-time phase kernel of langevin (|U_0m|^2 does not see
 the band-centre phase): the Cauchy product against 1/(omega_m - alpha_nu)
-runs on the K node times, not the T grid times, and is a single-level fast
-multipole sum (Greengard & Rokhlin, J. Comput. Phys. 73, 1987) with
-Chebyshev proxies (Fong & Darve, J. Comput. Phys. 228, 2009) on the boxes
-of spectrum._boxes, the helper behind the secular solve's sums: boxes of B
-modes that lie close are summed exactly, far ones through p proxies per
-box, O(K (N n_near + N p + (N p / B)^2)), n_near ~ 3 B on an even bath.
-The product is folded box by box into a K x K Gram matrix, O(N K^2), and
-never stored whole; the Gram matrix turns the population at each of the T
-times into a quadratic form in that time's barycentric row, O(K^2 T) in
-all.  The survival amplitude, on the same kernel, is the (0,0) element
+runs on the K node times, not the T grid times, as spectrum._cauchy (the
+boxed sums are described in spectrum).  The product is folded box by box
+into a K x K Gram matrix, O(N K^2), and never stored whole; the Gram
+matrix turns the population at each of the T times into a quadratic form
+in that time's barycentric row, O(K^2 T) in all.  The survival amplitude,
+on the same kernel, is the (0,0) element
 
     A(t) = sum_nu w_nu exp(-i alpha_nu t),
 
@@ -39,9 +35,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidValue
-from .langevin import _CELLS, _check_phases, _node_sums, _times, moment_signal
+from .langevin import _check_phases, _node_sums, _times, moment_signal
 from .model import InitialOccupations
-from .spectrum import _PROXIES, Spectrum, _barycentric, _boxes, _proxy_block, overlap_matrix
+from .spectrum import Spectrum, _cauchy, overlap_matrix
 
 
 def survival_probability(spec: Spectrum, t) -> np.ndarray:
@@ -74,41 +70,6 @@ def population_series(spec: Spectrum, occ0: InitialOccupations, times) -> np.nda
     for j, t in enumerate(ts):
         out[:, j] = transition_probabilities(spec, t) @ n0
     return out
-
-
-def _cauchy(e, al, om):
-    """The columns [e.sum(axis=1), e @ (1 / (om_m - al_nu))^T], N + 1 in
-    all, for the N + 1 sorted roots al and N sorted modes om, yielded box by
-    box of spectrum._boxes as (first column, block of len(e) rows); the whole
-    product is never stored.  Near pairs are summed exactly, one product per
-    run of near boxes on a slice of e; a far pair goes through p = _PROXIES
-    Chebyshev proxies per box: the charges are anterpolated onto their box's
-    proxies, the proxies meet in a Cauchy product, one for a group of target
-    boxes whose block holds at most _CELLS / 4 entries, and the barycentric
-    interpolant carries the proxy potentials to the modes.  Per row
-    2 N n_near + 4 N p + 2 (N p / B)^2 flops, n_near the near columns per
-    mode (about 3 B on an even bath); all near is dense."""
-    cm, cr, near, px, pw = _boxes(al, om)
-    if not near.all():
-        anterp = (e[:, a0:a1] @ _barycentric(al[a0:a1], p, pw) for a0, a1, p in zip(cr, cr[1:], px))
-        q = np.concatenate(list(anterp), axis=1)
-    yield 0, e.sum(axis=1)[:, None]
-    last, step = near.shape[0] - 1, max(1, _CELLS // 4 // (_PROXIES * px.size))
-    for g0 in range(1, last, step):  # the edge boxes hold no modes
-        js = slice(g0, min(g0 + step, last))
-        if not near[js].all():
-            qp = q @ _proxy_block(px, near, js).T
-        for j in range(js.start, js.stop):
-            m0, m1, a = cm[j], cm[j + 1], None
-            cuts = cr[np.flatnonzero(np.diff(near[j], prepend=False, append=False))]
-            for s0, s1 in cuts.reshape(-1, 2):  # a run of near boxes: a slice of e
-                d = np.subtract.outer(om[m0:m1], al[s0:s1])
-                c = e[:, s0:s1] @ np.divide(1.0, d, out=d).T
-                a = c if a is None else np.add(a, c, out=a)
-            if not near[j].all():
-                i = (j - g0) * _PROXIES
-                a += qp[:, i : i + _PROXIES] @ _barycentric(om[m0:m1], px[j], pw).T
-            yield m0 + 1, a
 
 
 def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -147,10 +108,9 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def oscillator_population(spec: Spectrum, occ0: InitialOccupations, times) -> np.ndarray:
     """<N_Omega(t)> over an array of times.  Uses only row 0 of the
-    transition matrix: for T times on K node times, O(K N n_near) near-field,
-    O(K N p) proxy, O(K (N p / B)^2) proxy-to-proxy, O(N K^2) Gram and
-    O(K^2 T) carry flops (boxes of B modes with p Chebyshev proxies each,
-    n_near ~ 3 B exactly summed columns per mode on an even bath)."""
+    transition matrix: for T times on K node times, the boxed Cauchy
+    product's O(K (N n_near + N p + (N p / B)^2)), O(N K^2) Gram and
+    O(K^2 T) carry flops."""
     return _row0_contract(spec, _times(times), occ0.vector[:, None])[0]
 
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import AmplitudeVanishes, InvalidValue
 from .model import DiscretizedBath
-from .spectrum import Spectrum, _barycentric, _chebyshev
+from .spectrum import _CELLS, Spectrum, _barycentric, _chebyshev
 
 _DENOM_RTOL = 1e-12
 _AMPLITUDE_FLOOR = 1e-12
@@ -55,7 +55,6 @@ _FIT_SAMPLES = 256
 _T_CHUNK = 512  # most node times per phase block
 _PHASE_CELLS = 1 << 21  # most K x (N+1) entries in one half of a phase block
 _T_SPAN = 8192  # most grid times one run looks ahead
-_CELLS = 1 << 18  # most entries in one barycentric block
 # K = r h + 12 (r h)^(1/3) + 4 nodes: 4 sum_{k>=K} |J_k(r h)| < 1e-17 bounds
 # the Chebyshev tail of exp(-i beta x), |beta| <= r h, on [-1, 1]
 _NODE_MARGIN = (12.0, 4.0)
@@ -149,9 +148,7 @@ def _worker_count() -> int:
         raise InvalidValue(f"QBM_THREADS must be an integer, got {raw!r}")
     if workers < 0:
         raise InvalidValue(f"QBM_THREADS must be >= 0, got {workers}")
-    # 0 = auto: the vectorized single pass already saturates one core and
-    # keeps the memory footprint flat, so auto means one worker.
-    return workers if workers > 0 else 1
+    return workers or 1
 
 
 def _node_sums(spec: Spectrum, ts: np.ndarray, contract, carry, out: np.ndarray) -> np.ndarray:
@@ -282,7 +279,9 @@ def golden_rule_rate(bath: DiscretizedBath, omega0: float) -> float:
     if bath.n < 2:
         return math.nan
     g_res = bath.couplings[int(np.argmin(np.abs(bath.omegas - omega0)))]
-    spacing = float(np.median(np.diff(bath.omegas)))
+    d = np.diff(bath.omegas)
+    lo, hi = (d.size - 1) // 2, d.size // 2  # np.median's, which loads numpy.ma
+    spacing = float(np.partition(d, [lo, hi])[lo : hi + 1].mean())
     return 2.0 * math.pi * float(g_res) ** 2 / spacing
 
 

@@ -29,12 +29,19 @@ Completeness of the eigenbasis gives the moment sum rules
 which are exact in exact arithmetic and serve as the standing accuracy
 check on any computed spectrum.
 
-The solve's sums over the bath are boxed Cauchy sums, a single-level fast
-multipole method (Greengard & Rokhlin, J. Comput. Phys. 73, 1987) on the
-boxes of _boxes, O(N (n_near + p)) per pass and O((N p / B)^2) once per
-solve, not O(N^2): the middle boxes' proxies do not move with the roots, so
-their far-field potentials are fixed.  The row-0 population kernel in
-evolution runs the transposed product on the same boxes.
+Both O(N) routes into the spectral sums are boxed Cauchy sums, a
+single-level fast multipole method (Greengard & Rokhlin, J. Comput. Phys.
+73, 1987) with Chebyshev proxies (Fong & Darve, J. Comput. Phys. 228,
+2009) on the boxes of _boxes: boxes of B modes and roots that lie close
+are summed exactly, far ones through p proxies per box, n_near ~ 3 B
+exactly summed columns per mode on an even bath.  The secular solve
+(_secular_parts) sums F and F' over the modes in O(N (n_near + p)) per
+pass and O((N p / B)^2) once per solve, not O(N^2): it builds its boxes
+once, with the edge roots near every box, and the middle boxes do not
+move with the roots, so the far field of g^2 is fixed for the solve.
+_cauchy, for the row-0 population kernel in evolution, runs the
+transposed product of K rows against 1/(omega_m - alpha_nu), O(K (N n_near
++ N p + (N p / B)^2)), on the boxes of the final roots.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ _EPS = float(np.finfo(float).eps)
 _TINY = 1e-308  # g^2 below this underflows: its root cannot leave the pole
 _BOX = 128  # modes and roots per box of the boxed Cauchy sums
 _PROXIES = 20  # Chebyshev proxies per box for the far field
+_CELLS = 1 << 18  # most entries in a carry block of _node_sums, 4x a _cauchy group's
 _MAX_ITER = 100
 
 
@@ -158,25 +166,51 @@ def _proxy_block(px, near, js):
     return np.divide(1.0, d, out=d).reshape(-1, px.size)
 
 
-def _far_field(px, near, q, j):
-    """sum' q/(x - y) and sum' q/(x - y)^2 over the far boxes' proxies y, at
-    the proxies x of box j; q holds each box's anterpolated charges."""
-    r = _proxy_block(px, near, slice(j, j + 1))
-    return r @ q, np.square(r, out=r) @ q
+def _cauchy(e, al, om):
+    """The columns [e.sum(axis=1), e @ (1 / (om_m - al_nu))^T], N + 1 in
+    all, for the N + 1 sorted roots al and N sorted modes om, yielded box by
+    box of _boxes as (first column, block of len(e) rows); the whole product
+    is never stored.  Near pairs are summed exactly, one product per run of
+    near boxes on a slice of e; a far pair goes through p = _PROXIES
+    Chebyshev proxies per box: the charges are anterpolated onto their box's
+    proxies, the proxies meet in a Cauchy product, one for a group of target
+    boxes whose block holds at most _CELLS / 4 entries, and the barycentric
+    interpolant carries the proxy potentials to the modes.  Per row
+    2 N n_near + 4 N p + 2 (N p / B)^2 flops; all near is dense."""
+    cm, cr, near, px, pw = _boxes(al, om)
+    if not near.all():
+        anterp = (e[:, a0:a1] @ _barycentric(al[a0:a1], p, pw) for a0, a1, p in zip(cr, cr[1:], px))
+        q = np.concatenate(list(anterp), axis=1)
+    yield 0, e.sum(axis=1)[:, None]
+    last, step = near.shape[0] - 1, max(1, _CELLS // 4 // (_PROXIES * px.size))
+    for g0 in range(1, last, step):  # the edge boxes hold no modes
+        js = slice(g0, min(g0 + step, last))
+        if not near[js].all():
+            qp = q @ _proxy_block(px, near, js).T
+        for j in range(js.start, js.stop):
+            m0, m1, a = cm[j], cm[j + 1], None
+            cuts = cr[np.flatnonzero(np.diff(near[j], prepend=False, append=False))]
+            for s0, s1 in cuts.reshape(-1, 2):  # a run of near boxes: a slice of e
+                d = np.subtract.outer(om[m0:m1], al[s0:s1])
+                c = e[:, s0:s1] @ np.divide(1.0, d, out=d).T
+                a = c if a is None else np.add(a, c, out=a)
+            if not near[j].all():
+                i = (j - g0) * _PROXIES
+                a += qp[:, i : i + _PROXIES] @ _barycentric(om[m0:m1], px[j], pw).T
+            yield m0 + 1, a
 
 
-def _secular_parts(om, g2, omega0, origin, tau, act, q, far):
+def _secular_parts(om, g2, omega0, origin, tau, act, boxes, far):
     """h = alpha - omega0 - sum' g_n^2/(alpha - omega_n) and
     h' = 1 + sum' g_n^2/(alpha - omega_n)^2 for the roots act (ascending),
     alpha = omega_o + tau from each root's origin pole o, the sums skipping
-    the origin's term.  The boxes of _boxes split the sums: near modes are
-    summed exactly, alpha - omega_n formed as (omega_o - omega_n) + tau; the
-    far field of q, the g_n^2 of each box anterpolated onto its proxies, is
-    interpolated to alpha from its potentials at the root box's proxies:
-    far[j] (_far_field, fixed for the solve) for a middle box, recomputed
-    for the edge boxes, the only ones that move with the roots."""
-    x = om[origin] + tau
-    cm, cr, near, px, pw = _boxes(x, om)
+    the origin's term.  The solve's boxes (cm, cr, near, px, pw) split the
+    sums: near modes are summed exactly, alpha - omega_n formed as
+    (omega_o - omega_n) + tau; the far field is interpolated to alpha from
+    far[j], its potentials sum' q/(x - y) and sum' q/(x - y)^2 at the
+    proxies x of the root box j, q the g_n^2 of each box anterpolated onto
+    its proxies y."""
+    cm, cr, near, px, pw = boxes
     o, t = origin[act], tau[act]
     h, hp = om[o] - omega0 + t, np.ones(act.size)
     rows, sizes = np.searchsorted(act, cr), np.diff(cm)
@@ -191,8 +225,8 @@ def _secular_parts(om, g2, omega0, origin, tau, act, q, far):
         h[r0:r1] -= r @ g2[src]
         hp[r0:r1] += np.square(r, out=r) @ g2[src]
         if not near[j].all():
-            phi, phi2 = far[j] if 0 < j < len(px) - 1 else _far_field(px, near, q, j)
-            b = _barycentric(x[act[r0:r1]], px[j], pw)
+            phi, phi2 = far[j]
+            b = _barycentric(om[o[r0:r1]] + t[r0:r1], px[j], pw)
             h[r0:r1] -= b @ phi
             hp[r0:r1] += b @ phi2
     return h, hp
@@ -210,9 +244,11 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
     at the interval's far end q (for outer roots, twice the Gershgorin
     distance).  Steps leaving the sign bracket F(lo) < 0 < F(hi) bisect.
     Roots leave the active set once a step moves alpha by about a rounding
-    unit.  Every pass sums F and F' over the boxes of _boxes (_secular_parts);
-    g^2 is anterpolated onto the boxes' proxies, and its far field taken at
-    the middle boxes' proxies, once per solve.
+    unit.  The boxes of _boxes are built once, at the first roots, with the
+    edge boxes near every box: the edge roots, the only ones that move
+    across the boxes, sum all modes exactly.  g^2 is anterpolated onto the
+    boxes' proxies and its far field taken at them once per solve, and
+    every pass sums F and F' on these boxes (_secular_parts).
     The weights w = 1/F'(alpha) = 1/(h' + g_o^2/tau^2) come from one more
     pass at the stored alpha, with tau = alpha - omega_o.  A non-finite or
     non-positive omega0 raises InvalidValue."""
@@ -234,12 +270,13 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
     lo = np.concatenate(([outer[0]], np.zeros(n)))
     hi = np.concatenate(([0.0], 0.5 * gaps, [outer[1]]))
     act = np.arange(n + 1)
-    cm, _, near, px, pw = _boxes(om[origin] + tau, om)  # the edge boxes hold no g^2
+    boxes = cm, _, near, px, pw = _boxes(om[origin] + tau, om)
+    near[[0, -1]] = near[:, [0, -1]] = True  # the edge roots sum every mode exactly
     anterp = (g2[m0:m1] @ _barycentric(om[m0:m1], p, pw) for m0, m1, p in zip(cm, cm[1:], px))
     g2_px = np.concatenate(list(anterp))
-    # box by box; the edge boxes' entries go unread, they move with the roots
-    far = [_far_field(px, near, g2_px, j) for j in range(len(px))]
-    h, hp = _secular_parts(om, g2, omega0, origin, tau, act, g2_px, far)
+    blocks = (_proxy_block(px, near, slice(j, j + 1)) for j in range(len(px)))
+    far = [(r @ g2_px, np.square(r, out=r) @ g2_px) for r in blocks]  # box by box
+    h, hp = _secular_parts(om, g2, omega0, origin, tau, act, boxes, far)
 
     # interior roots with F(mid) < 0 lie in the upper half: rebase them on
     # the upper pole, where F(mid) < 0 makes the midpoint the lower end
@@ -277,14 +314,14 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
         act = act[~done]
         if not act.size:
             break
-        h, hp = _secular_parts(om, g2, omega0, origin, tau, act, g2_px, far)
+        h, hp = _secular_parts(om, g2, omega0, origin, tau, act, boxes, far)
     else:
         raise ToleranceNotReached(f"{act.size} roots unconverged after {_MAX_ITER} steps")
 
     if not (np.all(alphas[:-1] < om) and np.all(om < alphas[1:])):
         raise RootNotBracketed("a root rounds onto its pole; its mode would need deflation")
     tau = alphas - om[origin]
-    _, hp = _secular_parts(om, g2, omega0, origin, tau, np.arange(n + 1), g2_px, far)
+    _, hp = _secular_parts(om, g2, omega0, origin, tau, np.arange(n + 1), boxes, far)
     weights = 1.0 / (hp + g2[origin] / tau**2)
     return Spectrum(alphas=alphas, weights=weights, omega0=float(omega0), bath=bath)
 

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -269,10 +270,24 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_bad_thread_env(self, tmp_path, monkeypatch, capsys):
+        # run and report reject it before the spectrum is solved
         monkeypatch.setenv("QBM_THREADS", "many")
-        code, _ = run_cli(tmp_path, "N = 5\nn_steps = 5\noutputs = spectrum\n")
-        assert code == 2
-        assert "InvalidValue" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("N = 5\nn_steps = 5\noutputs = spectrum\n")
+        for args in (["run", "--out", str(tmp_path / "o")], ["report"]):
+            with mock.patch("qbm.cli.solve_spectrum") as solve:
+                code = main([*args, "--config", str(cfg)])
+            assert code == 2
+            assert "InvalidValue" in capsys.readouterr().err
+            solve.assert_not_called()
+        assert not (tmp_path / "o").exists()
+
+    def test_unconverged_solve_exits_3(self, capsys):
+        # the solve raises ToleranceNotReached; the CLI names it and exits 3
+        with mock.patch.object(qbm.spectrum, "_MAX_ITER", 1):
+            code = main(["report"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("ToleranceNotReached: ")
 
 
 # report text of a saved spectrum on grid times 0 .. 9, which miss the
@@ -359,6 +374,17 @@ class TestReport:
             texts.append([line for line in proc.stdout.splitlines() if line.startswith("sum_")])
         assert len(texts[0]) == 3
         assert texts[0] == texts[1]
+
+    def test_report_does_not_load_numpy_ma(self):
+        # np.median loads numpy.ma on first use, ~13 ms of every report
+        src = str(Path(qbm.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        code = (
+            "import sys\nfrom qbm import parse_config\nfrom qbm.cli import build_report\n"
+            "build_report(parse_config(''))\nassert 'numpy.ma' not in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": path}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestRecurrencePreset:

@@ -80,9 +80,10 @@ def test_worker_count_does_not_change_values(ref_spectrum, monkeypatch, route):
 
 
 def test_bad_worker_count_is_typed_error(two_level, monkeypatch):
-    monkeypatch.setenv("QBM_THREADS", "many")
-    with pytest.raises(errors.InvalidValue, match="QBM_THREADS"):
-        survival_probability(two_level, [0.0, 1.0])
+    for workers in ("many", "-1"):
+        monkeypatch.setenv("QBM_THREADS", workers)
+        with pytest.raises(errors.InvalidValue, match="QBM_THREADS"):
+            survival_probability(two_level, [0.0, 1.0])
 
 
 def _raised_names(tree):

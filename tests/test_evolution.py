@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import UNEVEN_BATHS, explicit_spectrum, make_random_bath
 from oracles import direct_moments, naive_transition_probabilities, row0_population
-from qbm import evolution, langevin, spectrum
+from qbm import langevin, spectrum
 from qbm.errors import InvalidValue
 from qbm import (
     ModelParams,
@@ -248,10 +248,10 @@ class TestRow0KernelAccuracy:
         assert near.shape == (7, 7)
         assert near[1].tolist() == [True, True, True, False, True, False, False]
         assert near[4].all() and not near[5].all()
-        cells = 4 * 3 * spectrum._PROXIES * px.size if groups else evolution._CELLS
+        cells = 4 * 3 * spectrum._PROXIES * px.size if groups else spectrum._CELLS
         occ = thermal_occupations(bath, 1.0, 1.0)
         ts = 50.0 + 0.1 * np.arange(400)
-        with mock.patch.object(evolution, "_CELLS", cells):
+        with mock.patch.object(spectrum, "_CELLS", cells):
             got = oscillator_population(spec, occ, ts)
         idx = np.linspace(0, ts.size - 1, 8).astype(int)
         want = row0_population(spec, occ, ts[idx])

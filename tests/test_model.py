@@ -269,11 +269,13 @@ def _two_level():
         lambda: DiscretizedBath([0.5, 1.0], [0.1, 0.0]),
         lambda: estimate_gamma(_two_level(), (20.0, 1.0)),
         lambda: moment_signal(_two_level(), 0, [[0.0, 1.0]]),
+        lambda: moment_signal(_two_level(), 0, [[0.0, 1.0], [2.0]]),
         lambda: oscillator_population(
             _two_level(), InitialOccupations(1.0, np.array([0.5])), np.zeros((2, 2))
         ),
         lambda: Spectrum(np.array([0.9]), np.array([1.0]), 1.0, _two_level().bath),
         lambda: Spectrum(np.array([0.9, 1.1]), np.array([0.0, 1.0]), 1.0, _two_level().bath),
+        lambda: Spectrum(np.array([0.9, 1.1]), np.array([1.0]), 1.0, _two_level().bath),
         lambda: moment_signal(_two_level(), 0, ["a"]),
         lambda: moment_signal(_two_level(), 0, [1j]),
         lambda: transition_probabilities(_two_level(), [1.0, 2.0]),
@@ -286,8 +288,8 @@ def _two_level():
         "n_omega0", "bath-occupation", "t_step", "t_start", "n_steps", "n_steps-huge", "mass",
         "no-outputs", "unknown-product", "preset", "preset-grid", "run-n_omega0",
         "thermal-beta", "moment-order", "lorentzian-n_bath", "bath-order",
-        "zero-coupling", "fit-window", "times-2d", "population-times-2d",
-        "spectrum-size", "spectrum-weights", "times-text", "times-complex",
+        "zero-coupling", "fit-window", "times-2d", "times-ragged", "population-times-2d",
+        "spectrum-size", "spectrum-weights", "spectrum-weights-length", "times-text", "times-complex",
         "transition-two-times", "transition-none", "transition-text",
     ],
 )

@@ -258,8 +258,9 @@ class TestAgainstDenseOracle:
 
     @UNEVEN_BATHS
     def test_middle_boxes_do_not_move_with_the_roots(self, omegas, omega0):
-        # the solve takes the middle boxes' far-field potentials once, on the
-        # boxes of its first roots (the midpoints), for every later pass
+        # the solve builds its boxes once, on its first roots (the midpoints),
+        # and _cauchy builds them on the final roots: the middle boxes, the
+        # only ones the solve takes a far field for, are the same in both
         bath = build_bath(ModelParams.explicit(omegas, np.full(omegas.size, 0.002)))
         om = bath.omegas
         mid = np.concatenate(([om[0] - 1.0], om[:-1] / 2 + om[1:] / 2, [om[-1] + 1.0]))
@@ -341,3 +342,18 @@ def test_recurrence_probe_solve_memory(recurrence_probe):
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_one_box_geometry_and_far_field_per_solve(recurrence_probe):
+    # the edge roots sum every mode exactly, so no pass rebuilds the boxes
+    # or an edge box's far field
+    bath = recurrence_probe.bath
+    n_boxes = spectrum._boxes(recurrence_probe.alphas, bath.omegas)[3].shape[0]
+    with (
+        mock.patch.object(spectrum, "_boxes", wraps=spectrum._boxes) as boxes,
+        mock.patch.object(spectrum, "_proxy_block", wraps=spectrum._proxy_block) as blocks,
+    ):
+        solve_spectrum(bath, 1.0)
+    assert n_boxes == 81
+    assert boxes.call_count == 1
+    assert blocks.call_count == n_boxes
