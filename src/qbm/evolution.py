@@ -18,10 +18,11 @@ That kernel needs only row 0, U_0m(t) = sum_nu K_num exp(-i alpha_nu t),
 and runs on the node-time phase kernel of langevin (|U_0m|^2 does not see
 the band-centre phase): the Cauchy product against 1/(omega_m - alpha_nu)
 runs on the K node times, not the T grid times, as spectrum._cauchy (the
-boxed sums are described in spectrum).  The product is folded box by box
-into a K x K Gram matrix, O(N K^2), and never stored whole; the Gram
-matrix turns the population at each of the T times into a quadratic form
-in that time's barycentric row, O(K^2 T) in all.  The survival amplitude,
+boxed sums and their tree are described in spectrum).  The product is
+folded box by box into a K x K Gram matrix per half of the phase block,
+O(N K^2), and never stored whole; their sum turns the population at each
+of the T times into a quadratic form in that time's barycentric row,
+O(K^2 T) in all.  The survival amplitude,
 on the same kernel, is the (0,0) element
 
     A(t) = sum_nu w_nu exp(-i alpha_nu t),
@@ -37,7 +38,7 @@ import numpy as np
 from .errors import InvalidValue
 from .langevin import _check_phases, _node_sums, _times, moment_signal
 from .model import InitialOccupations
-from .spectrum import Spectrum, _cauchy, overlap_matrix
+from .spectrum import Spectrum, _boxes, _cauchy, _tree, overlap_matrix
 
 
 def survival_probability(spec: Spectrum, t) -> np.ndarray:
@@ -77,40 +78,43 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
     Row 0 of U(t) is U_0m = sum_nu K_num e^{-i alpha_nu t}, K_nu0 = w_nu and
     K_num = w_nu g_m / (alpha_nu - omega_m) (g_m^2 moves onto v; a column's
     sign drops out of |U_0m|^2, and so does the band-centre phase).  The
-    node-run kernel contracts its phase block with the boxed product
-    _cauchy, column 0 the plain sum, and folds it in box by box.  On a node
-    run, each block [s_c; s_s] of that product scaled by sqrt(v g^2) adds
-    s_c s_c^T + s_s s_s^T to a K x K Gram matrix G per column of v, and the
-    times take b G b^T, b their barycentric rows; on a run of its own times
-    |U_0m|^2 meets v g^2 directly."""
+    node-run kernel contracts each half of its phase block with the boxed
+    product _cauchy, column 0 the plain sum, on the boxes and tree built
+    once per call, and folds it in box by box.  On a node run, each block
+    s of that product scaled by sqrt(v g^2) adds s s^T to the half's K x K
+    Gram matrix per column of v; the carry sums the cos and sin halves to
+    G, and the times take b G b^T, b their barycentric rows.  On a run of
+    its own times each half's squares meet v g^2 directly."""
+    al, om, cols = spec.alphas, spec.bath.omegas, v.shape[1]
     vg = v * np.append(1.0, spec.bath.couplings**2)[:, None]  # >= 0: sqrt(vg) is real
+    boxes = _, _, near, px, _ = _boxes(al, om)
+    levels = _tree(px, near)
 
     def contract(e, on_nodes):
-        k = e.shape[0] // 2
-        g = np.zeros((vg.shape[1], k, k) if on_nodes else (k, vg.shape[1]))
-        for m0, a in _cauchy(e, spec.alphas, spec.bath.omegas):
-            m1 = m0 + a.shape[1]
+        halves, k = e.shape[:2]
+        g = np.zeros((halves, cols, k, k) if on_nodes else (halves, k, cols))
+        for m0, a in _cauchy(e.reshape(halves * k, -1), al, om, boxes, levels):
+            m1, a = m0 + a.shape[1], a.reshape(halves, k, -1)
             if on_nodes:
-                for c, (gc, rc) in enumerate(zip(g, np.sqrt(vg[m0:m1]).T)):
-                    s = np.multiply(a, rc, out=a if c == len(g) - 1 else None)  # the last in place
-                    gc += s[:k] @ s[:k].T
-                    gc += s[k:] @ s[k:].T
+                for c, rc in enumerate(np.sqrt(vg[m0:m1]).T):
+                    s = np.multiply(a, rc, out=a if c == cols - 1 else None)  # the last in place
+                    g[:, c] += s @ s.transpose(0, 2, 1)
             else:  # |U_0m|^2 = cos part^2 + sin part^2, squared in place
-                np.square(a, out=a)
-                g += (a[:k] + a[k:]) @ vg[m0:m1]
+                g += np.square(a, out=a) @ vg[m0:m1]
         return g
 
-    def carry(a, b):  # b G b^T, row by row of b, for each G
+    def carry(a, b):  # the halves summed; b G b^T, row by row of b, for each G
+        a = a[0] + a[1]
         return a.T if b is None else np.multiply(q := b @ a, b, out=q).sum(axis=2)
 
-    return _node_sums(spec, ts, contract, carry, np.empty((v.shape[1], ts.size)))
+    return _node_sums(spec, ts, contract, carry, np.empty((cols, ts.size)))
 
 
 def oscillator_population(spec: Spectrum, occ0: InitialOccupations, times) -> np.ndarray:
     """<N_Omega(t)> over an array of times.  Uses only row 0 of the
     transition matrix: for T times on K node times, the boxed Cauchy
-    product's O(K (N n_near + N p + (N p / B)^2)), O(N K^2) Gram and
-    O(K^2 T) carry flops."""
+    product's O(K N (n_near + p)), O(N K^2) Gram and O(K^2 T) carry
+    flops."""
     return _row0_contract(spec, _times(times), occ0.vector[:, None])[0]
 
 

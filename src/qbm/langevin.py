@@ -34,26 +34,30 @@ caller's carry step takes that to the times with the matrix of the second
 (true) barycentric form (Berrut & Trefethen, SIAM Rev. 46, 2004), taken on
 the nodes as rounded: no error floor.  The runs are the only partition of
 the time axis: QBM_THREADS worker threads take whole runs, each with a
-phase block of its own.
+phase block of its own.  A block of more than _PHASE_CELLS entries is
+formed and contracted one half at a time, its cos rows and then its sin
+rows, so that only one half is held.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AmplitudeVanishes, InvalidValue
 from .model import DiscretizedBath
-from .spectrum import _CELLS, Spectrum, _barycentric, _chebyshev
+from .spectrum import Spectrum, _barycentric, _chebyshev
 
 _DENOM_RTOL = 1e-12
 _AMPLITUDE_FLOOR = 1e-12
 _FIT_SAMPLES = 256
 _T_CHUNK = 512  # most node times per phase block
-_PHASE_CELLS = 1 << 21  # most K x (N+1) entries in one half of a phase block
+_PHASE_CELLS = 1 << 21  # most phase-block entries held at once: halves one at a time past it
+_CELLS = 1 << 18  # most entries in a carry block
 _T_SPAN = 8192  # most grid times one run looks ahead
 # K = r h + 12 (r h)^(1/3) + 4 nodes: 4 sum_{k>=K} |J_k(r h)| < 1e-17 bounds
 # the Chebyshev tail of exp(-i beta x), |beta| <= r h, on [-1, 1]
@@ -153,30 +157,42 @@ def _worker_count() -> int:
 
 def _node_sums(spec: Spectrum, ts: np.ndarray, contract, carry, out: np.ndarray) -> np.ndarray:
     """out[:, rows] = carry(a, b) per block of the times ts; returns out.
-    Per run of _node_runs the phase block e = [w cos(x (alpha - abar));
-    w sin(x (alpha - abar))], shape (2K, N+1), at its K nodes x meets the
-    mode axis in a = contract(e, on_nodes): sum_nu (...) e^{-i alpha_nu t}
-    = e^{-i abar t} (cos part - i sin part).  b is the (rows, K) barycentric
-    matrix to the times ts[rows] or, on a run of its own times, None with a
-    sliced to those rows on axis -2.  The runs are mapped over _worker_count
-    threads; each allocates its own phase block and writes only its own
-    columns of out, and the runs depend on the times alone, so the worker
-    count never changes a value.  b holds at most _CELLS entries."""
+    Per run of _node_runs the phase block [w cos(x (alpha - abar));
+    w sin(x (alpha - abar))] at its K nodes x meets the mode axis in
+    a = contract(e, on_nodes): sum_nu (...) e^{-i alpha_nu t}
+    = e^{-i abar t} (cos part - i sin part).  e holds both halves,
+    shape (2, K, N+1), or, if that would pass _PHASE_CELLS entries, the cos
+    half and then the sin half, (1, K, N+1) each; contract returns one
+    result per half, stacked on axis 0, and a stacks both.  b is the
+    (rows, K) barycentric matrix to the times ts[rows] or, on a run of its
+    own times, None with a sliced to those rows on axis -2.  The runs are
+    mapped over _worker_count threads; each forms its runs' blocks in a
+    buffer of its own and writes only their columns of out, and the runs
+    depend on the times alone, so the worker count never changes a value.
+    b holds at most _CELLS entries."""
     workers = _worker_count()
     al = spec.alphas
     _check_phases(ts, al)
     mid, r = al[0] / 2 + al[-1] / 2, al[-1] / 2 - al[0] / 2
     # a list, not the generator: a run being built would sit on a worker's peak
     runs = list(_node_runs(ts, r, al.size))
+    # a block buffer per worker, not a block per run: freeing a block raises
+    # glibc's mmap threshold, and the worker's later arrays stay in its heap
+    local = threading.local()
 
     def run(i0, t, x, w):
         k = x.size
-        e = np.empty((2 * k, al.size))
-        np.multiply.outer(x, al - mid, out=e[:k])
-        np.sin(e[:k], out=e[k:])
-        np.cos(e[:k], out=e[:k])
-        e *= spec.weights
-        a = contract(e, w is not None)
+        whole = 2 * k * al.size <= _PHASE_CELLS
+        if len(getattr(local, "e", ())) < (cells := (2 if whole else 1) * k * al.size):
+            local.e = np.empty(cells)
+        e, parts = local.e[:cells].reshape(-1, k, al.size), []
+        for trig in [(np.cos, np.sin)] if whole else [(np.cos,), (np.sin,)]:
+            np.multiply.outer(x, al - mid, out=e[-1])
+            for f, half in zip(trig, e):
+                f(e[-1], out=half)
+            e *= spec.weights
+            parts.append(contract(e, w is not None))
+        a = parts[0] if whole else np.concatenate(parts)
         step = max(1, _CELLS // k)
         for j in range(0, t.size, step):
             n = min(step, t.size - j)
@@ -205,7 +221,10 @@ def _moments(spec: Spectrum, ks, t) -> np.ndarray:
         u = a if b is None else b @ a
         return (u[0] - 1j * u[1]).T
 
-    s = _node_sums(spec, ts, lambda e, _: (e @ coeff).reshape(2, -1, len(ks)), carry, out)
+    def contract(e, _):  # one product over every row of the halves it gets
+        return (e.reshape(-1, al.size) @ coeff).reshape(len(e), -1, len(ks))
+
+    s = _node_sums(spec, ts, contract, carry, out)
     return s * np.exp(-1j * (al[0] / 2 + al[-1] / 2) * ts)
 
 

@@ -29,19 +29,22 @@ Completeness of the eigenbasis gives the moment sum rules
 which are exact in exact arithmetic and serve as the standing accuracy
 check on any computed spectrum.
 
-Both O(N) routes into the spectral sums are boxed Cauchy sums, a
-single-level fast multipole method (Greengard & Rokhlin, J. Comput. Phys.
-73, 1987) with Chebyshev proxies (Fong & Darve, J. Comput. Phys. 228,
-2009) on the boxes of _boxes: boxes of B modes and roots that lie close
-are summed exactly, far ones through p proxies per box, n_near ~ 3 B
-exactly summed columns per mode on an even bath.  The secular solve
-(_secular_parts) sums F and F' over the modes in O(N (n_near + p)) per
-pass and O((N p / B)^2) once per solve, not O(N^2): it builds its boxes
-once, with the edge roots near every box, and the middle boxes do not
-move with the roots, so the far field of g^2 is fixed for the solve.
-_cauchy, for the row-0 population kernel in evolution, runs the
-transposed product of K rows against 1/(omega_m - alpha_nu), O(K (N n_near
-+ N p + (N p / B)^2)), on the boxes of the final roots.
+Both O(N) routes into the spectral sums are boxed Cauchy sums, a fast
+multipole method (Greengard & Rokhlin, J. Comput. Phys. 73, 1987) with
+Chebyshev proxies (Fong & Darve, J. Comput. Phys. 228, 2009) on a tree whose
+leaves are the boxes of _boxes: B modes and roots each by index, and a box
+per edge root.  Leaves that lie close are summed exactly, n_near ~ 3 B
+columns per mode on an even bath; the rest goes through the tree (_tree,
+_far), whose parents pair two boxes by index, each box with p proxies.
+Charges go up the tree, meet at each level the far boxes whose parents are
+near (at most 3 per box on an even bath), and come back down: O(N p^2 / B)
+per row.  The secular solve (_secular_parts) sums F and F' in O(N (n_near
++ p)) per pass, not O(N^2): its boxes are built once, with the edge roots
+near every box, and the middle boxes do not move with the roots, so the
+far field of g^2, on the tree of the middle boxes, is taken once per
+solve.  _cauchy, for the row-0 population kernel in evolution, runs the
+transposed product of K rows against 1/(omega_m - alpha_nu), O(K N
+(n_near + p)), on the boxes and tree of the final roots.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ _EPS = float(np.finfo(float).eps)
 _TINY = 1e-308  # g^2 below this underflows: its root cannot leave the pole
 _BOX = 128  # modes and roots per box of the boxed Cauchy sums
 _PROXIES = 20  # Chebyshev proxies per box for the far field
-_CELLS = 1 << 18  # most entries in a carry block of _node_sums, 4x a _cauchy group's
 _MAX_ITER = 100
 
 
@@ -122,15 +124,24 @@ def _chebyshev(lo, hi, k):
 def _barycentric(t, x, w):
     """Matrix (len(t), K) that carries values at the K nodes x to the points
     t by the second barycentric form with weights w (Berrut & Trefethen);
-    a point equal to a node takes its value."""
-    d = np.subtract.outer(t, x)
+    a point equal to a node takes its value.  Leading axes of t and x are
+    a stack of such matrices."""
+    d = t[..., :, None] - x[..., None, :]
     hit = d == 0.0
     d[hit] = 1.0
     b = np.divide(w, d, out=d)
-    on_node = hit.any(axis=1)
+    on_node = hit.any(axis=-1)
     b[on_node] = hit[on_node]
-    b /= b.sum(axis=1, keepdims=True)
+    b /= b.sum(axis=-1, keepdims=True)
     return b
+
+
+def _near(lo, hi):
+    """Which boxes [lo, hi] (in order) are near: neighbours, or the gap
+    between two falls short of the wider one's width by more than a relative
+    1e-9 (on an even bath boxes two apart are one width apart to rounding)."""
+    gap, k, wide = np.subtract.outer(lo, hi), np.arange(lo.size), (hi - lo) * (1.0 - 1e-9)
+    return (np.maximum(gap, gap.T) < np.maximum.outer(wide, wide)) | (abs(k - k[:, None]) <= 1)
 
 
 def _boxes(al, om):
@@ -140,64 +151,102 @@ def _boxes(al, om):
     _BOX modes and roots each by index, the first and last box only the edge
     root al[0] or al[N], so an outlying edge root widens no box of modes.  A
     middle box spans the pole below its first root to its last mode, wherever
-    its roots lie; an edge box spans its root.  Two boxes are near when the
-    gap between them falls short of the wider one's width by more than a
-    relative 1e-9 (on an even bath boxes two apart are one width apart to
-    rounding) or when they are neighbours (a root's bounding poles are always
-    near it); the edge boxes, which never meet, count as near.  px[j] are
-    box j's _PROXIES Chebyshev proxies, pw their barycentric weights."""
+    its roots lie; an edge box spans its root.  Boxes are near by _near (a
+    root's bounding poles are always near it, being in its box or the
+    next); the edge boxes, which never meet, count as near.  px[j] are box
+    j's _PROXIES Chebyshev proxies, pw their barycentric weights."""
     n = om.size
     cm = np.concatenate(([0], np.arange(0, n, _BOX), [n, n]))
     cr = np.concatenate(([0, 1], np.arange(_BOX, n, _BOX), [n, n + 1]))
     lo = np.concatenate((al[:1], om[cr[1:-2] - 1], al[-1:]))
     hi = np.concatenate((al[:1], om[cm[2:-1] - 1], al[-1:]))
-    gap, k, wide = np.subtract.outer(lo, hi), np.arange(lo.size), (hi - lo) * (1.0 - 1e-9)
-    near = (np.maximum(gap, gap.T) < np.maximum.outer(wide, wide)) | (abs(k - k[:, None]) <= 1)
+    near = _near(lo, hi)
     near[0, -1] = near[-1, 0] = True
     px, pw = _chebyshev(lo[:, None], hi[:, None], _PROXIES)
     return cm, cr, near, px, pw
 
 
-def _proxy_block(px, near, js):
-    """1/(x - y) from the proxies x of the boxes js (a slice) to the proxies
-    y of every box, shape (len(js) p, nbox p), 0 where the boxes are near."""
-    d = np.subtract.outer(px[js], px)
-    np.copyto(d, np.inf, where=near[js, None, :, None])
-    return np.divide(1.0, d, out=d).reshape(-1, px.size)
+def _tree(x, near):
+    """The levels, for _far, of a tree over the boxes (leaves) whose proxies
+    are x (in order, near as given).  Each parent pairs two boxes by index,
+    has p = _PROXIES Chebyshev proxies on their span, and is near by _near or
+    when two of its children are, so children of far boxes are far.  Level
+    l is (a, m2l): a[i] the (p, p) barycentric matrix from box i's proxies
+    (rows) to its parent's, and m2l the pairs far at l whose parents are
+    near (at the top, all far pairs), grouped by box offset and parity as
+    (targets, sources, k): slices of step 2 and k[i] = 1/(x - y) from the
+    sources' proxies y (rows) to the targets' x.  No level is built above
+    the last one with a far pair."""
+    levels = []
+    while not near.all():
+        up = np.arange(len(x)) // 2
+        lo, hi = x[::2, -1], x[np.minimum(np.arange(1, len(x) + 1, 2), len(x) - 1), 0]
+        (x_up, w), near_up = _chebyshev(lo[:, None], hi[:, None], _PROXIES), _near(lo, hi)
+        np.logical_or.at(near_up, (up[:, None], up), near)
+        t, s = np.nonzero(~near & near_up[up[:, None], up])
+        t, s = np.stack((t, s))[:, np.lexsort((t, t % 2, s - t))]
+        cut = np.flatnonzero((np.diff(s - t) != 0) | (np.diff(t) != 2)) + 1
+        m2l = []
+        for i, j in zip(np.concatenate(([0], cut)), np.concatenate((cut, [t.size]))):
+            ts, ss = slice(t[i], t[j - 1] + 1, 2), slice(s[i], s[j - 1] + 1, 2)
+            m2l.append((ts, ss, 1.0 / (x[ts][:, None, :] - x[ss][:, :, None])))
+        levels.append((_barycentric(x, x_up[up], w), m2l))
+        x, near = x_up, near_up
+    return levels
 
 
-def _cauchy(e, al, om):
+def _far(levels, q, square=False):
+    """Far-field potentials sum' q/(x - y), or sum' q/(x - y)^2 with square,
+    at the leaves' proxies x from the charges q at their proxies y, both
+    (leaves, rows, p), on _tree's levels (None without levels): the charges
+    go up the tree, meet through each level's m2l blocks, and the potentials
+    come back down, each level one batch of (boxes, rows, p) products."""
+    qs = [q]
+    for a, _ in levels[:-1]:
+        q = qs[-1]
+        q_up = np.matmul(q[::2], a[::2])
+        q_up[: len(q) // 2] += np.matmul(q[1::2], a[1::2])
+        qs.append(q_up)
+    phi = None
+    for a, m2l in levels[::-1]:
+        q = qs.pop()
+        f = np.zeros_like(q) if phi is None else np.empty_like(q)
+        if phi is not None:  # the parent's potentials to its children's proxies
+            np.matmul(phi, a[::2].transpose(0, 2, 1), out=f[::2])
+            np.matmul(phi[: len(q) // 2], a[1::2].transpose(0, 2, 1), out=f[1::2])
+        phi = f  # the parent's are freed before the m2l products
+        for ts, ss, k in m2l:
+            phi[ts] += q[ss] @ (np.square(k) if square else k)
+    return phi
+
+
+def _cauchy(e, al, om, boxes, levels):
     """The columns [e.sum(axis=1), e @ (1 / (om_m - al_nu))^T], N + 1 in
     all, for the N + 1 sorted roots al and N sorted modes om, yielded box by
-    box of _boxes as (first column, block of len(e) rows); the whole product
-    is never stored.  Near pairs are summed exactly, one product per run of
-    near boxes on a slice of e; a far pair goes through p = _PROXIES
-    Chebyshev proxies per box: the charges are anterpolated onto their box's
-    proxies, the proxies meet in a Cauchy product, one for a group of target
-    boxes whose block holds at most _CELLS / 4 entries, and the barycentric
-    interpolant carries the proxy potentials to the modes.  Per row
-    2 N n_near + 4 N p + 2 (N p / B)^2 flops; all near is dense."""
-    cm, cr, near, px, pw = _boxes(al, om)
-    if not near.all():
-        anterp = (e[:, a0:a1] @ _barycentric(al[a0:a1], p, pw) for a0, a1, p in zip(cr, cr[1:], px))
-        q = np.concatenate(list(anterp), axis=1)
+    box of boxes = _boxes(al, om) as (first column, block of len(e) rows);
+    the whole product is never stored.  Near pairs are summed exactly, one
+    product per run of near boxes on a slice of e; the far field goes
+    through levels = _tree(px, near): e is anterpolated onto each box's p =
+    _PROXIES Chebyshev proxies, _far takes the potentials to every box's
+    proxies, and the barycentric interpolant carries them to the modes.
+    Per row 2 N n_near + 4 N p flops, and O(N p^2 / B) in the tree."""
+    cm, cr, near, px, pw = boxes
+    q = np.empty((len(px), len(e), _PROXIES))
+    for j, (a0, a1) in enumerate(zip(cr, cr[1:])):
+        np.matmul(e[:, a0:a1], _barycentric(al[a0:a1], px[j], pw), out=q[j])
+    phi = _far(levels, q)
+    del q
     yield 0, e.sum(axis=1)[:, None]
-    last, step = near.shape[0] - 1, max(1, _CELLS // 4 // (_PROXIES * px.size))
-    for g0 in range(1, last, step):  # the edge boxes hold no modes
-        js = slice(g0, min(g0 + step, last))
-        if not near[js].all():
-            qp = q @ _proxy_block(px, near, js).T
-        for j in range(js.start, js.stop):
-            m0, m1, a = cm[j], cm[j + 1], None
-            cuts = cr[np.flatnonzero(np.diff(near[j], prepend=False, append=False))]
-            for s0, s1 in cuts.reshape(-1, 2):  # a run of near boxes: a slice of e
-                d = np.subtract.outer(om[m0:m1], al[s0:s1])
-                c = e[:, s0:s1] @ np.divide(1.0, d, out=d).T
-                a = c if a is None else np.add(a, c, out=a)
-            if not near[j].all():
-                i = (j - g0) * _PROXIES
-                a += qp[:, i : i + _PROXIES] @ _barycentric(om[m0:m1], px[j], pw).T
-            yield m0 + 1, a
+    for j in range(1, len(px) - 1):  # the edge boxes hold no modes
+        m0, m1, a = cm[j], cm[j + 1], None
+        cuts = cr[np.flatnonzero(np.diff(near[j], prepend=False, append=False))]
+        for s0, s1 in cuts.reshape(-1, 2):  # a run of near boxes: a slice of e
+            d = np.subtract.outer(om[m0:m1], al[s0:s1])
+            c = e[:, s0:s1] @ np.divide(1.0, d, out=d).T
+            a = c if a is None else np.add(a, c, out=a)
+        if not near[j].all():
+            a += phi[j] @ _barycentric(om[m0:m1], px[j], pw).T
+        yield m0 + 1, a
 
 
 def _secular_parts(om, g2, omega0, origin, tau, act, boxes, far):
@@ -207,8 +256,8 @@ def _secular_parts(om, g2, omega0, origin, tau, act, boxes, far):
     the origin's term.  The solve's boxes (cm, cr, near, px, pw) split the
     sums: near modes are summed exactly, alpha - omega_n formed as
     (omega_o - omega_n) + tau; the far field is interpolated to alpha from
-    far[j], its potentials sum' q/(x - y) and sum' q/(x - y)^2 at the
-    proxies x of the root box j, q the g_n^2 of each box anterpolated onto
+    far, the potentials sum' q/(x - y) and sum' q/(x - y)^2 of _far at the
+    proxies x of each middle box, q the g_n^2 of each box anterpolated onto
     its proxies y."""
     cm, cr, near, px, pw = boxes
     o, t = origin[act], tau[act]
@@ -225,7 +274,7 @@ def _secular_parts(om, g2, omega0, origin, tau, act, boxes, far):
         h[r0:r1] -= r @ g2[src]
         hp[r0:r1] += np.square(r, out=r) @ g2[src]
         if not near[j].all():
-            phi, phi2 = far[j]
+            phi, phi2 = far[0][j - 1, 0], far[1][j - 1, 0]
             b = _barycentric(om[o[r0:r1]] + t[r0:r1], px[j], pw)
             h[r0:r1] -= b @ phi
             hp[r0:r1] += b @ phi2
@@ -247,8 +296,9 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
     unit.  The boxes of _boxes are built once, at the first roots, with the
     edge boxes near every box: the edge roots, the only ones that move
     across the boxes, sum all modes exactly.  g^2 is anterpolated onto the
-    boxes' proxies and its far field taken at them once per solve, and
-    every pass sums F and F' on these boxes (_secular_parts).
+    middle boxes' proxies and its far field taken at them once per solve,
+    on the _tree of the middle boxes, and every pass sums F and F' on
+    these boxes (_secular_parts).
     The weights w = 1/F'(alpha) = 1/(h' + g_o^2/tau^2) come from one more
     pass at the stored alpha, with tau = alpha - omega_o.  A non-finite or
     non-positive omega0 raises InvalidValue."""
@@ -272,10 +322,11 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
     act = np.arange(n + 1)
     boxes = cm, _, near, px, pw = _boxes(om[origin] + tau, om)
     near[[0, -1]] = near[:, [0, -1]] = True  # the edge roots sum every mode exactly
+    levels = _tree(px[1:-1], near[1:-1, 1:-1])  # the edge boxes hold no modes
     anterp = (g2[m0:m1] @ _barycentric(om[m0:m1], p, pw) for m0, m1, p in zip(cm, cm[1:], px))
-    g2_px = np.concatenate(list(anterp))
-    blocks = (_proxy_block(px, near, slice(j, j + 1)) for j in range(len(px)))
-    far = [(r @ g2_px, np.square(r, out=r) @ g2_px) for r in blocks]  # box by box
+    g2_px = np.stack(list(anterp))[1:-1, None]
+    far = _far(levels, g2_px), _far(levels, g2_px, square=True)
+    del levels  # the passes need only far
     h, hp = _secular_parts(om, g2, omega0, origin, tau, act, boxes, far)
 
     # interior roots with F(mid) < 0 lie in the upper half: rebase them on

@@ -376,12 +376,16 @@ class TestReport:
         assert texts[0] == texts[1]
 
     def test_report_does_not_load_numpy_ma(self):
-        # np.median loads numpy.ma on first use, ~13 ms of every report
+        # np.median loads numpy.ma on first use, ~13 ms of every report, and
+        # so does np.unique; the N = 1000 bath's boxed sums run on a tree of
+        # several levels, the default bath's need none
         src = str(Path(qbm.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         code = (
             "import sys\nfrom qbm import parse_config\nfrom qbm.cli import build_report\n"
-            "build_report(parse_config(''))\nassert 'numpy.ma' not in sys.modules\n"
+            "for text in ('', 'N = 1000\\nA = 0.0018\\n'):\n"
+            "    build_report(parse_config(text))\n"
+            "assert 'numpy.ma' not in sys.modules\n"
         )
         env = {**os.environ, "PYTHONPATH": path}
         subprocess.run([sys.executable, "-c", code], env=env, check=True)

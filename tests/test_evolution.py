@@ -231,13 +231,15 @@ class TestRow0KernelAccuracy:
         want = row0_population(spec, occ, ts[idx])
         np.testing.assert_allclose(got[idx], want, rtol=0.0, atol=1e-13)
 
-    @pytest.mark.parametrize("groups", [False, True], ids=["one-group", "groups-of-3"])
-    def test_wide_box_among_narrow_ones(self, groups):
+    @pytest.mark.parametrize("per_level", [False, True], ids=["one-group", "groups-of-3"])
+    def test_wide_box_among_narrow_ones(self, per_level):
         # three narrow 128-mode boxes, a very wide one, a narrow one: box 1 is
         # near box 4, whose width reaches it, but not box 3 between them, so
-        # its near boxes are no single run; in groups of 3 target boxes the
-        # second, short group starts on the all-near box 4, and box 5 in it
-        # still needs the group's proxy product
+        # its near boxes are no single run.  Level by level of the tree, the
+        # wide box's ancestor is near every box and so in no far pair, while
+        # box 5 beside it meets boxes 0-3 at the leaves and box 6, whose
+        # parent is box 6 alone, meets box 1 at the leaves and boxes 2-3
+        # through their parent
         narrow = 1e-3 * np.arange(128)
         omegas = np.concatenate(
             [0.5 + narrow, 0.628 + narrow, 0.756 + narrow, np.linspace(1.0, 5.0, 128), 5.001 + narrow]
@@ -248,11 +250,21 @@ class TestRow0KernelAccuracy:
         assert near.shape == (7, 7)
         assert near[1].tolist() == [True, True, True, False, True, False, False]
         assert near[4].all() and not near[5].all()
-        cells = 4 * 3 * spectrum._PROXIES * px.size if groups else spectrum._CELLS
+        if per_level:
+            levels = spectrum._tree(px, near)
+            pairs = []
+            for a, m2l in levels:
+                box = np.arange(len(a))
+                pairs.append({(int(t), int(s)) for ts, ss, _ in m2l for t, s in zip(box[ts], box[ss])})
+            assert len(levels) == 2
+            for level, far in enumerate(pairs):
+                assert not any(4 >> level in pair for pair in far)
+            assert {s for t, s in pairs[0] if t == 5} == {0, 1, 2, 3}
+            assert {s for t, s in pairs[0] if t == 6} == {1}
+            assert pairs[1] == {(3, 1), (1, 3)}
         occ = thermal_occupations(bath, 1.0, 1.0)
         ts = 50.0 + 0.1 * np.arange(400)
-        with mock.patch.object(spectrum, "_CELLS", cells):
-            got = oscillator_population(spec, occ, ts)
+        got = oscillator_population(spec, occ, ts)
         idx = np.linspace(0, ts.size - 1, 8).astype(int)
         want = row0_population(spec, occ, ts[idx])
         np.testing.assert_allclose(got[idx], want, rtol=0.0, atol=1e-13)
@@ -296,6 +308,28 @@ class TestRow0KernelAccuracy:
         np.testing.assert_allclose(oscillator_population(spec, occ, ts), want, rtol=0.0, atol=1e-13)
         np.testing.assert_allclose(total, want, rtol=0.0, atol=1e-13)
         np.testing.assert_allclose(surviving + influx, total, rtol=0.0, atol=1e-14)
+
+    def test_half_blocks_match_whole_ones(self, plateau_probe):
+        # a cap between one half of the 173-node run's block and both halves
+        # keeps that run and forms its cos and sin halves one at a time; the
+        # runs on their own times, cut at 259 times by the cap, take halves
+        # too
+        spec, occ = plateau_probe
+        ts = self.MIXED
+        r = spec.alphas[-1] / 2 - spec.alphas[0] / 2
+        cells = 259 * spec.n_levels
+        assert 173 * spec.n_levels <= cells < 2 * 173 * spec.n_levels
+
+        def runs():
+            return [(x.size, w is None) for _, _, x, w in langevin._node_runs(ts, r, spec.n_levels)]
+
+        whole = population_decomposition(spec, occ, ts), langevin._moments(spec, (0, 1, 2), ts)
+        assert runs() == [(173, False), (512, True), (138, True)]
+        with mock.patch.object(langevin, "_PHASE_CELLS", cells):
+            assert runs() == [(173, False), (259, True), (259, True), (132, True)]
+            halves = population_decomposition(spec, occ, ts), langevin._moments(spec, (0, 1, 2), ts)
+        for got, want in zip(halves, whole):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
 
     def test_runs_bound_the_phase_block(self, recurrence_probe):
         # 3000 steps of the recurrence preset on the N = 10^4 bath would take 442
@@ -365,9 +399,10 @@ def test_population_memory_does_not_grow_with_times():
 
 
 def test_population_memory_on_report_window(recurrence_probe):
-    # the N = 10^4 report window on 148 node times: the phase block is
-    # 24 MB; the boxed Cauchy product, folded into the 148 x 148 Gram matrix
-    # box by box, and the one (1273, 148) carry block besides are small
+    # the N = 10^4 report window on 148 node times: the phase block, 24 MB
+    # whole, is formed one 12 MB half at a time; the tree's stacks, the boxed
+    # Cauchy product, folded into the 148 x 148 Gram matrices box by box,
+    # and the one (1273, 148) carry block besides are small
     spec = recurrence_probe
     occ = thermal_occupations(spec.bath, 1.0, 1.0)
     ts = TimeGrid().times()
@@ -378,4 +413,4 @@ def test_population_memory_on_report_window(recurrence_probe):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    assert peak < 26e6

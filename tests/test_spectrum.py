@@ -15,9 +15,13 @@ from qbm import (
     ModelParams,
     Spectrum,
     build_bath,
+    evolution,
+    langevin,
     overlap_matrix,
+    population_decomposition,
     solve_spectrum,
     spectrum,
+    thermal_occupations,
 )
 from qbm.errors import InvalidValue, QbmError, RootNotBracketed
 
@@ -346,14 +350,25 @@ def test_recurrence_probe_solve_memory(recurrence_probe):
 
 def test_one_box_geometry_and_far_field_per_solve(recurrence_probe):
     # the edge roots sum every mode exactly, so no pass rebuilds the boxes
-    # or an edge box's far field
+    # or the tree; the row-0 kernel builds both once per call, not per run
     bath = recurrence_probe.bath
     n_boxes = spectrum._boxes(recurrence_probe.alphas, bath.omegas)[3].shape[0]
     with (
         mock.patch.object(spectrum, "_boxes", wraps=spectrum._boxes) as boxes,
-        mock.patch.object(spectrum, "_proxy_block", wraps=spectrum._proxy_block) as blocks,
+        mock.patch.object(spectrum, "_tree", wraps=spectrum._tree) as trees,
     ):
         solve_spectrum(bath, 1.0)
     assert n_boxes == 81
     assert boxes.call_count == 1
-    assert blocks.call_count == n_boxes
+    assert trees.call_count == 1
+    ts = 100.0 + 5.0 * np.arange(300)
+    r = recurrence_probe.alphas[-1] / 2 - recurrence_probe.alphas[0] / 2
+    assert len(list(langevin._node_runs(ts, r, recurrence_probe.n_levels))) == 2
+    occ = thermal_occupations(bath, 1.0, 1.0)
+    with (
+        mock.patch.object(evolution, "_boxes", wraps=spectrum._boxes) as boxes,
+        mock.patch.object(evolution, "_tree", wraps=spectrum._tree) as trees,
+    ):
+        population_decomposition(recurrence_probe, occ, ts)
+    assert boxes.call_count == 1
+    assert trees.call_count == 1
