@@ -27,6 +27,7 @@ from .config import PRODUCTS, RunConfig, parse_config
 from .errors import ConfigError, QbmError
 from .evolution import oscillator_population, survival_probability
 from .langevin import (
+    _velocity_scale,
     _worker_count,
     coefficient_series,
     estimate_gamma,
@@ -140,11 +141,7 @@ def _report_text(config: RunConfig, spec: Spectrum, grid: TimeGrid) -> str:
     ts = grid.times()
     lo, hi = _PLATEAU_WINDOW
     window = ts[(ts >= lo) & (ts <= hi)]
-    if window.size:
-        occ = thermal_occupations(bath, config.model.beta, config.n_omega0)
-        plateau = float(np.mean(oscillator_population(spec, occ, window)))
-    else:
-        plateau = math.nan
+    plateau = float(np.mean(_population(config, spec, window)[1])) if window.size else math.nan
 
     t_r = recurrence_time(spec)
     lines = [
@@ -191,6 +188,8 @@ def _plot_script(products) -> str:
 def run(config: RunConfig, out_dir=None) -> list[Path]:
     """Execute a run: diagonalize, evaluate the requested products over the
     grid, and write them to out_dir.  Returns the written paths."""
+    if "position" in config.outputs:  # refused before the solve and any file
+        _velocity_scale(config.langevin_input, config.model.omega0)
     spec, grid = _setup(config)
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir)
     ts = grid.times()

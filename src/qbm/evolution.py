@@ -17,13 +17,13 @@ per time: it is the reference that the row-0 kernel behind
 That kernel needs only row 0, U_0m(t) = sum_nu K_num exp(-i alpha_nu t),
 and runs on the node-time phase kernel of langevin (|U_0m|^2 does not see
 the band-centre phase): the Cauchy product against 1/(omega_m - alpha_nu)
-runs on the K node times, not the T grid times, as spectrum._cauchy (the
-boxed sums and their tree are described in spectrum).  The product is
-folded box by box into a K x K Gram matrix per half of the phase block,
-O(N K^2), and never stored whole; their sum turns the population at each
-of the T times into a quadratic form in that time's barycentric row,
-O(K^2 T) in all.  The survival amplitude,
-on the same kernel, is the (0,0) element
+runs on the K node times, not the T grid times, as spectrum._cauchy, on
+the boxes and tree that the solve uses (both described in spectrum).  The
+product is folded box by box into a K x K Gram matrix per half of the
+phase block, O(N K^2), and never stored whole; their sum turns the
+population at each of the T times into a quadratic form in that time's
+barycentric row, O(K^2 T) in all.  The survival amplitude, on the same
+kernel, is the (0,0) element
 
     A(t) = sum_nu w_nu exp(-i alpha_nu t),
 
@@ -38,7 +38,7 @@ import numpy as np
 from .errors import InvalidValue
 from .langevin import _check_phases, _node_sums, _times, moment_signal
 from .model import InitialOccupations
-from .spectrum import Spectrum, _boxes, _cauchy, _tree, overlap_matrix
+from .spectrum import Spectrum, _boxes, _cauchy, overlap_matrix
 
 
 def survival_probability(spec: Spectrum, t) -> np.ndarray:
@@ -79,21 +79,21 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
     K_num = w_nu g_m / (alpha_nu - omega_m) (g_m^2 moves onto v; a column's
     sign drops out of |U_0m|^2, and so does the band-centre phase).  The
     node-run kernel contracts each half of its phase block with the boxed
-    product _cauchy, column 0 the plain sum, on the boxes and tree built
-    once per call, and folds it in box by box.  On a node run, each block
-    s of that product scaled by sqrt(v g^2) adds s s^T to the half's K x K
-    Gram matrix per column of v; the carry sums the cos and sin halves to
-    G, and the times take b G b^T, b their barycentric rows.  On a run of
-    its own times each half's squares meet v g^2 directly."""
+    product _cauchy, column 0 the plain sum, on the boxes and tree of
+    _boxes, built from the bath once per call, and folds it in box by box.
+    On a node run, each block s of that product scaled by sqrt(v g^2) adds
+    s s^T to the half's K x K Gram matrix per column of v; the carry sums
+    the cos and sin halves to G, and the times take b G b^T, b their
+    barycentric rows.  On a run of its own times each half's squares meet
+    v g^2 directly."""
     al, om, cols = spec.alphas, spec.bath.omegas, v.shape[1]
     vg = v * np.append(1.0, spec.bath.couplings**2)[:, None]  # >= 0: sqrt(vg) is real
-    boxes = _, _, near, px, _ = _boxes(al, om)
-    levels = _tree(px, near)
+    boxes = _boxes(om)
 
     def contract(e, on_nodes):
         halves, k = e.shape[:2]
         g = np.zeros((halves, cols, k, k) if on_nodes else (halves, k, cols))
-        for m0, a in _cauchy(e.reshape(halves * k, -1), al, om, boxes, levels):
+        for m0, a in _cauchy(e.reshape(halves * k, -1), al, om, boxes):
             m1, a = m0 + a.shape[1], a.reshape(halves, k, -1)
             if on_nodes:
                 for c, rc in enumerate(np.sqrt(vg[m0:m1]).T):

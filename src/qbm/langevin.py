@@ -286,8 +286,20 @@ def mean_position(spec: Spectrum, inp: LangevinInput, t) -> np.ndarray:
     by the sum rule sum_nu alpha_nu w_nu = Omega.  Linear in (X(0), P(0))
     by construction.
     """
+    v0 = _velocity_scale(inp, spec.omega0)
     s0 = moment_signal(spec, 0, t)
-    return np.real(s0) * inp.x0 - np.imag(s0) * (inp.p0 / (inp.mass * spec.omega0))
+    return np.real(s0) * inp.x0 - np.imag(s0) * v0
+
+
+def _velocity_scale(inp: LangevinInput, omega0: float) -> float:
+    """P(0)/(M Omega), in Python floats; InvalidValue unless it and
+    |X(0)| + |P(0)/(M Omega)|, which bounds |X(t)|, are finite."""
+    m_omega = inp.mass * omega0
+    v0 = inp.p0 / m_omega if m_omega else math.inf  # M Omega can round to 0
+    bound = abs(inp.x0) + abs(v0)
+    if not math.isfinite(bound):
+        raise InvalidValue(f"mean position not representable: |X0| + |P0/(M Omega)| = {bound}")
+    return v0
 
 
 def golden_rule_rate(bath: DiscretizedBath, omega0: float) -> float:

@@ -76,6 +76,9 @@ class ModelParams:
             span = self.step * self.n_bath
             if not math.isfinite(span * span):
                 raise InvalidValue(f"step * n_bath = {span} is too wide: its square overflows")
+            half_width = self.step * (self.n_bath - 2) / 2.0
+            if half_width**2 == 0.0:
+                raise InvalidValue(f"step = {self.step} is too small: the half-width squares to 0")
         else:
             if self.omegas is None or self.couplings is None:
                 raise InvalidValue("explicit rule requires omegas and couplings")

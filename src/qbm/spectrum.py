@@ -31,20 +31,20 @@ check on any computed spectrum.
 
 Both O(N) routes into the spectral sums are boxed Cauchy sums, a fast
 multipole method (Greengard & Rokhlin, J. Comput. Phys. 73, 1987) with
-Chebyshev proxies (Fong & Darve, J. Comput. Phys. 228, 2009) on a tree whose
-leaves are the boxes of _boxes: B modes and roots each by index, and a box
-per edge root.  Leaves that lie close are summed exactly, n_near ~ 3 B
-columns per mode on an even bath; the rest goes through the tree (_tree,
-_far), whose parents pair two boxes by index, each box with p proxies.
-Charges go up the tree, meet at each level the far boxes whose parents are
-near (at most 3 per box on an even bath), and come back down: O(N p^2 / B)
-per row.  The secular solve (_secular_parts) sums F and F' in O(N (n_near
-+ p)) per pass, not O(N^2): its boxes are built once, with the edge roots
-near every box, and the middle boxes do not move with the roots, so the
-far field of g^2, on the tree of the middle boxes, is taken once per
-solve.  _cauchy, for the row-0 population kernel in evolution, runs the
-transposed product of K rows against 1/(omega_m - alpha_nu), O(K N
-(n_near + p)), on the boxes and tree of the final roots.
+Chebyshev proxies (Fong & Darve, J. Comput. Phys. 228, 2009), on the boxes
+that _boxes takes from the bath alone: B modes and roots each by index, and
+a box per outer root, near every box, so alpha_0 and alpha_N are always
+summed exactly.  Other boxes that lie close are summed exactly, n_near ~ 3 B
+columns per mode on an even bath; the rest goes through the tree of the
+middle boxes (_tree, _far), whose parents pair two boxes by index, each box
+with p proxies.  Charges go up the tree, meet at each level the far boxes
+whose parents are near (at most 3 per box on an even bath), and come back
+down: O(N p^2 / B) per row.  The secular solve (_secular_parts) sums F and
+F' in O(N (n_near + p)) per pass, not O(N^2): its boxes are the bath's,
+so the far field of g^2 is taken once per solve.  _cauchy, for the row-0
+population kernel in evolution, runs the transposed product of K rows
+against 1/(omega_m - alpha_nu), O(K N (n_near + p)), on the same boxes and
+tree.
 """
 
 from __future__ import annotations
@@ -144,26 +144,23 @@ def _near(lo, hi):
     return (np.maximum(gap, gap.T) < np.maximum.outer(wide, wide)) | (abs(k - k[:, None]) <= 1)
 
 
-def _boxes(al, om):
-    """Box geometry of the N+1 sorted roots al and the N sorted modes om that
-    interlace them: (cm, cr, near, px, pw).  Box j holds the modes
+def _boxes(om):
+    """Box geometry of the N sorted modes om and the N+1 roots al that
+    interlace them: (cm, cr, near, px, pw, levels).  Box j holds the modes
     om[cm[j] : cm[j+1]] and the roots al[cr[j] : cr[j+1]]: the middle boxes
-    _BOX modes and roots each by index, the first and last box only the edge
-    root al[0] or al[N], so an outlying edge root widens no box of modes.  A
-    middle box spans the pole below its first root to its last mode, wherever
-    its roots lie; an edge box spans its root.  Boxes are near by _near (a
+    _BOX modes and roots each by index, each spanning the pole below its
+    first root to its last mode, and the first and last box only the outer
+    root al[0] or al[N], near every box.  Middle boxes are near by _near (a
     root's bounding poles are always near it, being in its box or the
-    next); the edge boxes, which never meet, count as near.  px[j] are box
-    j's _PROXIES Chebyshev proxies, pw their barycentric weights."""
+    next).  px[i] are middle box i + 1's _PROXIES Chebyshev proxies, pw
+    their barycentric weights, and levels the _tree of the middle boxes."""
     n = om.size
     cm = np.concatenate(([0], np.arange(0, n, _BOX), [n, n]))
     cr = np.concatenate(([0, 1], np.arange(_BOX, n, _BOX), [n, n + 1]))
-    lo = np.concatenate((al[:1], om[cr[1:-2] - 1], al[-1:]))
-    hi = np.concatenate((al[:1], om[cm[2:-1] - 1], al[-1:]))
-    near = _near(lo, hi)
-    near[0, -1] = near[-1, 0] = True
+    lo, hi = om[cr[1:-2] - 1], om[cm[2:-1] - 1]
+    near = np.pad(_near(lo, hi), 1, constant_values=True)
     px, pw = _chebyshev(lo[:, None], hi[:, None], _PROXIES)
-    return cm, cr, near, px, pw
+    return cm, cr, near, px, pw, _tree(px, near[1:-1, 1:-1])
 
 
 def _tree(x, near):
@@ -220,32 +217,34 @@ def _far(levels, q, square=False):
     return phi
 
 
-def _cauchy(e, al, om, boxes, levels):
+def _cauchy(e, al, om, boxes):
     """The columns [e.sum(axis=1), e @ (1 / (om_m - al_nu))^T], N + 1 in
     all, for the N + 1 sorted roots al and N sorted modes om, yielded box by
-    box of boxes = _boxes(al, om) as (first column, block of len(e) rows);
-    the whole product is never stored.  Near pairs are summed exactly, one
-    product per run of near boxes on a slice of e; the far field goes
-    through levels = _tree(px, near): e is anterpolated onto each box's p =
-    _PROXIES Chebyshev proxies, _far takes the potentials to every box's
-    proxies, and the barycentric interpolant carries them to the modes.
-    Per row 2 N n_near + 4 N p flops, and O(N p^2 / B) in the tree."""
-    cm, cr, near, px, pw = boxes
+    box of boxes = _boxes(om) as (first column, block of len(e) rows); the
+    whole product is never stored.  The outer roots are summed exactly, one
+    rank-2 product per box, and so are near pairs, one product per run of
+    near boxes on a slice of e; the far field goes through the tree: e is
+    anterpolated onto each middle box's p = _PROXIES Chebyshev proxies, _far
+    takes the potentials to every box's proxies, and the barycentric
+    interpolant carries them to the modes.  Per row 2 N (n_near + 2) + 4 N p
+    flops, and O(N p^2 / B) in the tree."""
+    cm, cr, near, px, pw, levels = boxes
     q = np.empty((len(px), len(e), _PROXIES))
-    for j, (a0, a1) in enumerate(zip(cr, cr[1:])):
-        np.matmul(e[:, a0:a1], _barycentric(al[a0:a1], px[j], pw), out=q[j])
+    for i, (a0, a1) in enumerate(zip(cr[1:-2], cr[2:-1])):
+        np.matmul(e[:, a0:a1], _barycentric(al[a0:a1], px[i], pw), out=q[i])
     phi = _far(levels, q)
     del q
     yield 0, e.sum(axis=1)[:, None]
-    for j in range(1, len(px) - 1):  # the edge boxes hold no modes
-        m0, m1, a = cm[j], cm[j + 1], None
-        cuts = cr[np.flatnonzero(np.diff(near[j], prepend=False, append=False))]
+    outer, k_outer = e[:, [0, -1]], 1.0 / np.subtract.outer(om, al[[0, -1]])
+    for i, (m0, m1, p) in enumerate(zip(cm[1:], cm[2:], px)):
+        a = outer @ k_outer[m0:m1].T
+        cuts = cr[1:-1][np.flatnonzero(np.diff(near[i + 1, 1:-1], prepend=False, append=False))]
         for s0, s1 in cuts.reshape(-1, 2):  # a run of near boxes: a slice of e
             d = np.subtract.outer(om[m0:m1], al[s0:s1])
-            c = e[:, s0:s1] @ np.divide(1.0, d, out=d).T
-            a = c if a is None else np.add(a, c, out=a)
-        if not near[j].all():
-            a += phi[j] @ _barycentric(om[m0:m1], px[j], pw).T
+            a += e[:, s0:s1] @ np.divide(1.0, d, out=d).T
+        del d  # before the next box's blocks, which can then reuse its memory
+        if not near[i + 1].all():
+            a += phi[i] @ _barycentric(om[m0:m1], p, pw).T
         yield m0 + 1, a
 
 
@@ -275,7 +274,7 @@ def _secular_parts(om, g2, omega0, origin, tau, act, boxes, far):
         hp[r0:r1] += np.square(r, out=r) @ g2[src]
         if not near[j].all():
             phi, phi2 = far[0][j - 1, 0], far[1][j - 1, 0]
-            b = _barycentric(om[o[r0:r1]] + t[r0:r1], px[j], pw)
+            b = _barycentric(om[o[r0:r1]] + t[r0:r1], px[j - 1], pw)
             h[r0:r1] -= b @ phi
             hp[r0:r1] += b @ phi2
     return h, hp
@@ -287,18 +286,19 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
     The origin pole omega_o is the nearer bounding pole of the root's
     interval (by the sign of F at its midpoint), or the outermost pole for
     the roots outside the band, whose far ends come from the Gershgorin
-    bound [min(Omega, omega_1) - sum|g|, max(Omega, omega_N) + sum|g|].
-    Each step solves the two-pole model C - S/(tau - q) - g_o^2/tau = 0:
-    the origin's term exact, the rest matched in value and slope by a pole
-    at the interval's far end q (for outer roots, twice the Gershgorin
-    distance).  Steps leaving the sign bracket F(lo) < 0 < F(hi) bisect.
-    Roots leave the active set once a step moves alpha by about a rounding
-    unit.  The boxes of _boxes are built once, at the first roots, with the
-    edge boxes near every box: the edge roots, the only ones that move
-    across the boxes, sum all modes exactly.  g^2 is anterpolated onto the
-    middle boxes' proxies and its far field taken at them once per solve,
-    on the _tree of the middle boxes, and every pass sums F and F' on
-    these boxes (_secular_parts).
+    bound [min(Omega, omega_1) - sum|g|, max(Omega, omega_N) + sum|g|]; an
+    end that rounds onto its pole (sum|g| below half an ulp of it) raises
+    RootNotBracketed.  Each step solves the two-pole model
+    C - S/(tau - q) - g_o^2/tau = 0: the origin's term exact, the rest
+    matched in value and slope by a pole at the interval's far end q (for
+    outer roots, twice the Gershgorin distance).  Steps leaving the sign
+    bracket F(lo) < 0 < F(hi) bisect.  Roots leave the active set once a
+    step moves alpha by about a rounding unit.  The boxes and tree of
+    _boxes are the bath's, built once; the outer roots, the only ones that
+    move across the boxes, are near every box and sum all modes exactly.
+    g^2 is anterpolated onto the middle boxes' proxies and its far field
+    taken at them once per solve, on the tree, and every pass sums F and F'
+    on these boxes (_secular_parts).
     The weights w = 1/F'(alpha) = 1/(h' + g_o^2/tau^2) come from one more
     pass at the stored alpha, with tau = alpha - omega_o.  A non-finite or
     non-positive omega0 raises InvalidValue."""
@@ -311,6 +311,8 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
         raise RootNotBracketed("a coupling below 1e-154 leaves its root on its pole")
     spread = float(np.sum(np.abs(g)))
     outer = (min(omega0, om[0]) - spread - om[0], max(omega0, om[-1]) + spread - om[-1])
+    if 0.0 in outer:
+        raise RootNotBracketed("sum|g| rounds away beside an outer pole: its root starts on it")
     gaps = np.diff(om)
 
     # outer roots start at their Gershgorin ends, inner ones at midpoints
@@ -320,11 +322,10 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
     lo = np.concatenate(([outer[0]], np.zeros(n)))
     hi = np.concatenate(([0.0], 0.5 * gaps, [outer[1]]))
     act = np.arange(n + 1)
-    boxes = cm, _, near, px, pw = _boxes(om[origin] + tau, om)
-    near[[0, -1]] = near[:, [0, -1]] = True  # the edge roots sum every mode exactly
-    levels = _tree(px[1:-1], near[1:-1, 1:-1])  # the edge boxes hold no modes
-    anterp = (g2[m0:m1] @ _barycentric(om[m0:m1], p, pw) for m0, m1, p in zip(cm, cm[1:], px))
-    g2_px = np.stack(list(anterp))[1:-1, None]
+    *boxes, levels = _boxes(om)
+    cm, _, _, px, pw = boxes
+    anterp = (g2[m0:m1] @ _barycentric(om[m0:m1], p, pw) for m0, m1, p in zip(cm[1:], cm[2:], px))
+    g2_px = np.stack(list(anterp))[:, None]
     far = _far(levels, g2_px), _far(levels, g2_px, square=True)
     del levels  # the passes need only far
     h, hp = _secular_parts(om, g2, omega0, origin, tau, act, boxes, far)

@@ -242,19 +242,32 @@ class TestExitCodes:
         assert proc.stderr == ""
 
     @pytest.mark.parametrize(
-        "text, prefix",
+        "text, code, prefix",
         [
-            ("t_step = 1e308\nn_steps = 3\noutputs = survival\n", "InvalidValue: line "),
-            ("coupling = explicit\nomegas = -1e308, 1e308\ncouplings = 0.1, 0.1\n", "InvalidValue: line "),
-            ("coupling = explicit\nomegas = 1.0\ncouplings = 1e200\noutputs = survival\n", "InvalidValue: line "),
+            ("t_step = 1e308\nn_steps = 3\noutputs = survival\n", 2, "InvalidValue: line "),
+            ("coupling = explicit\nomegas = -1e308, 1e308\ncouplings = 0.1, 0.1\n", 2, "InvalidValue: line "),
+            ("coupling = explicit\nomegas = 1.0\ncouplings = 1e200\noutputs = survival\n", 2, "InvalidValue: line "),
             # grid and bath are each fine; their phases t * alpha overflow
-            ("t_step = 5e307\nn_steps = 3\noutputs = survival\n", "InvalidValue: phases "),
-            ("A = 1e300\n", "InvalidValue: line "),
-            ("n_steps = 100000000000000000000\n", "InvalidValue: line "),
+            ("t_step = 5e307\nn_steps = 3\noutputs = survival\n", 2, "InvalidValue: phases "),
+            ("A = 1e300\n", 2, "InvalidValue: line "),
+            ("n_steps = 100000000000000000000\n", 2, "InvalidValue: line "),
+            # sum|g| rounds away beside omega_1: the lowest root starts on its pole
+            ("coupling = explicit\nomegas = 1.0\ncouplings = 1e-150\n", 3, "RootNotBracketed: "),
+            ("Omega = 2\ncoupling = explicit\nomegas = 1.0\ncouplings = 1e-150\n", 3, "RootNotBracketed: "),
+            # the Lorentzian half-width squares to 0
+            ("N = 4\nA = 1e-200\n", 2, "InvalidValue: line "),
+            ("N = 100\nA = 1e-170\n", 2, "InvalidValue: line "),
+            # P0/(M Omega), or |X0| + |P0/(M Omega)|, is not finite
+            ("M = 1e-320\nP0 = 1\n", 2, "InvalidValue: mean position "),
+            ("X0 = 1.5e308\nP0 = -1.5e308\n", 2, "InvalidValue: mean position "),
         ],
-        ids=["last-time", "bath-span", "bath-g2", "phase", "lorentzian-width", "grid-size"],
+        ids=[
+            "last-time", "bath-span", "bath-g2", "phase", "lorentzian-width", "grid-size",
+            "outer-root-on-pole", "outer-root-on-pole-omega-2", "half-width-n4", "half-width-n100",
+            "position-mass", "position-span",
+        ],
     )
-    def test_overflowing_input_is_config_error(self, tmp_path, text, prefix):
+    def test_overflowing_input_is_config_error(self, tmp_path, text, code, prefix):
         # one error line, no numpy warning and nothing written
         cfg = tmp_path / "c.cfg"
         cfg.write_text(text)
@@ -264,7 +277,7 @@ class TestExitCodes:
             capture_output=True,
             text=True,
         )
-        assert proc.returncode == 2
+        assert proc.returncode == code
         assert proc.stderr.startswith(prefix)
         assert proc.stderr.count("\n") == 1
         assert not out.exists()

@@ -235,33 +235,31 @@ class TestRow0KernelAccuracy:
     def test_wide_box_among_narrow_ones(self, per_level):
         # three narrow 128-mode boxes, a very wide one, a narrow one: box 1 is
         # near box 4, whose width reaches it, but not box 3 between them, so
-        # its near boxes are no single run.  Level by level of the tree, the
-        # wide box's ancestor is near every box and so in no far pair, while
-        # box 5 beside it meets boxes 0-3 at the leaves and box 6, whose
-        # parent is box 6 alone, meets box 1 at the leaves and boxes 2-3
-        # through their parent
+        # its near boxes are no single run.  On the tree, whose leaves are
+        # the middle boxes numbered one less (the outer boxes 0 and 6 are
+        # near every box), the wide box 3's ancestor is near every box and
+        # so in no far pair, while box 4 beside it, whose parent is box 4
+        # alone, meets box 2 at the leaves and boxes 0-1 through their parent
         narrow = 1e-3 * np.arange(128)
         omegas = np.concatenate(
             [0.5 + narrow, 0.628 + narrow, 0.756 + narrow, np.linspace(1.0, 5.0, 128), 5.001 + narrow]
         )
         bath = build_bath(ModelParams.explicit(omegas, np.full(omegas.size, 0.002)))
         spec = solve_spectrum(bath, 1.0)
-        _, _, near, px, _ = spectrum._boxes(spec.alphas, bath.omegas)
-        assert near.shape == (7, 7)
-        assert near[1].tolist() == [True, True, True, False, True, False, False]
+        *_, near, px, _, levels = spectrum._boxes(bath.omegas)
+        assert near.shape == (7, 7) and px.shape[0] == 5
+        assert near[1].tolist() == [True, True, True, False, True, False, True]
         assert near[4].all() and not near[5].all()
         if per_level:
-            levels = spectrum._tree(px, near)
             pairs = []
             for a, m2l in levels:
                 box = np.arange(len(a))
                 pairs.append({(int(t), int(s)) for ts, ss, _ in m2l for t, s in zip(box[ts], box[ss])})
             assert len(levels) == 2
             for level, far in enumerate(pairs):
-                assert not any(4 >> level in pair for pair in far)
-            assert {s for t, s in pairs[0] if t == 5} == {0, 1, 2, 3}
-            assert {s for t, s in pairs[0] if t == 6} == {1}
-            assert pairs[1] == {(3, 1), (1, 3)}
+                assert not any(3 >> level in pair for pair in far)
+            assert pairs[0] == {(0, 2), (2, 0), (2, 4), (4, 2)}
+            assert pairs[1] == {(0, 2), (2, 0)}
         occ = thermal_occupations(bath, 1.0, 1.0)
         ts = 50.0 + 0.1 * np.arange(400)
         got = oscillator_population(spec, occ, ts)

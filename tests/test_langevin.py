@@ -236,6 +236,24 @@ class TestMeanPosition:
         with pytest.raises(ValueError):
             LangevinInput(mass=0.0)
 
+    @pytest.mark.parametrize(
+        "inp, omega0",
+        [
+            (LangevinInput(p0=1.0, mass=1e-320), 1.0),
+            (LangevinInput(x0=1.5e308, p0=-1.5e308), 1.0),
+            (LangevinInput(p0=1.0, mass=5e-324), 0.5),  # M Omega rounds to 0
+        ],
+        ids=["tiny-mass", "wide-span", "mass-omega-underflow"],
+    )
+    def test_unrepresentable_position_rejected(self, inp, omega0):
+        # P0/(M Omega), or |X0| + |P0/(M Omega)|, is not finite
+        bath = build_bath(ModelParams.explicit([0.3, 0.8, 1.4], [0.05, 0.1, 0.08]))
+        spec = solve_spectrum(bath, omega0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidValue, match="not representable"):
+                mean_position(spec, inp, np.linspace(0.0, 1.0, 6))
+
 
 class TestEstimateGamma:
     def test_reference_fit(self, ref_spectrum):

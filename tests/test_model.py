@@ -155,6 +155,14 @@ class TestParamValidation:
             with pytest.raises(InvalidValue, match="must be finite"):
                 build_bath(ModelParams.explicit(omegas, couplings))
 
+    @pytest.mark.parametrize("n_bath, step", [(4, 1e-200), (100, 1e-170)])
+    def test_underflowing_half_width_rejected(self, n_bath, step):
+        # a^2 = 0 would make the coupling of the mode on Omega 0/0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidValue, match="step = .* too small"):
+                ModelParams(n_bath=n_bath, step=step)
+
     def test_wide_monotonic_check_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -260,20 +260,6 @@ class TestAgainstDenseOracle:
         np.testing.assert_allclose(spec.alphas, oracle.alphas, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(spec.weights, oracle.weights, rtol=0.0, atol=1e-10)
 
-    @UNEVEN_BATHS
-    def test_middle_boxes_do_not_move_with_the_roots(self, omegas, omega0):
-        # the solve builds its boxes once, on its first roots (the midpoints),
-        # and _cauchy builds them on the final roots: the middle boxes, the
-        # only ones the solve takes a far field for, are the same in both
-        bath = build_bath(ModelParams.explicit(omegas, np.full(omegas.size, 0.002)))
-        om = bath.omegas
-        mid = np.concatenate(([om[0] - 1.0], om[:-1] / 2 + om[1:] / 2, [om[-1] + 1.0]))
-        _, _, near, px, _ = spectrum._boxes(mid, om)
-        _, _, near_s, px_s, _ = spectrum._boxes(solve_spectrum(bath, omega0).alphas, om)
-        assert px.shape[0] > 3
-        np.testing.assert_array_equal(px[1:-1], px_s[1:-1])
-        np.testing.assert_array_equal(near[1:-1, 1:-1], near_s[1:-1, 1:-1])
-
     def test_poles_1e15_apart_resolved(self, ref_bath):
         # about five rounding units apart: the root between them is placed
         # inside the gap and the spectrum matches the dense eigensystem
@@ -294,11 +280,12 @@ class TestNeedsDeflation:
     warning or a silently wrong spectrum."""
 
     @staticmethod
-    def solve(omegas, couplings):
+    def solve(omegas, couplings, omega0=1.0):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(QbmError):
-                solve_spectrum(DiscretizedBath(omegas, couplings), 1.0)
+            with pytest.raises(QbmError) as err:
+                solve_spectrum(DiscretizedBath(omegas, couplings), omega0)
+        return err.value
 
     def test_one_coupling_scaled_by_1e9(self, ref_bath):
         g = ref_bath.couplings.copy()
@@ -314,6 +301,12 @@ class TestNeedsDeflation:
         om = ref_bath.omegas.copy()
         om[51] = np.nextafter(om[50], np.inf)
         self.solve(om, ref_bath.couplings)
+
+    @pytest.mark.parametrize("omega0", [1.0, 2.0])
+    def test_outer_root_starts_on_its_pole(self, omega0):
+        # sum|g| is below half an ulp of omega_1, so the Gershgorin end of
+        # the root below it rounds onto the pole
+        assert isinstance(self.solve([1.0], [1e-150], omega0), RootNotBracketed)
 
 
 def test_solver_memory_stays_below_one_dense_array():
@@ -349,16 +342,14 @@ def test_recurrence_probe_solve_memory(recurrence_probe):
 
 
 def test_one_box_geometry_and_far_field_per_solve(recurrence_probe):
-    # the edge roots sum every mode exactly, so no pass rebuilds the boxes
-    # or the tree; the row-0 kernel builds both once per call, not per run
+    # the geometry is the bath's, so no pass rebuilds the boxes or the tree;
+    # the row-0 kernel builds both once per call, not per run
     bath = recurrence_probe.bath
-    n_boxes = spectrum._boxes(recurrence_probe.alphas, bath.omegas)[3].shape[0]
     with (
         mock.patch.object(spectrum, "_boxes", wraps=spectrum._boxes) as boxes,
         mock.patch.object(spectrum, "_tree", wraps=spectrum._tree) as trees,
     ):
         solve_spectrum(bath, 1.0)
-    assert n_boxes == 81
     assert boxes.call_count == 1
     assert trees.call_count == 1
     ts = 100.0 + 5.0 * np.arange(300)
@@ -367,8 +358,37 @@ def test_one_box_geometry_and_far_field_per_solve(recurrence_probe):
     occ = thermal_occupations(bath, 1.0, 1.0)
     with (
         mock.patch.object(evolution, "_boxes", wraps=spectrum._boxes) as boxes,
-        mock.patch.object(evolution, "_tree", wraps=spectrum._tree) as trees,
+        mock.patch.object(spectrum, "_tree", wraps=spectrum._tree) as trees,
     ):
         population_decomposition(recurrence_probe, occ, ts)
     assert boxes.call_count == 1
     assert trees.call_count == 1
+
+
+def test_solve_and_kernel_share_one_tree(recurrence_probe):
+    # both boxed sums take their boxes, near relation and tree from the bath
+    # alone: 79 middle boxes of modes at N = 10^4, none of zero width, with
+    # the outer roots near every box and in no tree
+    built, boxes = [], spectrum._boxes
+
+    def record(*args):
+        built.append(boxes(*args))
+        return built[-1]
+
+    occ = thermal_occupations(recurrence_probe.bath, 1.0, 1.0)
+    with mock.patch.object(spectrum, "_boxes", record), mock.patch.object(evolution, "_boxes", record):
+        spec = solve_spectrum(recurrence_probe.bath, 1.0)
+        population_decomposition(spec, occ, 100.0 + 5.0 * np.arange(300))
+    (near, px, levels), (near_k, px_k, levels_k) = [(b[2], b[3], b[-1]) for b in built]
+    assert px.shape[0] == px_k.shape[0] == 79
+    assert np.all(px[:, 0] > px[:, -1])
+    assert near[[0, -1]].all() and near[:, [0, -1]].all()
+    np.testing.assert_array_equal(px_k, px)
+    np.testing.assert_array_equal(near_k, near)
+    assert [len(a) for a, _ in levels] == [79, 40, 20, 10, 5, 3]
+    assert len(levels_k) == len(levels)
+    for (a, m2l), (a_k, m2l_k) in zip(levels, levels_k):
+        np.testing.assert_array_equal(a_k, a)
+        assert [(t, s) for t, s, _ in m2l_k] == [(t, s) for t, s, _ in m2l]
+        for (*_, k), (*_, k_k) in zip(m2l, m2l_k):
+            np.testing.assert_array_equal(k_k, k)
