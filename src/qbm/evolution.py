@@ -18,12 +18,13 @@ That kernel needs only row 0, U_0m(t) = sum_nu K_num exp(-i alpha_nu t),
 and runs on the node-time phase kernel of langevin (|U_0m|^2 does not see
 the band-centre phase): the Cauchy product against 1/(omega_m - alpha_nu)
 runs on the K node times, not the T grid times, as spectrum._cauchy, on
-the boxes and tree that the solve uses (both described in spectrum).  The
-product is folded box by box into a K x K Gram matrix per half of the
-phase block, O(N K^2), and never stored whole; their sum turns the
-population at each of the T times into a quadratic form in that time's
-barycentric row, O(K^2 T) in all.  The survival amplitude, on the same
-kernel, is the (0,0) element
+the boxes and tree the solve built, which the spectrum keeps (both
+described in spectrum), which streams a large run's phase rows root box
+by root box.  The product is never held: it is folded box by box into a
+K x K Gram matrix per half of the phase rows, O(N K^2), and the population
+at each of the T times is a quadratic form in that time's barycentric row,
+O(K^2 T) in all.  The survival amplitude, on the same kernel, is the (0,0)
+element
 
     A(t) = sum_nu w_nu exp(-i alpha_nu t),
 
@@ -38,7 +39,7 @@ import numpy as np
 from .errors import InvalidValue
 from .langevin import _check_phases, _node_sums, _times, moment_signal
 from .model import InitialOccupations
-from .spectrum import Spectrum, _boxes, _cauchy, overlap_matrix
+from .spectrum import Spectrum, _cauchy, overlap_matrix
 
 
 def survival_probability(spec: Spectrum, t) -> np.ndarray:
@@ -77,30 +78,29 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
     """sum_m P_{Omega,m}(t) v[m, k] for each column k of v, shape (k, T).
     Row 0 of U(t) is U_0m = sum_nu K_num e^{-i alpha_nu t}, K_nu0 = w_nu and
     K_num = w_nu g_m / (alpha_nu - omega_m) (g_m^2 moves onto v; a column's
-    sign drops out of |U_0m|^2, and so does the band-centre phase).  The
-    node-run kernel contracts each half of its phase block with the boxed
-    product _cauchy, column 0 the plain sum, on the boxes and tree of
-    _boxes, built from the bath once per call, and folds it in box by box.
-    On a node run, each block s of that product scaled by sqrt(v g^2) adds
-    s s^T to the half's K x K Gram matrix per column of v; the carry sums
-    the cos and sin halves to G, and the times take b G b^T, b their
-    barycentric rows.  On a run of its own times each half's squares meet
-    v g^2 directly."""
-    al, om, cols = spec.alphas, spec.bath.omegas, v.shape[1]
+    sign drops out of |U_0m|^2, and so does the band-centre phase).  A run's
+    cos and sin rows meet the boxed product _cauchy on the spectrum's boxes,
+    folded in box by box: on a node run each block s, scaled by sqrt(v g^2),
+    adds s s^T to its half's K x K Gram matrix per column of v; on a run of
+    its own times its squares meet v g^2.  The carry sums the halves to G,
+    and the times take b G b^T, b their barycentric rows."""
+    cols = v.shape[1]
     vg = v * np.append(1.0, spec.bath.couplings**2)[:, None]  # >= 0: sqrt(vg) is real
-    boxes = _boxes(om)
+    spec.boxes  # built here, not in a worker, if the spectrum was made directly
 
-    def contract(e, on_nodes):
-        halves, k = e.shape[:2]
-        g = np.zeros((halves, cols, k, k) if on_nodes else (halves, k, cols))
-        for m0, a in _cauchy(e.reshape(halves * k, -1), al, om, boxes):
-            m1, a = m0 + a.shape[1], a.reshape(halves, k, -1)
+    def contract(phase, buffer, k, on_nodes, whole):
+        g = np.zeros((2, cols, k, k) if on_nodes else (2, k, cols))
+
+        def fold(m0, s):
+            m1, s3 = m0 + s.shape[1], s.reshape(2, k, -1)
             if on_nodes:
                 for c, rc in enumerate(np.sqrt(vg[m0:m1]).T):
-                    s = np.multiply(a, rc, out=a if c == cols - 1 else None)  # the last in place
-                    g[:, c] += s @ s.transpose(0, 2, 1)
+                    t = np.multiply(s3, rc, out=s3 if c == cols - 1 else None)  # last in place
+                    g[:, c] += t @ t.transpose(0, 2, 1)
             else:  # |U_0m|^2 = cos part^2 + sin part^2, squared in place
-                g += np.square(a, out=a) @ vg[m0:m1]
+                g[:] += np.square(s3, out=s3) @ vg[m0:m1]
+
+        _cauchy(phase, lambda width: buffer(2 * k * width).reshape(2 * k, width), spec, fold, whole)
         return g
 
     def carry(a, b):  # the halves summed; b G b^T, row by row of b, for each G

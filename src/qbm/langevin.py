@@ -33,10 +33,8 @@ are nodes, so t = 0 is exact) and contracted along the mode axis; the
 caller's carry step takes that to the times with the matrix of the second
 (true) barycentric form (Berrut & Trefethen, SIAM Rev. 46, 2004), taken on
 the nodes as rounded: no error floor.  The runs are the only partition of
-the time axis: QBM_THREADS worker threads take whole runs, each with a
-phase block of its own.  A block of more than _PHASE_CELLS entries is
-formed and contracted one half at a time, its cos rows and then its sin
-rows, so that only one half is held.
+the time axis: QBM_THREADS worker threads take whole runs, each forming
+the phase rows a run's contraction asks for in a buffer of its own.
 """
 
 from __future__ import annotations
@@ -55,8 +53,9 @@ from .spectrum import Spectrum, _barycentric, _chebyshev
 _DENOM_RTOL = 1e-12
 _AMPLITUDE_FLOOR = 1e-12
 _FIT_SAMPLES = 256
-_T_CHUNK = 512  # most node times per phase block
-_PHASE_CELLS = 1 << 21  # most phase-block entries held at once: halves one at a time past it
+_T_CHUNK = 512  # most node times per run
+_PHASE_CELLS = 1 << 21  # most entries 2 K (N+1) of a phase block formed whole; streamed past it
+_SLICE_CELLS = 1 << 17  # most entries of a phase slice of the moments
 _CELLS = 1 << 18  # most entries in a carry block
 _T_SPAN = 8192  # most grid times one run looks ahead
 # K = r h + 12 (r h)^(1/3) + 4 nodes: 4 sum_{k>=K} |J_k(r h)| < 1e-17 bounds
@@ -157,43 +156,41 @@ def _worker_count() -> int:
 
 def _node_sums(spec: Spectrum, ts: np.ndarray, contract, carry, out: np.ndarray) -> np.ndarray:
     """out[:, rows] = carry(a, b) per block of the times ts; returns out.
-    Per run of _node_runs the phase block [w cos(x (alpha - abar));
-    w sin(x (alpha - abar))] at its K nodes x meets the mode axis in
-    a = contract(e, on_nodes): sum_nu (...) e^{-i alpha_nu t}
-    = e^{-i abar t} (cos part - i sin part).  e holds both halves,
-    shape (2, K, N+1), or, if that would pass _PHASE_CELLS entries, the cos
-    half and then the sin half, (1, K, N+1) each; contract returns one
-    result per half, stacked on axis 0, and a stacks both.  b is the
+    Per run of _node_runs, a = contract(phase, buffer, K, on_nodes, whole)
+    meets the phase rows [cos(x (alpha - abar)); sin(x (alpha - abar))] at
+    its K nodes x with the mode axis, sum_nu (...) e^{-i alpha_nu t} =
+    e^{-i abar t} (cos part - i sin part), one result per half stacked on
+    axis 0; whole: both halves fit _PHASE_CELLS entries.  phase(e, trig, c0,
+    c1) forms the rows [f(...) for f in trig] of the roots c0:c1 in e, and
+    buffer(cells) is the worker's own array of that many entries.  b is the
     (rows, K) barycentric matrix to the times ts[rows] or, on a run of its
     own times, None with a sliced to those rows on axis -2.  The runs are
-    mapped over _worker_count threads; each forms its runs' blocks in a
-    buffer of its own and writes only their columns of out, and the runs
-    depend on the times alone, so the worker count never changes a value.
-    b holds at most _CELLS entries."""
+    mapped over _worker_count threads, each writing only its runs' columns
+    of out, and depend on the times alone, so the worker count never changes
+    a value.  b holds at most _CELLS entries."""
     workers = _worker_count()
     al = spec.alphas
     _check_phases(ts, al)
-    mid, r = al[0] / 2 + al[-1] / 2, al[-1] / 2 - al[0] / 2
+    z, r = al - (al[0] / 2 + al[-1] / 2), al[-1] / 2 - al[0] / 2
     # a list, not the generator: a run being built would sit on a worker's peak
     runs = list(_node_runs(ts, r, al.size))
-    # a block buffer per worker, not a block per run: freeing a block raises
+    # a phase buffer per worker, not per run: freeing a large block raises
     # glibc's mmap threshold, and the worker's later arrays stay in its heap
     local = threading.local()
 
+    def buffer(cells):  # the worker's phase buffer, grown as needed
+        if (e := getattr(local, "e", None)) is None or e.size < cells:
+            e = local.e = np.empty(cells)
+        return e[:cells]
+
     def run(i0, t, x, w):
-        k = x.size
-        whole = 2 * k * al.size <= _PHASE_CELLS
-        if len(getattr(local, "e", ())) < (cells := (2 if whole else 1) * k * al.size):
-            local.e = np.empty(cells)
-        e, parts = local.e[:cells].reshape(-1, k, al.size), []
-        for trig in [(np.cos, np.sin)] if whole else [(np.cos,), (np.sin,)]:
-            np.multiply.outer(x, al - mid, out=e[-1])
-            for f, half in zip(trig, e):
-                f(e[-1], out=half)
-            e *= spec.weights
-            parts.append(contract(e, w is not None))
-        a = parts[0] if whole else np.concatenate(parts)
-        step = max(1, _CELLS // k)
+        def phase(e, trig, c0, c1):
+            np.multiply.outer(x, z[c0:c1], out=e[-x.size :])
+            for h, f in enumerate(trig):
+                f(e[-x.size :], out=e[h * x.size : (h + 1) * x.size])
+
+        a = contract(phase, buffer, x.size, w is not None, 2 * x.size * al.size <= _PHASE_CELLS)
+        step = max(1, _CELLS // x.size)
         for j in range(0, t.size, step):
             n = min(step, t.size - j)
             b = None if w is None else _barycentric(t[j : j + n], x, w)
@@ -221,8 +218,14 @@ def _moments(spec: Spectrum, ks, t) -> np.ndarray:
         u = a if b is None else b @ a
         return (u[0] - 1j * u[1]).T
 
-    def contract(e, _):  # one product over every row of the halves it gets
-        return (e.reshape(-1, al.size) @ coeff).reshape(len(e), -1, len(ks))
+    def contract(phase, buffer, k, *_):  # one product per slice of the roots, weighted in place
+        width = min(al.size, max(1, _SLICE_CELLS // (2 * k)))
+        for c0 in range(0, al.size, width):
+            e = buffer(2 * k * width).reshape(2 * k, width)[:, : al.size - c0]
+            phase(e, (np.cos, np.sin), c0, c0 + e.shape[1])
+            e *= spec.weights[c0 : c0 + width]
+            u = e @ coeff[c0 : c0 + width] + u if c0 else e @ coeff[:width]
+        return u.reshape(2, k, len(ks))
 
     s = _node_sums(spec, ts, contract, carry, out)
     return s * np.exp(-1j * (al[0] / 2 + al[-1] / 2) * ts)

@@ -205,6 +205,8 @@ def thermal_occupations(
         raise NonPositiveFrequency(
             "thermal occupation undefined for modes with omega <= 0"
         )
-    with np.errstate(over="ignore"):  # beta*omega > ~709: expm1 = inf, n = 0
+    with np.errstate(over="ignore", divide="ignore"):  # beta*omega > ~709: n = 0; ~0: n = inf
         occ = 1.0 / np.expm1(beta * bath.omegas)
+    if not np.all(np.isfinite(occ)):
+        raise InvalidValue(f"beta = {beta} is too small: 1 / expm1(beta * omega) is not finite")
     return InitialOccupations(n_omega0=float(n_omega0), n_bath_modes=occ)

@@ -44,12 +44,13 @@ F' in O(N (n_near + p)) per pass, not O(N^2): its boxes are the bath's,
 so the far field of g^2 is taken once per solve.  _cauchy, for the row-0
 population kernel in evolution, runs the transposed product of K rows
 against 1/(omega_m - alpha_nu), O(K N (n_near + p)), on the same boxes and
-tree.
+tree, which the spectrum keeps, streaming the rows root box by root box.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,6 +109,10 @@ class Spectrum:
     def tau_omega(self) -> float:
         """Bare oscillator period 2*pi/omega0."""
         return 2.0 * np.pi / self.omega0
+
+    @cached_property
+    def boxes(self) -> tuple:  # _boxes of the bath: the solve's, or built here on first use
+        return _boxes(self.bath.omegas)
 
 
 def _chebyshev(lo, hi, k):
@@ -192,12 +197,12 @@ def _tree(x, near):
     return levels
 
 
-def _far(levels, q, square=False):
+def _far(levels, q, square=False, out=None):
     """Far-field potentials sum' q/(x - y), or sum' q/(x - y)^2 with square,
     at the leaves' proxies x from the charges q at their proxies y, both
-    (leaves, rows, p), on _tree's levels (None without levels): the charges
-    go up the tree, meet through each level's m2l blocks, and the potentials
-    come back down, each level one batch of (boxes, rows, p) products."""
+    (leaves, rows, p), on _tree's levels (None without levels), into out if
+    given: the charges go up the tree, meet through each level's m2l blocks,
+    and come back down as potentials, each level one (boxes, rows, p) batch."""
     qs = [q]
     for a, _ in levels[:-1]:
         q = qs[-1]
@@ -207,8 +212,10 @@ def _far(levels, q, square=False):
     phi = None
     for a, m2l in levels[::-1]:
         q = qs.pop()
-        f = np.zeros_like(q) if phi is None else np.empty_like(q)
-        if phi is not None:  # the parent's potentials to its children's proxies
+        f = np.empty_like(q) if qs or out is None else out
+        if phi is None:
+            f[:] = 0.0
+        else:  # the parent's potentials to its children's proxies
             np.matmul(phi, a[::2].transpose(0, 2, 1), out=f[::2])
             np.matmul(phi[: len(q) // 2], a[1::2].transpose(0, 2, 1), out=f[1::2])
         phi = f  # the parent's are freed before the m2l products
@@ -217,35 +224,62 @@ def _far(levels, q, square=False):
     return phi
 
 
-def _cauchy(e, al, om, boxes):
-    """The columns [e.sum(axis=1), e @ (1 / (om_m - al_nu))^T], N + 1 in
-    all, for the N + 1 sorted roots al and N sorted modes om, yielded box by
-    box of boxes = _boxes(om) as (first column, block of len(e) rows); the
-    whole product is never stored.  The outer roots are summed exactly, one
-    rank-2 product per box, and so are near pairs, one product per run of
-    near boxes on a slice of e; the far field goes through the tree: e is
-    anterpolated onto each middle box's p = _PROXIES Chebyshev proxies, _far
-    takes the potentials to every box's proxies, and the barycentric
-    interpolant carries them to the modes.  Per row 2 N (n_near + 2) + 4 N p
-    flops, and O(N p^2 / B) in the tree."""
-    cm, cr, near, px, pw, levels = boxes
-    q = np.empty((len(px), len(e), _PROXIES))
-    for i, (a0, a1) in enumerate(zip(cr[1:-2], cr[2:-1])):
-        np.matmul(e[:, a0:a1], _barycentric(al[a0:a1], px[i], pw), out=q[i])
-    phi = _far(levels, q)
-    del q
-    yield 0, e.sum(axis=1)[:, None]
-    outer, k_outer = e[:, [0, -1]], 1.0 / np.subtract.outer(om, al[[0, -1]])
-    for i, (m0, m1, p) in enumerate(zip(cm[1:], cm[2:], px)):
-        a = outer @ k_outer[m0:m1].T
-        cuts = cr[1:-1][np.flatnonzero(np.diff(near[i + 1, 1:-1], prepend=False, append=False))]
-        for s0, s1 in cuts.reshape(-1, 2):  # a run of near boxes: a slice of e
+def _cauchy(phase, buffer, spec, fold, whole):
+    """The columns [sum_nu w_nu e_nu, sum_nu w_nu e_nu / (om_m - al_nu)] for
+    the roots al, weights w and modes om of spec and the K cos and K sin
+    rows e that phase(out, trig, c0, c1) forms for the roots c0:c1, box by
+    box of spec.boxes: box i's columns m0:m1 go to fold(m0, s), column 0
+    last to fold(0, s).  The outer roots are summed exactly, one rank-2
+    product per box, and so are near pairs, one product per run of near
+    boxes; the far field goes through the tree: each root box is
+    anterpolated onto its p = _PROXIES proxies, _far takes the potentials to
+    every box's proxies, and the barycentric interpolant carries them to the
+    modes.  e = buffer(width), (2 K, width), holds every inner root with
+    whole; otherwise one root box for the anterpolation, then twice the
+    widest window as it slides up the roots, each target box's window
+    running from the first root box near a target at or after it to the
+    last near one at or before it.  Per row 2 N (n_near + 2) + 2 N p flops."""
+    al, w, om = spec.alphas, spec.weights, spec.bath.omegas
+    cm, cr, near, px, pw, levels = spec.boxes
+    n, boxed, trig = om.size, near[1:-1, 1:-1], (np.cos, np.sin)
+    lo = cr[1:][np.minimum.accumulate(np.argmax(boxed, axis=1)[::-1])[::-1]]
+    hi = cr[2:][np.maximum.accumulate(len(px) - 1 - np.argmax(boxed[:, ::-1], axis=1))]
+    edges = np.diff(boxed, axis=1, prepend=False, append=False)  # each target's near runs' ends
+    e = buffer(n - 1 if whole else int(np.max(np.diff(cr[1:-1]))))  # every inner root, or a box
+    k, outer, h0, h1 = len(e) // 2, np.empty((len(e), 2)), 0, 0  # e holds the roots h0:h1
+
+    def window(c0, c1):  # keep the roots e holds from c0 on, form the rest on to its end
+        nonlocal h0, h1
+        if c1 > h1:
+            keep = max(h1 - c0, 0)
+            e[:, :keep] = e[:, c0 - h0 : c0 - h0 + keep]
+            h0, h1 = c0, min(c0 + e.shape[1], n)
+            phase(e[:, keep : h1 - c0], trig, c0 + keep, h1)
+        return e[:, c0 - h0 : c1 - h0]
+
+    phase(outer[:, :1], trig, 0, 1)
+    phase(outer[:, 1:], trig, n, n + 1)
+    k_outer, total = w[[0, -1]] / np.subtract.outer(om, al[[0, -1]]), outer @ w[[0, -1]]
+    # [phi cos; q cos; q sin]; the tree takes K rows at a time, phi's sin rows over q's cos
+    pq = np.empty((len(px), 3 * k, _PROXIES))
+    for j, (r0, r1) in enumerate(zip(cr[1:-2].tolist(), cr[2:-1].tolist())):
+        b, ej = _barycentric(al[r0:r1], px[j], pw), window(r0, r1)
+        np.matmul(ej, np.multiply(b, w[r0:r1, None], out=b), out=pq[j, k:])
+        total += ej @ w[r0:r1]
+    _far(levels, pq[:, k : 2 * k], out=pq[:, :k])
+    _far(levels, pq[:, 2 * k :], out=pq[:, k : 2 * k])
+    if not whole:  # the roots again, as e slides up them
+        e, h0, h1 = buffer(min(n - 1, 2 * int(np.max(hi - lo)))), 0, 0
+    for i, (m0, m1, c0, c1) in enumerate(zip(*[a.tolist() for a in (cm[1:], cm[2:], lo, hi)])):
+        ei, s = window(c0, c1), outer @ k_outer[m0:m1].T
+        for s0, s1 in cr[1:-1][np.flatnonzero(edges[i])].reshape(-1, 2):  # a run of near boxes
             d = np.subtract.outer(om[m0:m1], al[s0:s1])
-            a += e[:, s0:s1] @ np.divide(1.0, d, out=d).T
+            s += ei[:, s0 - c0 : s1 - c0] @ np.divide(w[s0:s1], d, out=d).T
         del d  # before the next box's blocks, which can then reuse its memory
         if not near[i + 1].all():
-            a += phi[i] @ _barycentric(om[m0:m1], p, pw).T
-        yield m0 + 1, a
+            s += pq[i, : 2 * k] @ _barycentric(om[m0:m1], px[i], pw).T
+        fold(m0 + 1, s)
+    fold(0, total[:, None])
 
 
 def _secular_parts(om, g2, omega0, origin, tau, act, boxes, far):
@@ -322,12 +356,11 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
     lo = np.concatenate(([outer[0]], np.zeros(n)))
     hi = np.concatenate(([0.0], 0.5 * gaps, [outer[1]]))
     act = np.arange(n + 1)
-    *boxes, levels = _boxes(om)
+    *boxes, levels = geometry = _boxes(om)
     cm, _, _, px, pw = boxes
     anterp = (g2[m0:m1] @ _barycentric(om[m0:m1], p, pw) for m0, m1, p in zip(cm[1:], cm[2:], px))
     g2_px = np.stack(list(anterp))[:, None]
     far = _far(levels, g2_px), _far(levels, g2_px, square=True)
-    del levels  # the passes need only far
     h, hp = _secular_parts(om, g2, omega0, origin, tau, act, boxes, far)
 
     # interior roots with F(mid) < 0 lie in the upper half: rebase them on
@@ -375,7 +408,9 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
     tau = alphas - om[origin]
     _, hp = _secular_parts(om, g2, omega0, origin, tau, np.arange(n + 1), boxes, far)
     weights = 1.0 / (hp + g2[origin] / tau**2)
-    return Spectrum(alphas=alphas, weights=weights, omega0=float(omega0), bath=bath)
+    spec = Spectrum(alphas=alphas, weights=weights, omega0=float(omega0), bath=bath)
+    vars(spec)["boxes"] = geometry  # cached_property keeps its value under its name
+    return spec
 
 
 def overlap_matrix(spec: Spectrum) -> np.ndarray:

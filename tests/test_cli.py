@@ -260,11 +260,14 @@ class TestExitCodes:
             # P0/(M Omega), or |X0| + |P0/(M Omega)|, is not finite
             ("M = 1e-320\nP0 = 1\n", 2, "InvalidValue: mean position "),
             ("X0 = 1.5e308\nP0 = -1.5e308\n", 2, "InvalidValue: mean position "),
+            # beta * omega rounds to 0, or to a denormal: 1 / expm1 is not finite
+            ("beta = 5e-324\noutputs = population\n", 2, "InvalidValue: beta "),
+            ("beta = 1e-310\noutputs = population\n", 2, "InvalidValue: beta "),
         ],
         ids=[
             "last-time", "bath-span", "bath-g2", "phase", "lorentzian-width", "grid-size",
             "outer-root-on-pole", "outer-root-on-pole-omega-2", "half-width-n4", "half-width-n100",
-            "position-mass", "position-span",
+            "position-mass", "position-span", "tiny-beta", "denormal-beta",
         ],
     )
     def test_overflowing_input_is_config_error(self, tmp_path, text, code, prefix):

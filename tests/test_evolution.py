@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import UNEVEN_BATHS, explicit_spectrum, make_random_bath
 from oracles import direct_moments, naive_transition_probabilities, row0_population
-from qbm import langevin, spectrum
+from qbm import evolution, langevin, spectrum
 from qbm.errors import InvalidValue
 from qbm import (
     ModelParams,
@@ -25,6 +25,17 @@ from qbm import (
     thermal_occupations,
     transition_probabilities,
 )
+
+
+def wide_box_bath():
+    """Three narrow 128-mode boxes, a very wide one and a narrow one, all
+    with 0.002 couplings: the first box is near the wide one but not the
+    one between them, so its near boxes are no single run."""
+    narrow = 1e-3 * np.arange(128)
+    omegas = np.concatenate(
+        [0.5 + narrow, 0.628 + narrow, 0.756 + narrow, np.linspace(1.0, 5.0, 128), 5.001 + narrow]
+    )
+    return build_bath(ModelParams.explicit(omegas, np.full(omegas.size, 0.002)))
 
 
 @pytest.fixture(scope="module")
@@ -240,11 +251,7 @@ class TestRow0KernelAccuracy:
         # near every box), the wide box 3's ancestor is near every box and
         # so in no far pair, while box 4 beside it, whose parent is box 4
         # alone, meets box 2 at the leaves and boxes 0-1 through their parent
-        narrow = 1e-3 * np.arange(128)
-        omegas = np.concatenate(
-            [0.5 + narrow, 0.628 + narrow, 0.756 + narrow, np.linspace(1.0, 5.0, 128), 5.001 + narrow]
-        )
-        bath = build_bath(ModelParams.explicit(omegas, np.full(omegas.size, 0.002)))
+        bath = wide_box_bath()
         spec = solve_spectrum(bath, 1.0)
         *_, near, px, _, levels = spectrum._boxes(bath.omegas)
         assert near.shape == (7, 7) and px.shape[0] == 5
@@ -309,9 +316,9 @@ class TestRow0KernelAccuracy:
 
     def test_half_blocks_match_whole_ones(self, plateau_probe):
         # a cap between one half of the 173-node run's block and both halves
-        # keeps that run and forms its cos and sin halves one at a time; the
-        # runs on their own times, cut at 259 times by the cap, take halves
-        # too
+        # keeps that run and sweeps its cos and then its sin rows, sliding a
+        # window up the roots; the runs on their own times, cut at 259 times
+        # by the cap, take halves too
         spec, occ = plateau_probe
         ts = self.MIXED
         r = spec.alphas[-1] / 2 - spec.alphas[0] / 2
@@ -328,6 +335,51 @@ class TestRow0KernelAccuracy:
             halves = population_decomposition(spec, occ, ts), langevin._moments(spec, (0, 1, 2), ts)
         for got, want in zip(halves, whole):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("streamed", [False, True], ids=["whole", "streamed"])
+    @pytest.mark.parametrize("probe", ["plateau", "groups-of-3"])
+    def test_each_root_formed_once_per_pass(self, plateau_probe, probe, streamed):
+        # a run whose cos and sin rows fit _PHASE_CELLS forms each root once;
+        # past it (a cap of 173 levels per node) the kernel passes up the
+        # roots twice, forming one half of each root box at a time to
+        # anterpolate it and then sliding a window of both halves past the
+        # targets, so each inner root is formed once per pass, also where the
+        # wide-box bath's near rows make the window span every root
+        if probe == "plateau":
+            (spec, occ), ts = plateau_probe, self.MIXED
+        else:
+            spec = solve_spectrum(wide_box_bath(), 1.0)
+            occ, ts = thermal_occupations(spec.bath, 1.0, 1.0), 50.0 + 0.1 * np.arange(400)
+        r = spec.alphas[-1] / 2 - spec.alphas[0] / 2
+        cells = 173 * spec.n_levels if streamed else langevin._PHASE_CELLS
+        formed, cauchy = [], evolution._cauchy
+
+        def spy(phase, *args):  # one call per run: count its roots formed by cos and by sin
+            counts = {np.cos: np.zeros(spec.n_levels, int), np.sin: np.zeros(spec.n_levels, int)}
+            formed.append(counts)
+
+            def counted(e, trig, c0, c1):
+                for f in trig:
+                    counts[f][c0:c1] += 1
+                phase(e, trig, c0, c1)
+
+            cauchy(counted, *args)
+
+        with (
+            mock.patch.object(langevin, "_PHASE_CELLS", cells),
+            mock.patch.object(evolution, "_cauchy", spy),
+        ):
+            sizes = [x.size for *_, x, _ in langevin._node_runs(ts, r, spec.n_levels)]
+            total = population_decomposition(spec, occ, ts)[0]
+        assert all((2 * k * spec.n_levels > cells) == streamed for k in sizes)
+        assert len(formed) == len(sizes)
+        want = np.ones(spec.n_levels, int)
+        want[1:-1] = 2 if streamed else 1
+        for counts in formed:
+            for f in (np.cos, np.sin):
+                np.testing.assert_array_equal(counts[f], want)
+        idx = np.linspace(0, ts.size - 1, 8).astype(int)
+        np.testing.assert_allclose(total[idx], row0_population(spec, occ, ts[idx]), rtol=0.0, atol=1e-13)
 
     def test_runs_bound_the_phase_block(self, recurrence_probe):
         # 3000 steps of the recurrence preset on the N = 10^4 bath would take 442
@@ -397,10 +449,14 @@ def test_population_memory_does_not_grow_with_times():
 
 
 def test_population_memory_on_report_window(recurrence_probe):
-    # the N = 10^4 report window on 148 node times: the phase block, 24 MB
-    # whole, is formed one 12 MB half at a time; the tree's stacks, the boxed
-    # Cauchy product, folded into the 148 x 148 Gram matrices box by box,
-    # and the one (1273, 148) carry block besides are small
+    # the N = 10^4 report window on 148 node times: its phase block, 24 MB
+    # whole, is never held.  Its roots are formed one root box at a time
+    # (0.3 MB) to be anterpolated, then again as a window six boxes wide
+    # (1.8 MB) slides up them.  What the kernel still holds scales with
+    # K (N+1) / B: the cos and sin charges and the potentials that replace
+    # them, (79, 3 x 148, 20) at 5.6 MB, the tree's upper stacks for one
+    # half at a time (1.8 MB) and the 148 x 148 Gram matrices, then the one
+    # (1273, 148) carry block
     spec = recurrence_probe
     occ = thermal_occupations(spec.bath, 1.0, 1.0)
     ts = TimeGrid().times()
@@ -411,4 +467,4 @@ def test_population_memory_on_report_window(recurrence_probe):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 26e6
+    assert peak < 12e6

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from qbm import (
     solve_spectrum,
     survival_probability,
 )
+from qbm import langevin
 from qbm.errors import AmplitudeVanishes, InvalidValue
 
 
@@ -286,6 +288,22 @@ class TestEstimateGamma:
             warnings.simplefilter("error")
             with pytest.raises(InvalidValue, match="finite"):
                 estimate_gamma(ref_spectrum, window)
+
+    def test_recurrence_probe_fit_window_memory(self, recurrence_probe):
+        # the report's fit window on the N = 10^4 bath is one run of 38 node
+        # times, whose (2, 38, 10001) phase block would take 6.1 MB: the
+        # moments meet it one slice of at most _SLICE_CELLS entries at a time
+        spec = recurrence_probe
+        r = spec.alphas[-1] / 2 - spec.alphas[0] / 2
+        runs = langevin._node_runs(np.linspace(1.0, 20.0, 256), r, spec.n_levels)
+        assert [x.size for *_, x, _ in runs] == [38]
+        tracemalloc.start()
+        try:
+            estimate_gamma(spec, (1.0, 20.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     def test_vanishing_amplitude_inside_window(self):
         # engineer a symmetric doublet whose node lands on a sample point

@@ -220,6 +220,15 @@ class TestThermalOccupations:
         assert occ.n_bath_modes[-1] == 0.0
         np.testing.assert_allclose(occ.n_bath_modes, want, rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("beta", [5e-324, 1e-310], ids=["rounds-to-0", "denormal"])
+    def test_tiny_beta_rejected_without_warning(self, ref_bath, beta):
+        # beta * omega rounds to 0 for some modes, or to a denormal whose
+        # inverse overflows: no occupation is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidValue, match=f"beta = {beta} is too small"):
+                thermal_occupations(ref_bath, beta)
+
     def test_negative_occupation_rejected(self):
         with pytest.raises(ValueError):
             InitialOccupations(n_omega0=-0.1, n_bath_modes=np.array([0.5]))

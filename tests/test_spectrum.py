@@ -343,24 +343,19 @@ def test_recurrence_probe_solve_memory(recurrence_probe):
 
 def test_one_box_geometry_and_far_field_per_solve(recurrence_probe):
     # the geometry is the bath's, so no pass rebuilds the boxes or the tree;
-    # the row-0 kernel builds both once per call, not per run
+    # the spectrum keeps the solve's, so the row-0 kernel builds neither
     bath = recurrence_probe.bath
     with (
         mock.patch.object(spectrum, "_boxes", wraps=spectrum._boxes) as boxes,
         mock.patch.object(spectrum, "_tree", wraps=spectrum._tree) as trees,
     ):
-        solve_spectrum(bath, 1.0)
-    assert boxes.call_count == 1
-    assert trees.call_count == 1
-    ts = 100.0 + 5.0 * np.arange(300)
-    r = recurrence_probe.alphas[-1] / 2 - recurrence_probe.alphas[0] / 2
-    assert len(list(langevin._node_runs(ts, r, recurrence_probe.n_levels))) == 2
-    occ = thermal_occupations(bath, 1.0, 1.0)
-    with (
-        mock.patch.object(evolution, "_boxes", wraps=spectrum._boxes) as boxes,
-        mock.patch.object(spectrum, "_tree", wraps=spectrum._tree) as trees,
-    ):
-        population_decomposition(recurrence_probe, occ, ts)
+        spec = solve_spectrum(bath, 1.0)
+        assert boxes.call_count == 1
+        assert trees.call_count == 1
+        ts = 100.0 + 5.0 * np.arange(300)
+        r = spec.alphas[-1] / 2 - spec.alphas[0] / 2
+        assert len(list(langevin._node_runs(ts, r, spec.n_levels))) == 2
+        population_decomposition(spec, thermal_occupations(bath, 1.0, 1.0), ts)
     assert boxes.call_count == 1
     assert trees.call_count == 1
 
@@ -368,7 +363,8 @@ def test_one_box_geometry_and_far_field_per_solve(recurrence_probe):
 def test_solve_and_kernel_share_one_tree(recurrence_probe):
     # both boxed sums take their boxes, near relation and tree from the bath
     # alone: 79 middle boxes of modes at N = 10^4, none of zero width, with
-    # the outer roots near every box and in no tree
+    # the outer roots near every box and in no tree.  The solve's geometry
+    # is the spectrum's, and the kernel sweeps that very one
     built, boxes = [], spectrum._boxes
 
     def record(*args):
@@ -376,19 +372,28 @@ def test_solve_and_kernel_share_one_tree(recurrence_probe):
         return built[-1]
 
     occ = thermal_occupations(recurrence_probe.bath, 1.0, 1.0)
-    with mock.patch.object(spectrum, "_boxes", record), mock.patch.object(evolution, "_boxes", record):
+    with (
+        mock.patch.object(spectrum, "_boxes", record),
+        mock.patch.object(evolution, "_cauchy", wraps=spectrum._cauchy) as cauchy,
+    ):
         spec = solve_spectrum(recurrence_probe.bath, 1.0)
         population_decomposition(spec, occ, 100.0 + 5.0 * np.arange(300))
-    (near, px, levels), (near_k, px_k, levels_k) = [(b[2], b[3], b[-1]) for b in built]
-    assert px.shape[0] == px_k.shape[0] == 79
+    assert len(built) == 1 and spec.boxes is built[0]
+    assert cauchy.call_count == 2  # one per run: 209 times streamed, 91 whole
+    assert all(call.args[2].boxes is built[0] for call in cauchy.call_args_list)
+    _, _, near, px, _, levels = spec.boxes
+    assert px.shape[0] == 79
     assert np.all(px[:, 0] > px[:, -1])
     assert near[[0, -1]].all() and near[:, [0, -1]].all()
-    np.testing.assert_array_equal(px_k, px)
-    np.testing.assert_array_equal(near_k, near)
     assert [len(a) for a, _ in levels] == [79, 40, 20, 10, 5, 3]
-    assert len(levels_k) == len(levels)
-    for (a, m2l), (a_k, m2l_k) in zip(levels, levels_k):
-        np.testing.assert_array_equal(a_k, a)
-        assert [(t, s) for t, s, _ in m2l_k] == [(t, s) for t, s, _ in m2l]
-        for (*_, k), (*_, k_k) in zip(m2l, m2l_k):
-            np.testing.assert_array_equal(k_k, k)
+    # a spectrum made directly builds the same geometry on first use
+    direct = Spectrum(spec.alphas, spec.weights, spec.omega0, spec.bath)
+    for got, want in zip(direct.boxes[:5], spec.boxes[:5]):
+        np.testing.assert_array_equal(got, want)
+    assert len(direct.boxes[5]) == len(levels)
+    for (a_d, m2l_d), (a, m2l) in zip(direct.boxes[5], levels):
+        np.testing.assert_array_equal(a_d, a)
+        assert [(t, s) for t, s, _ in m2l_d] == [(t, s) for t, s, _ in m2l]
+        for (*_, k_d), (*_, k) in zip(m2l_d, m2l):
+            np.testing.assert_array_equal(k_d, k)
+    assert direct.boxes is direct.boxes
