@@ -9,9 +9,9 @@ diagnostics go to stderr.  Output is deterministic: fixed product order,
 fixed float formatting (17 significant digits, scientific), Unix
 newlines.  Each product evaluates its kernel once, on the whole grid; the
 environment variable QBM_THREADS (0 = one worker) sets how many threads
-run the kernel's node runs, which depend on the times alone, so at a fixed
-BLAS thread count the worker count never changes the bytes written (the
-BLAS thread count itself can move the last bit).
+run the kernel's node runs, which depend on the times alone and hold
+numpy's bundled OpenBLAS at one thread, so neither the worker count nor
+OPENBLAS_NUM_THREADS changes the bytes written.
 """
 
 from __future__ import annotations

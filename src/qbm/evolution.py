@@ -19,8 +19,9 @@ and runs on the node-time phase kernel of langevin (|U_0m|^2 does not see
 the band-centre phase): the Cauchy product against 1/(omega_m - alpha_nu)
 runs on the K node times, not the T grid times, as spectrum._cauchy, on
 the boxes and tree the solve built, which the spectrum keeps (both
-described in spectrum), which streams a large run's phase rows root box
-by root box.  The product is never held: it is folded box by box into a
+described in spectrum); past _PHASE_CELLS a run's inner roots are met
+through per-box Chebyshev proxy frequencies, their phase rows never
+formed.  The product is never held: it is folded box by box into a
 K x K Gram matrix per half of the phase rows, O(N K^2), and the population
 at each of the T times is a quadratic form in that time's barycentric row,
 O(K^2 T) in all.  The survival amplitude, on the same kernel, is the (0,0)
@@ -88,7 +89,8 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
     vg = v * np.append(1.0, spec.bath.couplings**2)[:, None]  # >= 0: sqrt(vg) is real
     spec.boxes  # built here, not in a worker, if the spectrum was made directly
 
-    def contract(phase, buffer, k, on_nodes, whole):
+    def contract(phase, buffer, x, on_nodes, whole):
+        k = x.size
         g = np.zeros((2, cols, k, k) if on_nodes else (2, k, cols))
 
         def fold(m0, s):
@@ -100,7 +102,7 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
             else:  # |U_0m|^2 = cos part^2 + sin part^2, squared in place
                 g[:] += np.square(s3, out=s3) @ vg[m0:m1]
 
-        _cauchy(phase, lambda width: buffer(2 * k * width).reshape(2 * k, width), spec, fold, whole)
+        _cauchy(phase, buffer, spec, fold, x, whole)
         return g
 
     def carry(a, b):  # the halves summed; b G b^T, row by row of b, for each G

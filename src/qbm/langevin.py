@@ -39,6 +39,8 @@ the phase rows a run's contraction asks for in a buffer of its own.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
 import os
 import threading
@@ -48,19 +50,16 @@ import numpy as np
 
 from .errors import AmplitudeVanishes, InvalidValue
 from .model import DiscretizedBath
-from .spectrum import Spectrum, _barycentric, _chebyshev
+from .spectrum import Spectrum, _barycentric, _chebyshev, _nodes
 
 _DENOM_RTOL = 1e-12
 _AMPLITUDE_FLOOR = 1e-12
 _FIT_SAMPLES = 256
 _T_CHUNK = 512  # most node times per run
-_PHASE_CELLS = 1 << 21  # most entries 2 K (N+1) of a phase block formed whole; streamed past it
+_PHASE_CELLS = 1 << 21  # most entries 2 K (N+1) of a phase block formed whole; proxies past it
 _SLICE_CELLS = 1 << 17  # most entries of a phase slice of the moments
 _CELLS = 1 << 18  # most entries in a carry block
 _T_SPAN = 8192  # most grid times one run looks ahead
-# K = r h + 12 (r h)^(1/3) + 4 nodes: 4 sum_{k>=K} |J_k(r h)| < 1e-17 bounds
-# the Chebyshev tail of exp(-i beta x), |beta| <= r h, on [-1, 1]
-_NODE_MARGIN = (12.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ def _node_runs(ts, r, n_levels):
     while i0 < ts.size:
         t, rest = ts[i0 : i0 + _T_SPAN], ts.size - i0
         rh = r * (np.maximum.accumulate(t) / 2 - np.minimum.accumulate(t) / 2)
-        nodes = np.ceil(rh + _NODE_MARGIN[0] * np.cbrt(rh) + _NODE_MARGIN[1])
+        nodes = _nodes(rh)
         sizes = np.arange(1, t.size + 1)
         ok = (nodes < sizes) & (nodes <= chunk)
         cost = np.where(ok, nodes * (n_levels + sizes) / sizes, np.inf)
@@ -154,20 +153,42 @@ def _worker_count() -> int:
     return workers or 1
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """BLAS held at one thread, so that no GEMM is split in an order that
+    depends on the thread count: numpy's bundled OpenBLAS, found by ctypes
+    through numpy's core extension, restored on exit, or else left alone."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        yield
+        return
+    get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
 def _node_sums(spec: Spectrum, ts: np.ndarray, contract, carry, out: np.ndarray) -> np.ndarray:
     """out[:, rows] = carry(a, b) per block of the times ts; returns out.
-    Per run of _node_runs, a = contract(phase, buffer, K, on_nodes, whole)
+    Per run of _node_runs, a = contract(phase, buffer, x, on_nodes, whole)
     meets the phase rows [cos(x (alpha - abar)); sin(x (alpha - abar))] at
     its K nodes x with the mode axis, sum_nu (...) e^{-i alpha_nu t} =
     e^{-i abar t} (cos part - i sin part), one result per half stacked on
-    axis 0; whole: both halves fit _PHASE_CELLS entries.  phase(e, trig, c0,
-    c1) forms the rows [f(...) for f in trig] of the roots c0:c1 in e, and
-    buffer(cells) is the worker's own array of that many entries.  b is the
-    (rows, K) barycentric matrix to the times ts[rows] or, on a run of its
-    own times, None with a sliced to those rows on axis -2.  The runs are
-    mapped over _worker_count threads, each writing only its runs' columns
-    of out, and depend on the times alone, so the worker count never changes
-    a value.  b holds at most _CELLS entries."""
+    axis 0.  whole: both halves fit _PHASE_CELLS entries; past it the row-0
+    kernel forms no inner root's rows but meets them through per-box
+    frequency proxies (spectrum._cauchy).  phase(e, trig, c0, c1) forms the
+    rows [f(...) for f in trig] of the roots c0:c1 in e, and buffer(cells)
+    is the worker's own array of that many entries.  b is the (rows, K)
+    barycentric matrix to the times ts[rows] or, on a run of its own times,
+    None with a sliced to those rows on axis -2.  The runs are mapped over
+    _worker_count threads, each writing only its runs' columns of out, and
+    depend on the times alone, with BLAS held at one thread, so neither
+    thread count changes a value.  b holds at most _CELLS entries."""
     workers = _worker_count()
     al = spec.alphas
     _check_phases(ts, al)
@@ -189,7 +210,7 @@ def _node_sums(spec: Spectrum, ts: np.ndarray, contract, carry, out: np.ndarray)
             for h, f in enumerate(trig):
                 f(e[-x.size :], out=e[h * x.size : (h + 1) * x.size])
 
-        a = contract(phase, buffer, x.size, w is not None, 2 * x.size * al.size <= _PHASE_CELLS)
+        a = contract(phase, buffer, x, w is not None, 2 * x.size * al.size <= _PHASE_CELLS)
         step = max(1, _CELLS // x.size)
         for j in range(0, t.size, step):
             n = min(step, t.size - j)
@@ -197,13 +218,14 @@ def _node_sums(spec: Spectrum, ts: np.ndarray, contract, carry, out: np.ndarray)
             out[:, i0 + j : i0 + j + n] = carry(a[..., j : j + n, :] if b is None else a, b)
             del b
 
-    if min(workers, len(runs)) <= 1:
-        for args in runs:
-            run(*args)
-    else:  # imported here, so that import qbm does not load it (and logging)
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, *zip(*runs)))
+    with _one_blas_thread():
+        if min(workers, len(runs)) <= 1:
+            for args in runs:
+                run(*args)
+        else:  # imported here, so that import qbm does not load it (and logging)
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(run, *zip(*runs)))
     return out
 
 
@@ -218,7 +240,8 @@ def _moments(spec: Spectrum, ks, t) -> np.ndarray:
         u = a if b is None else b @ a
         return (u[0] - 1j * u[1]).T
 
-    def contract(phase, buffer, k, *_):  # one product per slice of the roots, weighted in place
+    def contract(phase, buffer, x, *_):  # one product per slice of the roots, weighted in place
+        k = x.size
         width = min(al.size, max(1, _SLICE_CELLS // (2 * k)))
         for c0 in range(0, al.size, width):
             e = buffer(2 * k * width).reshape(2 * k, width)[:, : al.size - c0]

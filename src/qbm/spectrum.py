@@ -44,7 +44,9 @@ F' in O(N (n_near + p)) per pass, not O(N^2): its boxes are the bath's,
 so the far field of g^2 is taken once per solve.  _cauchy, for the row-0
 population kernel in evolution, runs the transposed product of K rows
 against 1/(omega_m - alpha_nu), O(K N (n_near + p)), on the same boxes and
-tree, which the spectrum keeps, streaming the rows root box by root box.
+tree, which the spectrum keeps.  A run whose rows are too many to hold
+forms only the outer roots': every product with a root box is taken
+through a few Chebyshev proxy frequencies of its own, exact to rounding.
 """
 
 from __future__ import annotations
@@ -63,6 +65,9 @@ _TINY = 1e-308  # g^2 below this underflows: its root cannot leave the pole
 _BOX = 128  # modes and roots per box of the boxed Cauchy sums
 _PROXIES = 20  # Chebyshev proxies per box for the far field
 _MAX_ITER = 100
+# K = c + 12 c^(1/3) + 4 nodes: 4 sum_{k>=K} |J_k(c)| < 1e-17 bounds the
+# Chebyshev tail of exp(-i beta u), |beta| <= c, on [-1, 1]
+_NODE_MARGIN = (12.0, 4.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,6 +129,11 @@ def _chebyshev(lo, hi, k):
     w = (-1.0) ** np.arange(k)
     w[[0, -1]] /= 2
     return x, w
+
+
+def _nodes(c):
+    """Chebyshev points that carry exp(-i beta u), |beta| <= c, on [-1, 1]."""
+    return np.ceil(c + _NODE_MARGIN[0] * np.cbrt(c) + _NODE_MARGIN[1])
 
 
 def _barycentric(t, x, w):
@@ -224,38 +234,47 @@ def _far(levels, q, square=False, out=None):
     return phi
 
 
-def _cauchy(phase, buffer, spec, fold, whole):
+def _cauchy(phase, buffer, spec, fold, x, whole):
     """The columns [sum_nu w_nu e_nu, sum_nu w_nu e_nu / (om_m - al_nu)] for
     the roots al, weights w and modes om of spec and the K cos and K sin
-    rows e that phase(out, trig, c0, c1) forms for the roots c0:c1, box by
-    box of spec.boxes: box i's columns m0:m1 go to fold(m0, s), column 0
-    last to fold(0, s).  The outer roots are summed exactly, one rank-2
-    product per box, and so are near pairs, one product per run of near
-    boxes; the far field goes through the tree: each root box is
-    anterpolated onto its p = _PROXIES proxies, _far takes the potentials to
-    every box's proxies, and the barycentric interpolant carries them to the
-    modes.  e = buffer(width), (2 K, width), holds every inner root with
-    whole; otherwise one root box for the anterpolation, then twice the
-    widest window as it slides up the roots, each target box's window
-    running from the first root box near a target at or after it to the
-    last near one at or before it.  Per row 2 N (n_near + 2) + 2 N p flops."""
+    rows e of z = al - abar (abar the band centre) at the times x, which
+    phase(out, trig, c0, c1) forms for the roots c0:c1, box by box of
+    spec.boxes: box i's columns m0:m1 go to fold(m0, s), column 0 last to
+    fold(0, s).  The outer roots are summed exactly, one rank-2 product per
+    box, and so are near pairs; the far field goes through the tree: each
+    root box is anterpolated onto its p = _PROXIES proxies, _far takes the
+    potentials to every box's proxies, and the barycentric interpolant
+    carries them to the modes.  With whole, e in buffer holds every inner
+    root.  Otherwise a root box of half-width d in z meets the x, within h
+    of tc, through P = _nodes(h d) proxy frequencies zp (one butterfly
+    level: Candes, Demanet & Ying, Multiscale Model. Simul. 7, 2009): its
+    rows are [[C, -S], [S, C]] [L^T cos(tc z); L^T sin(tc z)], C and S the
+    cos and sin of (x - tc) zp, L its barycentric matrix to zp; with P >= B
+    roots, its own rows.  The boxes near a target box are kept for the next."""
     al, w, om = spec.alphas, spec.weights, spec.bath.omegas
     cm, cr, near, px, pw, levels = spec.boxes
-    n, boxed, trig = om.size, near[1:-1, 1:-1], (np.cos, np.sin)
-    lo = cr[1:][np.minimum.accumulate(np.argmax(boxed, axis=1)[::-1])[::-1]]
-    hi = cr[2:][np.maximum.accumulate(len(px) - 1 - np.argmax(boxed[:, ::-1], axis=1))]
+    n, k, boxed, trig = om.size, x.size, near[1:-1, 1:-1], (np.cos, np.sin)
     edges = np.diff(boxed, axis=1, prepend=False, append=False)  # each target's near runs' ends
-    e = buffer(n - 1 if whole else int(np.max(np.diff(cr[1:-1]))))  # every inner root, or a box
-    k, outer, h0, h1 = len(e) // 2, np.empty((len(e), 2)), 0, 0  # e holds the roots h0:h1
+    outer, held, lo, hi = np.empty((2 * k, 2)), {}, x.min(), x.max()
+    abar, tc, h = al[0] / 2 + al[-1] / 2, lo / 2 + hi / 2, hi / 2 - lo / 2
+    if whole:
+        phase(e := buffer(2 * k * (n - 1)).reshape(2 * k, n - 1), trig, 1, n)
 
-    def window(c0, c1):  # keep the roots e holds from c0 on, form the rest on to its end
-        nonlocal h0, h1
-        if c1 > h1:
-            keep = max(h1 - c0, 0)
-            e[:, :keep] = e[:, c0 - h0 : c0 - h0 + keep]
-            h0, h1 = c0, min(c0 + e.shape[1], n)
-            phase(e[:, keep : h1 - c0], trig, c0 + keep, h1)
-        return e[:, c0 - h0 : c1 - h0]
+    def rows(j):  # y -> the rows of root box j times y
+        r0, r1 = cr[j + 1], cr[j + 2]
+        if whole:
+            return e[:, r0 - 1 : r1 - 1].__matmul__
+        z = al[r0:r1] - abar
+        p = int(_nodes(h * (z[-1] - z[0]) / 2))
+        if p >= r1 - r0:  # its own rows
+            phase(own := np.empty((2 * k, r1 - r0)), trig, r0, r1)
+            return own.__matmul__
+        zp, zw = _chebyshev(z[0], z[-1], p)
+        c, s = np.cos(a := np.multiply.outer(x - tc, zp)), np.sin(a)
+        ep = np.concatenate([np.concatenate(rs, axis=1) for rs in ((c, -s), (s, c))])
+        rot = np.stack((np.cos(tc * z), np.sin(tc * z)))
+        rp = (_barycentric(z, zp, zw).T * rot[:, None]).reshape(2 * p, -1)
+        return lambda y: ep @ (rp @ y)
 
     phase(outer[:, :1], trig, 0, 1)
     phase(outer[:, 1:], trig, n, n + 1)
@@ -263,19 +282,25 @@ def _cauchy(phase, buffer, spec, fold, whole):
     # [phi cos; q cos; q sin]; the tree takes K rows at a time, phi's sin rows over q's cos
     pq = np.empty((len(px), 3 * k, _PROXIES))
     for j, (r0, r1) in enumerate(zip(cr[1:-2].tolist(), cr[2:-1].tolist())):
-        b, ej = _barycentric(al[r0:r1], px[j], pw), window(r0, r1)
-        np.matmul(ej, np.multiply(b, w[r0:r1, None], out=b), out=pq[j, k:])
-        total += ej @ w[r0:r1]
+        b, f = _barycentric(al[r0:r1], px[j], pw), rows(j)
+        pq[j, k:] = f(np.multiply(b, w[r0:r1, None], out=b))
+        total += f(w[r0:r1])
     _far(levels, pq[:, k : 2 * k], out=pq[:, :k])
     _far(levels, pq[:, 2 * k :], out=pq[:, k : 2 * k])
-    if not whole:  # the roots again, as e slides up them
-        e, h0, h1 = buffer(min(n - 1, 2 * int(np.max(hi - lo)))), 0, 0
-    for i, (m0, m1, c0, c1) in enumerate(zip(*[a.tolist() for a in (cm[1:], cm[2:], lo, hi)])):
-        ei, s = window(c0, c1), outer @ k_outer[m0:m1].T
-        for s0, s1 in cr[1:-1][np.flatnonzero(edges[i])].reshape(-1, 2):  # a run of near boxes
+    for i, (m0, m1) in enumerate(zip(cm[1:-2].tolist(), cm[2:-1].tolist())):
+        s = outer @ k_outer[m0:m1].T
+        if not whole:  # the factors of the root boxes near box i, kept from box i - 1's
+            held = {j: held.get(j) or rows(j) for j in np.flatnonzero(boxed[i]).tolist()}
+        for j0, j1 in np.flatnonzero(edges[i]).reshape(-1, 2).tolist():  # a run of near boxes
+            s0, s1 = cr[j0 + 1], cr[j1 + 1]
             d = np.subtract.outer(om[m0:m1], al[s0:s1])
-            s += ei[:, s0 - c0 : s1 - c0] @ np.divide(w[s0:s1], d, out=d).T
-        del d  # before the next box's blocks, which can then reuse its memory
+            y = np.divide(w[s0:s1], d, out=d).T
+            if whole:
+                s += e[:, s0 - 1 : s1 - 1] @ y
+            else:
+                for j in range(j0, j1):
+                    s += held[j](y[cr[j + 1] - s0 : cr[j + 2] - s0])
+        del d, y  # before the next box's blocks, which can then reuse its memory
         if not near[i + 1].all():
             s += pq[i, : 2 * k] @ _barycentric(om[m0:m1], px[i], pw).T
         fold(m0 + 1, s)

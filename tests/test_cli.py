@@ -194,6 +194,28 @@ class TestDeterminism:
             assert f.read_bytes() == (out0 / f.name).read_bytes()
 
 
+def test_blas_thread_count_does_not_change_bytes(tmp_path):
+    # while the node runs let OpenBLAS split their GEMMs across two
+    # threads, this N = 2000 run wrote 5 of its 1001 population rows
+    # differently (in the last bit); the runs hold BLAS at one thread
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("N = 2000\nA = 0.0009\nt_start = 100\nn_steps = 1000\noutputs = population\n")
+    src = str(Path(qbm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    written = []
+    for blas in ("1", "2"):
+        for workers in ("1", "2"):
+            out = tmp_path / f"out-{blas}-{workers}"
+            subprocess.run(
+                [sys.executable, "-m", "qbm.cli", "run", "--config", str(cfg), "--out", str(out)],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": blas, "QBM_THREADS": workers, "PYTHONPATH": path},
+                capture_output=True,
+                check=True,
+            )
+            written.append((out / "population.csv").read_bytes())
+    assert written[1:] == written[:1] * 3
+
+
 class TestExitCodes:
     def test_success(self, tmp_path):
         code, _ = run_cli(tmp_path, "N = 5\nn_steps = 5\noutputs = spectrum\n")

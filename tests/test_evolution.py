@@ -298,6 +298,74 @@ class TestRow0KernelAccuracy:
         want = row0_population(spec, occ, ts[::9])
         np.testing.assert_allclose(got[::9], want, rtol=0.0, atol=1e-13)
 
+    @staticmethod
+    def check_proxies(spec, ts):
+        # every run past _PHASE_CELLS, set to K (N+1) of the largest run so
+        # that the runs stay as they are, against the explicit sum; returns
+        # how many inner roots had their own rows formed, in root boxes of
+        # no more roots than proxies
+        n, r = spec.n_levels, spec.alphas[-1] / 2 - spec.alphas[0] / 2
+        cells = n * max(x.size for *_, x, _ in langevin._node_runs(ts, r, n))
+        formed, cauchy = np.zeros(n, int), evolution._cauchy
+
+        def spy(phase, *args):
+            def counted(e, trig, c0, c1):
+                formed[c0:c1] += 1
+                phase(e, trig, c0, c1)
+
+            cauchy(counted, *args)
+
+        occ = thermal_occupations(spec.bath, 1.0, 1.0)
+        with (
+            mock.patch.object(langevin, "_PHASE_CELLS", cells),
+            mock.patch.object(evolution, "_cauchy", spy),
+        ):
+            assert all(2 * x.size * n > cells for *_, x, _ in langevin._node_runs(ts, r, n))
+            got = oscillator_population(spec, occ, ts)
+        idx = np.linspace(0, ts.size - 1, 8).astype(int)
+        want = row0_population(spec, occ, ts[idx])
+        np.testing.assert_allclose(got[idx], want, rtol=0.0, atol=1e-13)
+        return int(np.count_nonzero(formed[1:-1]))
+
+    @UNEVEN_BATHS
+    def test_proxies_on_uneven_baths(self, omegas, omega0):
+        # on 400 fine times (one node run) every inner root goes through its
+        # box's proxies; on 40 coarse times, a run of their own, the narrow
+        # boxes still do
+        bath = build_bath(ModelParams.explicit(omegas, np.full(omegas.size, 0.002)))
+        spec = solve_spectrum(bath, omega0)
+        assert self.check_proxies(spec, 50.0 + 0.1 * np.arange(400)) == 0
+        assert self.check_proxies(spec, 50.0 + 10.0 * np.arange(40)) < spec.n_levels - 2
+
+    def test_proxies_on_wide_box_bath(self):
+        # on the coarse times the wide box, 4 wide, takes its own rows
+        spec = solve_spectrum(wide_box_bath(), 1.0)
+        assert self.check_proxies(spec, 50.0 + 0.1 * np.arange(400)) == 0
+        own = self.check_proxies(spec, 50.0 + 10.0 * np.arange(40))
+        assert 0 < own < spec.n_levels - 2
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.data())
+    def test_proxies_on_random_baths(self, data):
+        # the baths of test_small_boxes_on_random_baths, fine times or coarse
+        # ones, every run past _PHASE_CELLS, on boxes of 2 to 64 roots: on
+        # fine times boxes of 24 or more meet them through proxies, narrow
+        # boxes and coarse times take their own rows
+        n = data.draw(st.integers(2, 200), label="n")
+        gaps = data.draw(st.lists(st.floats(1e-3, 0.05), min_size=n, max_size=n), label="gaps")
+        jumps = data.draw(st.lists(st.integers(0, n - 1), max_size=3), label="cluster starts")
+        gaps = np.array(gaps)
+        gaps[jumps] += 1.0
+        omegas = 0.1 + np.cumsum(gaps)
+        couplings = data.draw(st.lists(st.floats(1e-3, 0.03), min_size=n, max_size=n), label="g")
+        omega0 = data.draw(st.floats(0.05, omegas[-1] + 2.0), label="omega0")
+        box = data.draw(st.integers(2, 64), label="box")
+        t0 = data.draw(st.floats(0.0, 200.0), label="t0")
+        step = data.draw(st.sampled_from([0.1, 3.0]), label="step")
+        with mock.patch.object(spectrum, "_BOX", box):  # the solve's boxes are the kernel's
+            spec = solve_spectrum(build_bath(ModelParams.explicit(omegas, couplings)), omega0)
+            self.check_proxies(spec, t0 + step * np.arange(64))
+
     # 600 fine times, one run on 173 node times, then 700 coarse ones, two
     # runs on their own times: both carry steps write into one output
     MIXED = np.concatenate([1000.0 + 0.05 * np.arange(600), 1100.0 + 3.0 * np.arange(700)])
@@ -340,11 +408,10 @@ class TestRow0KernelAccuracy:
     @pytest.mark.parametrize("probe", ["plateau", "groups-of-3"])
     def test_each_root_formed_once_per_pass(self, plateau_probe, probe, streamed):
         # a run whose cos and sin rows fit _PHASE_CELLS forms each root once;
-        # past it (a cap of 173 levels per node) the kernel passes up the
-        # roots twice, forming one half of each root box at a time to
-        # anterpolate it and then sliding a window of both halves past the
-        # targets, so each inner root is formed once per pass, also where the
-        # wide-box bath's near rows make the window span every root
+        # past it (a cap of 173 levels per node) only the outer roots alpha_0
+        # and alpha_N have their rows formed, and every inner root goes
+        # through its box's frequency proxies, also where the wide-box
+        # bath's box 4 wide is near every box
         if probe == "plateau":
             (spec, occ), ts = plateau_probe, self.MIXED
         else:
@@ -374,7 +441,7 @@ class TestRow0KernelAccuracy:
         assert all((2 * k * spec.n_levels > cells) == streamed for k in sizes)
         assert len(formed) == len(sizes)
         want = np.ones(spec.n_levels, int)
-        want[1:-1] = 2 if streamed else 1
+        want[1:-1] = 0 if streamed else 1
         for counts in formed:
             for f in (np.cos, np.sin):
                 np.testing.assert_array_equal(counts[f], want)
@@ -449,14 +516,14 @@ def test_population_memory_does_not_grow_with_times():
 
 
 def test_population_memory_on_report_window(recurrence_probe):
-    # the N = 10^4 report window on 148 node times: its phase block, 24 MB
-    # whole, is never held.  Its roots are formed one root box at a time
-    # (0.3 MB) to be anterpolated, then again as a window six boxes wide
-    # (1.8 MB) slides up them.  What the kernel still holds scales with
-    # K (N+1) / B: the cos and sin charges and the potentials that replace
-    # them, (79, 3 x 148, 20) at 5.6 MB, the tree's upper stacks for one
-    # half at a time (1.8 MB) and the 148 x 148 Gram matrices, then the one
-    # (1273, 148) carry block
+    # the N = 10^4 report window on 148 node times: no inner root's phase
+    # rows (24 MB for all) are formed.  Each root box is met through its
+    # 18 frequency proxies, (296, 36) and (36, 128) factors at 0.1 MB a box,
+    # held for the 3 boxes near one target box at a time.  What the kernel
+    # holds scales with K (N+1) / B: the cos and sin charges and the
+    # potentials that replace them, (79, 3 x 148, 20) at 5.6 MB, the tree's
+    # upper stacks for one half at a time (1.8 MB) and the 148 x 148 Gram
+    # matrices, then the one (1273, 148) carry block; 8.9 MB at the peak
     spec = recurrence_probe
     occ = thermal_occupations(spec.bath, 1.0, 1.0)
     ts = TimeGrid().times()
@@ -467,4 +534,4 @@ def test_population_memory_on_report_window(recurrence_probe):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6
+    assert peak < 10e6
