@@ -64,6 +64,7 @@ _EPS = float(np.finfo(float).eps)
 _TINY = 1e-308  # g^2 below this underflows: its root cannot leave the pole
 _BOX = 128  # modes and roots per box of the boxed Cauchy sums
 _PROXIES = 20  # Chebyshev proxies per box for the far field
+_SWEEP_CELLS = 1 << 16  # most entries leaves x rows x _PROXIES of one tree sweep
 _MAX_ITER = 100
 # K = c + 12 c^(1/3) + 4 nodes: 4 sum_{k>=K} |J_k(c)| < 1e-17 bounds the
 # Chebyshev tail of exp(-i beta u), |beta| <= c, on [-1, 1]
@@ -179,16 +180,15 @@ def _boxes(om):
 
 
 def _tree(x, near):
-    """The levels, for _far, of a tree over the boxes (leaves) whose proxies
-    are x (in order, near as given).  Each parent pairs two boxes by index,
-    has p = _PROXIES Chebyshev proxies on their span, and is near by _near or
+    """The levels of a tree over the boxes (leaves) whose proxies are x (in
+    order, near as given).  Each parent pairs two boxes by index, has
+    p = _PROXIES Chebyshev proxies on their span, and is near by _near or
     when two of its children are, so children of far boxes are far.  Level
-    l is (a, m2l): a[i] the (p, p) barycentric matrix from box i's proxies
-    (rows) to its parent's, and m2l the pairs far at l whose parents are
-    near (at the top, all far pairs), grouped by box offset and parity as
-    (targets, sources, k): slices of step 2 and k[i] = 1/(x - y) from the
-    sources' proxies y (rows) to the targets' x.  No level is built above
-    the last one with a far pair."""
+    l is (a, x, m2l): a[i] the (p, p) barycentric matrix from box i's
+    proxies (rows) to its parent's, x the level's proxies, and m2l the pairs
+    far at l whose parents are near (at the top, all far pairs), grouped by
+    box offset and parity as (targets, sources), slices of step 2; _m2l
+    forms their blocks.  No level is built above the last with a far pair."""
     levels = []
     while not near.all():
         up = np.arange(len(x)) // 2
@@ -198,19 +198,26 @@ def _tree(x, near):
         t, s = np.nonzero(~near & near_up[up[:, None], up])
         t, s = np.stack((t, s))[:, np.lexsort((t, t % 2, s - t))]
         cut = np.flatnonzero((np.diff(s - t) != 0) | (np.diff(t) != 2)) + 1
-        m2l = []
-        for i, j in zip(np.concatenate(([0], cut)), np.concatenate((cut, [t.size]))):
-            ts, ss = slice(t[i], t[j - 1] + 1, 2), slice(s[i], s[j - 1] + 1, 2)
-            m2l.append((ts, ss, 1.0 / (x[ts][:, None, :] - x[ss][:, :, None])))
-        levels.append((_barycentric(x, x_up[up], w), m2l))
+        ends = zip(np.concatenate(([0], cut)), np.concatenate((cut, [t.size])))
+        m2l = [(slice(t[i], t[j - 1] + 1, 2), slice(s[i], s[j - 1] + 1, 2)) for i, j in ends]
+        levels.append((_barycentric(x, x_up[up], w), x, m2l))
         x, near = x_up, near_up
     return levels
+
+
+def _m2l(levels):
+    """_tree's levels as _far sweeps them, (a, m2l), each group of m2l with
+    its blocks k[i] = 1/(x - y), sources' proxies y (rows) to targets' x."""
+    return [
+        (a, [(ts, ss, 1.0 / (x[ts][:, None, :] - x[ss][:, :, None])) for ts, ss in m2l])
+        for a, x, m2l in levels
+    ]
 
 
 def _far(levels, q, square=False, out=None):
     """Far-field potentials sum' q/(x - y), or sum' q/(x - y)^2 with square,
     at the leaves' proxies x from the charges q at their proxies y, both
-    (leaves, rows, p), on _tree's levels (None without levels), into out if
+    (leaves, rows, p), on _m2l's levels (None without levels), into out if
     given: the charges go up the tree, meet through each level's m2l blocks,
     and come back down as potentials, each level one (boxes, rows, p) batch."""
     qs = [q]
@@ -243,14 +250,16 @@ def _cauchy(phase, buffer, spec, fold, x, whole):
     fold(0, s).  The outer roots are summed exactly, one rank-2 product per
     box, and so are near pairs; the far field goes through the tree: each
     root box is anterpolated onto its p = _PROXIES proxies, _far takes the
-    potentials to every box's proxies, and the barycentric interpolant
-    carries them to the modes.  With whole, e in buffer holds every inner
-    root.  Otherwise a root box of half-width d in z meets the x, within h
-    of tc, through P = _nodes(h d) proxy frequencies zp (one butterfly
-    level: Candes, Demanet & Ying, Multiscale Model. Simul. 7, 2009): its
-    rows are [[C, -S], [S, C]] [L^T cos(tc z); L^T sin(tc z)], C and S the
-    cos and sin of (x - tc) zp, L its barycentric matrix to zp; with P >= B
-    roots, its own rows.  The boxes near a target box are kept for the next."""
+    potentials to every box's proxies in even chunks of the 2 K rows, of at
+    most _SWEEP_CELLS charges (the halves at fewest), each over charges
+    already swept, and the barycentric interpolant carries them to the
+    modes.  With whole, e in buffer holds every inner root.  Otherwise a
+    root box of half-width d in z meets the x, within h of tc, through
+    P = _nodes(h d) proxy frequencies zp (one butterfly level: Candes,
+    Demanet & Ying, Multiscale Model. Simul. 7, 2009): its rows are
+    [[C, -S], [S, C]] [L^T cos(tc z); L^T sin(tc z)], C and S the cos and
+    sin of (x - tc) zp, L its barycentric matrix to zp; with P >= B roots,
+    its own rows.  The boxes near a target box are kept for the next."""
     al, w, om = spec.alphas, spec.weights, spec.bath.omegas
     cm, cr, near, px, pw, levels = spec.boxes
     n, k, boxed, trig = om.size, x.size, near[1:-1, 1:-1], (np.cos, np.sin)
@@ -279,14 +288,17 @@ def _cauchy(phase, buffer, spec, fold, x, whole):
     phase(outer[:, :1], trig, 0, 1)
     phase(outer[:, 1:], trig, n, n + 1)
     k_outer, total = w[[0, -1]] / np.subtract.outer(om, al[[0, -1]]), outer @ w[[0, -1]]
-    # [phi cos; q cos; q sin]; the tree takes K rows at a time, phi's sin rows over q's cos
-    pq = np.empty((len(px), 3 * k, _PROXIES))
+    sweeps = max(2, -(-2 * k // max(1, _SWEEP_CELLS // (len(px) * _PROXIES))))
+    cuts, c = [2 * k * i // sweeps for i in range(sweeps + 1)], -(-2 * k // sweeps)
+    pq = np.empty((len(px), 2 * k + c, _PROXIES))  # [phi; q cos; q sin]
     for j, (r0, r1) in enumerate(zip(cr[1:-2].tolist(), cr[2:-1].tolist())):
         b, f = _barycentric(al[r0:r1], px[j], pw), rows(j)
-        pq[j, k:] = f(np.multiply(b, w[r0:r1, None], out=b))
+        pq[j, c:] = f(np.multiply(b, w[r0:r1, None], out=b))
         total += f(w[r0:r1])
-    _far(levels, pq[:, k : 2 * k], out=pq[:, :k])
-    _far(levels, pq[:, 2 * k :], out=pq[:, k : 2 * k])
+    tree = _m2l(levels)  # held through the sweeps only
+    for r0, r1 in zip(cuts, cuts[1:]):
+        _far(tree, pq[:, c + r0 : c + r1], out=pq[:, r0:r1])
+    del tree
     for i, (m0, m1) in enumerate(zip(cm[1:-2].tolist(), cm[2:-1].tolist())):
         s = outer @ k_outer[m0:m1].T
         if not whole:  # the factors of the root boxes near box i, kept from box i - 1's
@@ -385,7 +397,7 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
     cm, _, _, px, pw = boxes
     anterp = (g2[m0:m1] @ _barycentric(om[m0:m1], p, pw) for m0, m1, p in zip(cm[1:], cm[2:], px))
     g2_px = np.stack(list(anterp))[:, None]
-    far = _far(levels, g2_px), _far(levels, g2_px, square=True)
+    far = _far(_m2l(levels), g2_px), _far(_m2l(levels), g2_px, square=True)
     h, hp = _secular_parts(om, g2, omega0, origin, tau, act, boxes, far)
 
     # interior roots with F(mid) < 0 lie in the upper half: rebase them on

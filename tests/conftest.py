@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,16 @@ UNEVEN_BATHS = pytest.mark.parametrize(
     ],
     ids=["two-clusters", "geometric", "above-band"],
 )
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that tracemalloc traces while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_random_bath(rng, n):

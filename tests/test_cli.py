@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qbm
+from conftest import traced_peak
 from qbm import parse_config
 from qbm.cli import build_report, main, run
 
@@ -387,6 +388,13 @@ class TestReport:
             line.split(" = ", 1) for line in report.splitlines() if " = " in line
         )
         assert np.isfinite(float(fields["plateau_mean"]))
+
+    def test_recurrence_probe_report_memory(self):
+        # from before the solve through the plateau window on the N = 10^4
+        # bath: the solve's boxed sums, the fit window's moment slices, then
+        # the window's row-0 kernel, whose tree sweeps are its peak (8.2 MB)
+        config = parse_config("N = 10000\nA = 0.00018\n")
+        assert traced_peak(build_report, config) < 9.5e6
 
     def test_sum_rules_do_not_depend_on_blas_threads(self, tmp_path, recurrence_probe):
         spec = recurrence_probe

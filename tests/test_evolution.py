@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 from unittest import mock
 
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import UNEVEN_BATHS, explicit_spectrum, make_random_bath
+from conftest import UNEVEN_BATHS, explicit_spectrum, make_random_bath, traced_peak
 from oracles import direct_moments, naive_transition_probabilities, row0_population
 from qbm import evolution, langevin, spectrum
 from qbm.errors import InvalidValue
@@ -156,22 +155,26 @@ class TestPopulations:
         want = population_series(small_spec, occ0, ts)[0, :]
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
-    def test_partial_blocks_match_full_propagator(self, ref_spectrum, ref_occupations, monkeypatch):
+    def test_partial_blocks_match_full_propagator(self, ref_bath, ref_occupations, monkeypatch):
         # boxes of 7 modes and runs of 5 times leave a short last one of each;
         # 15 boxes put most box pairs of the N = 100 bath in the far field,
-        # and the moments cross every run boundary of the same kernel
+        # and the moments cross every run boundary of the same kernel.  The
+        # solve inside the patch stores the boxes the kernel sweeps
         monkeypatch.setattr(spectrum, "_BOX", 7)
         monkeypatch.setattr(langevin, "_T_CHUNK", 5)
+        spec = solve_spectrum(ref_bath, 1.0)
+        *_, px, _, levels = spec.boxes
+        assert px.shape[0] == 15 and len(levels) >= 2
         grid = TimeGrid(t_start=3.0, t_step=1.7, n_steps=23)
-        want = population_series(ref_spectrum, ref_occupations, grid.times())[0, :]
-        got = oscillator_population(ref_spectrum, ref_occupations, grid.times())
+        want = population_series(spec, ref_occupations, grid.times())[0, :]
+        got = oscillator_population(spec, ref_occupations, grid.times())
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
-        total, _, _ = population_decomposition(ref_spectrum, ref_occupations, grid.times())
+        total, _, _ = population_decomposition(spec, ref_occupations, grid.times())
         np.testing.assert_allclose(total, want, rtol=0.0, atol=1e-13)
-        assert oscillator_population(ref_spectrum, ref_occupations, []).shape == (0,)
-        got = np.array([moment_signal(ref_spectrum, k, grid.times()) for k in (0, 1, 2)])
+        assert oscillator_population(spec, ref_occupations, []).shape == (0,)
+        got = np.array([moment_signal(spec, k, grid.times()) for k in (0, 1, 2)])
         np.testing.assert_allclose(
-            got, direct_moments(ref_spectrum, (0, 1, 2), grid.times()), rtol=0.0, atol=2e-15
+            got, direct_moments(spec, (0, 1, 2), grid.times()), rtol=0.0, atol=2e-15
         )
 
 
@@ -210,6 +213,32 @@ class TestRow0KernelAccuracy:
         idx = np.linspace(0, window.size - 1, 8).astype(int)
         want = row0_population(spec, occ, window[idx])
         np.testing.assert_allclose(got[idx], want, rtol=0.0, atol=1e-13)
+
+    def test_report_window_swept_in_row_chunks(self, recurrence_probe):
+        # the report window's run (K = 148) sweeps the tree in 8 even chunks
+        # of its 296 cos and sin rows at the default budget; chunks of 2 or
+        # 3 rows give its two halves' bytes, within the 1e-13 gate
+        spec = recurrence_probe
+        occ = thermal_occupations(spec.bath, 1.0, 1.0)
+        ts = TimeGrid().times()
+        window = ts[(ts >= 100.0) & (ts <= 300.0)]
+        row = spec.boxes[3].shape[0] * spectrum._PROXIES  # cells of a row of charges
+        got, sweeps = {}, {}
+        for label, cells in (("default", spectrum._SWEEP_CELLS), ("rows-3", 3 * row), ("halves", 296 * row)):
+            with (
+                mock.patch.object(spectrum, "_SWEEP_CELLS", cells),
+                mock.patch.object(spectrum, "_far", wraps=spectrum._far) as far,
+            ):
+                got[label] = oscillator_population(spec, occ, window)
+            sweeps[label] = [call.args[1].shape[1] for call in far.call_args_list]
+        assert sweeps["default"] == [37] * 8
+        assert sweeps["halves"] == [148] * 2
+        assert set(sweeps["rows-3"]) == {2, 3} and sum(sweeps["rows-3"]) == 296
+        np.testing.assert_array_equal(got["default"], got["halves"])
+        np.testing.assert_array_equal(got["rows-3"], got["halves"])
+        idx = np.linspace(0, window.size - 1, 8).astype(int)
+        want = row0_population(spec, occ, window[idx])
+        np.testing.assert_allclose(got["rows-3"][idx], want, rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize(
         "t_step, sizes",
@@ -259,9 +288,9 @@ class TestRow0KernelAccuracy:
         assert near[4].all() and not near[5].all()
         if per_level:
             pairs = []
-            for a, m2l in levels:
+            for a, _, m2l in levels:
                 box = np.arange(len(a))
-                pairs.append({(int(t), int(s)) for ts, ss, _ in m2l for t, s in zip(box[ts], box[ss])})
+                pairs.append({(int(t), int(s)) for ts, ss in m2l for t, s in zip(box[ts], box[ss])})
             assert len(levels) == 2
             for level, far in enumerate(pairs):
                 assert not any(3 >> level in pair for pair in far)
@@ -290,11 +319,12 @@ class TestRow0KernelAccuracy:
         box = data.draw(st.integers(2, 16), label="box")
         t0 = data.draw(st.floats(0.0, 200.0), label="t0")
         bath = build_bath(ModelParams.explicit(omegas, couplings))
-        spec = solve_spectrum(bath, omega0)
+        with mock.patch.object(spectrum, "_BOX", box):  # the solve's boxes are the kernel's
+            spec = solve_spectrum(bath, omega0)
+        assert spec.boxes[3].shape[0] == -(-n // box)
         occ = thermal_occupations(bath, 1.0, 1.0)
         ts = t0 + 0.1 * np.arange(64)
-        with mock.patch.object(spectrum, "_BOX", box):
-            got = oscillator_population(spec, occ, ts)
+        got = oscillator_population(spec, occ, ts)
         want = row0_population(spec, occ, ts[::9])
         np.testing.assert_allclose(got[::9], want, rtol=0.0, atol=1e-13)
 
@@ -505,12 +535,7 @@ def test_population_memory_does_not_grow_with_times():
     for n_times in (8192, 12733):
         ts = 1000.0 + np.pi / 20.0 * np.arange(n_times)
         nodes.append({x.size for *_, x, _ in langevin._node_runs(ts, r, spec.n_levels)})
-        tracemalloc.start()
-        try:
-            oscillator_population(spec, occ, ts)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(oscillator_population, spec, occ, ts))
     assert nodes[0] == nodes[1]
     assert peaks[1] == pytest.approx(peaks[0], rel=0.1)
 
@@ -521,17 +546,13 @@ def test_population_memory_on_report_window(recurrence_probe):
     # 18 frequency proxies, (296, 36) and (36, 128) factors at 0.1 MB a box,
     # held for the 3 boxes near one target box at a time.  What the kernel
     # holds scales with K (N+1) / B: the cos and sin charges and the
-    # potentials that replace them, (79, 3 x 148, 20) at 5.6 MB, the tree's
-    # upper stacks for one half at a time (1.8 MB) and the 148 x 148 Gram
-    # matrices, then the one (1273, 148) carry block; 8.9 MB at the peak
+    # potentials that replace them, (79, 2 x 148 + 37, 20) at 4.2 MB.  The
+    # tree sweeps them 37 rows at a time, with 0.7 MB of level stacks and
+    # its m2l blocks (1.4 MB), formed for the sweeps and freed after them;
+    # 7.2 MB at the peak.  Then the 148 x 148 Gram matrices and the one
+    # (1273, 148) carry block
     spec = recurrence_probe
     occ = thermal_occupations(spec.bath, 1.0, 1.0)
     ts = TimeGrid().times()
     window = ts[(ts >= 100.0) & (ts <= 300.0)]
-    tracemalloc.start()
-    try:
-        oscillator_population(spec, occ, window)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10e6
+    assert traced_peak(oscillator_population, spec, occ, window) < 8.5e6

@@ -1,10 +1,9 @@
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import explicit_spectrum, make_random_bath
+from conftest import explicit_spectrum, make_random_bath, traced_peak
 from oracles import (
     dense_diagonalize_oracle,
     direct_moments,
@@ -297,13 +296,7 @@ class TestEstimateGamma:
         r = spec.alphas[-1] / 2 - spec.alphas[0] / 2
         runs = langevin._node_runs(np.linspace(1.0, 20.0, 256), r, spec.n_levels)
         assert [x.size for *_, x, _ in runs] == [38]
-        tracemalloc.start()
-        try:
-            estimate_gamma(spec, (1.0, 20.0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2e6
+        assert traced_peak(estimate_gamma, spec, (1.0, 20.0)) < 2e6
 
     def test_vanishing_amplitude_inside_window(self):
         # engineer a symmetric doublet whose node lands on a sample point

@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 from unittest import mock
 
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import UNEVEN_BATHS, make_random_bath
+from conftest import UNEVEN_BATHS, make_random_bath, traced_peak
 from oracles import dense_diagonalize_oracle, hamiltonian_matrix, secular_residual, secular_values
 from qbm import (
     DiscretizedBath,
@@ -312,13 +311,7 @@ class TestNeedsDeflation:
 def test_solver_memory_stays_below_one_dense_array():
     # one (N+1) x N float array at N = 2000 is 32 MB
     bath = build_bath(ModelParams(n_bath=2000, step=0.0009))
-    tracemalloc.start()
-    try:
-        solve_spectrum(bath, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2001 * 2000 * 8
+    assert traced_peak(solve_spectrum, bath, 1.0) < 2001 * 2000 * 8
 
 
 def test_recurrence_probe_weights_are_inverse_slopes(recurrence_probe):
@@ -331,14 +324,20 @@ def test_recurrence_probe_weights_are_inverse_slopes(recurrence_probe):
 
 
 def test_recurrence_probe_solve_memory(recurrence_probe):
-    # the boxed sums keep every work array near one box's near block
-    tracemalloc.start()
-    try:
-        solve_spectrum(recurrence_probe.bath, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6
+    # the boxed sums keep every work array near one box's near block, and
+    # each far field's m2l blocks live only through its sweep
+    assert traced_peak(solve_spectrum, recurrence_probe.bath, 1.0) < 5e6
+
+
+def test_recurrence_probe_keeps_no_m2l_blocks(recurrence_probe):
+    # the spectrum keeps the geometry and each level's transfers, proxies
+    # and pair slices; the 1.4 MB of m2l blocks are formed for each call
+    def nbytes(obj):
+        if isinstance(obj, np.ndarray):
+            return obj.nbytes
+        return sum(map(nbytes, obj)) if isinstance(obj, (tuple, list)) else 0
+
+    assert nbytes(recurrence_probe.boxes) < 1e6
 
 
 def test_one_box_geometry_and_far_field_per_solve(recurrence_probe):
@@ -360,11 +359,36 @@ def test_one_box_geometry_and_far_field_per_solve(recurrence_probe):
     assert trees.call_count == 1
 
 
+@pytest.mark.parametrize("square", [False, True], ids=["plain", "squared"])
+@pytest.mark.parametrize("probe", ["recurrence", "small-boxes"])
+def test_chunked_sweeps_match_one_sweep(recurrence_probe, probe, square):
+    # rows do not mix in the tree, so a stack swept in uneven row chunks
+    # gives the one sweep's potentials; a one-row chunk is a matrix-vector
+    # product whose sums round in another order, so the whole agrees to
+    # 1e-15 of the largest potential, not bit for bit
+    if probe == "recurrence":
+        levels = recurrence_probe.boxes[5]
+    else:  # 30 leaves of 5 modes
+        with mock.patch.object(spectrum, "_BOX", 5):
+            levels = spectrum._boxes(make_random_bath(np.random.default_rng(7), 150).omegas)[5]
+    assert len(levels) >= 2
+    tree = spectrum._m2l(levels)
+    q = np.random.default_rng(3).standard_normal((len(levels[0][0]), 37, spectrum._PROXIES))
+    whole = spectrum._far(tree, q, square)
+    cuts = [0, 13, 17, 36, 37]
+    chunks = [spectrum._far(tree, q[:, r0:r1], square) for r0, r1 in zip(cuts, cuts[1:])]
+    np.testing.assert_allclose(
+        np.concatenate(chunks, axis=1), whole, rtol=0.0, atol=1e-15 * np.abs(whole).max()
+    )
+
+
 def test_solve_and_kernel_share_one_tree(recurrence_probe):
     # both boxed sums take their boxes, near relation and tree from the bath
     # alone: 79 middle boxes of modes at N = 10^4, none of zero width, with
     # the outer roots near every box and in no tree.  The solve's geometry
-    # is the spectrum's, and the kernel sweeps that very one
+    # is the spectrum's, and the kernel sweeps that very one.  A level
+    # keeps its proxies and far pairs, which the m2l blocks are formed
+    # from where they are used, so equal proxies and pairs mean equal blocks
     built, boxes = [], spectrum._boxes
 
     def record(*args):
@@ -385,15 +409,14 @@ def test_solve_and_kernel_share_one_tree(recurrence_probe):
     assert px.shape[0] == 79
     assert np.all(px[:, 0] > px[:, -1])
     assert near[[0, -1]].all() and near[:, [0, -1]].all()
-    assert [len(a) for a, _ in levels] == [79, 40, 20, 10, 5, 3]
+    assert [len(x) for _, x, _ in levels] == [79, 40, 20, 10, 5, 3]
     # a spectrum made directly builds the same geometry on first use
     direct = Spectrum(spec.alphas, spec.weights, spec.omega0, spec.bath)
     for got, want in zip(direct.boxes[:5], spec.boxes[:5]):
         np.testing.assert_array_equal(got, want)
     assert len(direct.boxes[5]) == len(levels)
-    for (a_d, m2l_d), (a, m2l) in zip(direct.boxes[5], levels):
+    for (a_d, x_d, m2l_d), (a, x, m2l) in zip(direct.boxes[5], levels):
         np.testing.assert_array_equal(a_d, a)
-        assert [(t, s) for t, s, _ in m2l_d] == [(t, s) for t, s, _ in m2l]
-        for (*_, k_d), (*_, k) in zip(m2l_d, m2l):
-            np.testing.assert_array_equal(k_d, k)
+        np.testing.assert_array_equal(x_d, x)
+        assert m2l_d == m2l
     assert direct.boxes is direct.boxes
