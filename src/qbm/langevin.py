@@ -34,7 +34,10 @@ caller's carry step takes that to the times with the matrix of the second
 (true) barycentric form (Berrut & Trefethen, SIAM Rev. 46, 2004), taken on
 the nodes as rounded: no error floor.  The runs are the only partition of
 the time axis: QBM_THREADS worker threads take whole runs, each forming
-the phase rows a run's contraction asks for in a buffer of its own.
+the phase rows a run's contraction asks for.  The moments form no phase
+block: each root box of the spectrum's boxes meets a run through a few
+Chebyshev proxy frequencies of its own (spectrum._box_rows), or, where
+those would be as many as its roots, through its own rows.
 """
 
 from __future__ import annotations
@@ -50,14 +53,13 @@ import numpy as np
 
 from .errors import AmplitudeVanishes, InvalidValue
 from .model import DiscretizedBath
-from .spectrum import Spectrum, _barycentric, _chebyshev, _nodes
+from .spectrum import Spectrum, _barycentric, _box_rows, _chebyshev, _nodes
 
 _DENOM_RTOL = 1e-12
 _AMPLITUDE_FLOOR = 1e-12
 _FIT_SAMPLES = 256
 _T_CHUNK = 512  # most node times per run
 _PHASE_CELLS = 1 << 21  # most entries 2 K (N+1) of a phase block formed whole; proxies past it
-_SLICE_CELLS = 1 << 17  # most entries of a phase slice of the moments
 _CELLS = 1 << 18  # most entries in a carry block
 _T_SPAN = 8192  # most grid times one run looks ahead
 
@@ -231,27 +233,24 @@ def _node_sums(spec: Spectrum, ts: np.ndarray, contract, carry, out: np.ndarray)
 
 def _moments(spec: Spectrum, ks, t) -> np.ndarray:
     """S_k(t) for each k in ks, shape (len(ks), T): the node sums of the
-    columns alpha^k, remodulated by e^{-i abar t}."""
+    columns w alpha^k, remodulated by e^{-i abar t}, each run taken box by
+    box of spec.boxes through _box_rows."""
     ts, al = _times(t), spec.alphas
-    coeff = np.stack([al**k for k in ks], axis=1)
+    wk = np.stack([spec.weights * al**k for k in ks], axis=1)
+    cr, abar = spec.boxes[1], al[0] / 2 + al[-1] / 2
     out = np.empty((len(ks), ts.size), dtype=complex)
 
     def carry(a, b):
         u = a if b is None else b @ a
         return (u[0] - 1j * u[1]).T
 
-    def contract(phase, buffer, x, *_):  # one product per slice of the roots, weighted in place
-        k = x.size
-        width = min(al.size, max(1, _SLICE_CELLS // (2 * k)))
-        for c0 in range(0, al.size, width):
-            e = buffer(2 * k * width).reshape(2 * k, width)[:, : al.size - c0]
-            phase(e, (np.cos, np.sin), c0, c0 + e.shape[1])
-            e *= spec.weights[c0 : c0 + width]
-            u = e @ coeff[c0 : c0 + width] + u if c0 else e @ coeff[:width]
-        return u.reshape(2, k, len(ks))
+    def contract(phase, buffer, x, *_):  # the outer roots' boxes too; one mode leaves one empty
+        rows, boxes = _box_rows(phase, x), zip(cr[:-1].tolist(), cr[1:].tolist())
+        u = sum(rows(al[r0:r1] - abar, r0)(wk[r0:r1]) for r0, r1 in boxes if r1 > r0)
+        return u.reshape(2, x.size, len(ks))
 
     s = _node_sums(spec, ts, contract, carry, out)
-    return s * np.exp(-1j * (al[0] / 2 + al[-1] / 2) * ts)
+    return s * np.exp(-1j * abar * ts)
 
 
 def moment_signal(spec: Spectrum, k: int, t) -> np.ndarray:

@@ -44,9 +44,10 @@ F' in O(N (n_near + p)) per pass, not O(N^2): its boxes are the bath's,
 so the far field of g^2 is taken once per solve.  _cauchy, for the row-0
 population kernel in evolution, runs the transposed product of K rows
 against 1/(omega_m - alpha_nu), O(K N (n_near + p)), on the same boxes and
-tree, which the spectrum keeps.  A run whose rows are too many to hold
-forms only the outer roots': every product with a root box is taken
-through a few Chebyshev proxy frequencies of its own, exact to rounding.
+tree, which the spectrum keeps.  A run whose rows are too many to hold,
+like every run of the moments in langevin, meets each root box through a
+few Chebyshev proxy frequencies of its own, exact to rounding, or through
+the box's own rows where those are no more (_box_rows).
 """
 
 from __future__ import annotations
@@ -241,6 +242,33 @@ def _far(levels, q, square=False, out=None):
     return phi
 
 
+def _box_rows(phase, x):
+    """rows(z, c0): y -> the cos and sin rows at the K times x of the roots
+    c0:c0 + B, their frequencies less the band centre z (ascending), times
+    y.  A box of half-width d meets the x, within h of tc, through
+    P = _nodes(h d) proxy frequencies zp (one butterfly level: Candes,
+    Demanet & Ying, Multiscale Model. Simul. 7, 2009) as
+    [[C, -S], [S, C]] [L^T cos(tc z); L^T sin(tc z)], C and S the cos and
+    sin of (x - tc) zp, L its barycentric matrix to zp; with P >= B, or a
+    time at 0, whose sin rows must vanish exactly, phase forms its own."""
+    lo, hi, k = x.min(), x.max(), x.size
+    tc, h, at_zero = lo / 2 + hi / 2, hi / 2 - lo / 2, not x.all()
+
+    def rows(z, c0):
+        p = int(_nodes(h * (z[-1] - z[0]) / 2))
+        if at_zero or p >= z.size:
+            phase(own := np.empty((2 * k, z.size)), (np.cos, np.sin), c0, c0 + z.size)
+            return own.__matmul__
+        zp, zw = _chebyshev(z[0], z[-1], p)
+        c, s = np.cos(a := np.multiply.outer(x - tc, zp)), np.sin(a)
+        ep = np.concatenate([np.concatenate(rs, axis=1) for rs in ((c, -s), (s, c))])
+        rot = np.stack((np.cos(tc * z), np.sin(tc * z)))
+        rp = (_barycentric(z, zp, zw).T * rot[:, None]).reshape(2 * p, -1)
+        return lambda y: ep @ (rp @ y)
+
+    return rows
+
+
 def _cauchy(phase, buffer, spec, fold, x, whole):
     """The columns [sum_nu w_nu e_nu, sum_nu w_nu e_nu / (om_m - al_nu)] for
     the roots al, weights w and modes om of spec and the K cos and K sin
@@ -253,37 +281,22 @@ def _cauchy(phase, buffer, spec, fold, x, whole):
     potentials to every box's proxies in even chunks of the 2 K rows, of at
     most _SWEEP_CELLS charges (the halves at fewest), each over charges
     already swept, and the barycentric interpolant carries them to the
-    modes.  With whole, e in buffer holds every inner root.  Otherwise a
-    root box of half-width d in z meets the x, within h of tc, through
-    P = _nodes(h d) proxy frequencies zp (one butterfly level: Candes,
-    Demanet & Ying, Multiscale Model. Simul. 7, 2009): its rows are
-    [[C, -S], [S, C]] [L^T cos(tc z); L^T sin(tc z)], C and S the cos and
-    sin of (x - tc) zp, L its barycentric matrix to zp; with P >= B roots,
-    its own rows.  The boxes near a target box are kept for the next."""
+    modes.  With whole, e in buffer holds every inner root; otherwise each
+    root box's rows come from _box_rows, so no inner root's are formed
+    where its box's proxy frequencies are fewer than its roots.  The boxes
+    near a target box are kept for the next."""
     al, w, om = spec.alphas, spec.weights, spec.bath.omegas
     cm, cr, near, px, pw, levels = spec.boxes
     n, k, boxed, trig = om.size, x.size, near[1:-1, 1:-1], (np.cos, np.sin)
     edges = np.diff(boxed, axis=1, prepend=False, append=False)  # each target's near runs' ends
-    outer, held, lo, hi = np.empty((2 * k, 2)), {}, x.min(), x.max()
-    abar, tc, h = al[0] / 2 + al[-1] / 2, lo / 2 + hi / 2, hi / 2 - lo / 2
+    outer, held, abar = np.empty((2 * k, 2)), {}, al[0] / 2 + al[-1] / 2
+    box_rows = _box_rows(phase, x)
     if whole:
         phase(e := buffer(2 * k * (n - 1)).reshape(2 * k, n - 1), trig, 1, n)
 
     def rows(j):  # y -> the rows of root box j times y
         r0, r1 = cr[j + 1], cr[j + 2]
-        if whole:
-            return e[:, r0 - 1 : r1 - 1].__matmul__
-        z = al[r0:r1] - abar
-        p = int(_nodes(h * (z[-1] - z[0]) / 2))
-        if p >= r1 - r0:  # its own rows
-            phase(own := np.empty((2 * k, r1 - r0)), trig, r0, r1)
-            return own.__matmul__
-        zp, zw = _chebyshev(z[0], z[-1], p)
-        c, s = np.cos(a := np.multiply.outer(x - tc, zp)), np.sin(a)
-        ep = np.concatenate([np.concatenate(rs, axis=1) for rs in ((c, -s), (s, c))])
-        rot = np.stack((np.cos(tc * z), np.sin(tc * z)))
-        rp = (_barycentric(z, zp, zw).T * rot[:, None]).reshape(2 * p, -1)
-        return lambda y: ep @ (rp @ y)
+        return e[:, r0 - 1 : r1 - 1].__matmul__ if whole else box_rows(al[r0:r1] - abar, r0)
 
     phase(outer[:, :1], trig, 0, 1)
     phase(outer[:, 1:], trig, n, n + 1)
@@ -305,7 +318,9 @@ def _cauchy(phase, buffer, spec, fold, x, whole):
             held = {j: held.get(j) or rows(j) for j in np.flatnonzero(boxed[i]).tolist()}
         for j0, j1 in np.flatnonzero(edges[i]).reshape(-1, 2).tolist():  # a run of near boxes
             s0, s1 = cr[j0 + 1], cr[j1 + 1]
-            d = np.subtract.outer(om[m0:m1], al[s0:s1])
+            # streamed, each near block reuses the worker's buffer, not paged in afresh
+            out = None if whole else buffer((m1 - m0) * (s1 - s0)).reshape(m1 - m0, -1)
+            d = np.subtract.outer(om[m0:m1], al[s0:s1], out=out)
             y = np.divide(w[s0:s1], d, out=d).T
             if whole:
                 s += e[:, s0 - 1 : s1 - 1] @ y
@@ -363,16 +378,20 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
     C - S/(tau - q) - g_o^2/tau = 0: the origin's term exact, the rest
     matched in value and slope by a pole at the interval's far end q (for
     outer roots, twice the Gershgorin distance).  Steps leaving the sign
-    bracket F(lo) < 0 < F(hi) bisect.  Roots leave the active set once a
-    step moves alpha by about a rounding unit.  The boxes and tree of
-    _boxes are the bath's, built once; the outer roots, the only ones that
-    move across the boxes, are near every box and sum all modes exactly.
-    g^2 is anterpolated onto the middle boxes' proxies and its far field
-    taken at them once per solve, on the tree, and every pass sums F and F'
-    on these boxes (_secular_parts).
-    The weights w = 1/F'(alpha) = 1/(h' + g_o^2/tau^2) come from one more
-    pass at the stored alpha, with tau = alpha - omega_o.  A non-finite or
-    non-positive omega0 raises InvalidValue."""
+    bracket F(lo) < 0 < F(hi) bisect.  Each iterate is rounded onto the
+    representable roots, tau = fl(omega_o + tau) - omega_o, unless that is a
+    pole.  Roots leave the active set once a step moves alpha by about a
+    rounding unit, alpha = omega_o + step, or rounds back onto the tau
+    before, where rounding cycles them.  The boxes and tree of _boxes are
+    the bath's, built once; the outer roots, the only ones that move across
+    the boxes, are near every box and sum all modes exactly.  g^2 is
+    anterpolated onto the middle boxes' proxies and its far field taken at
+    them once per solve, on the tree, and every pass sums F and F' on these
+    boxes (_secular_parts).  The weights w = 1/F'(alpha) = 1/(h' +
+    g_o^2/tau^2) come from the pass at a root's fixed point, where its step
+    rounds back onto the tau just evaluated, or else from a closing pass
+    over the roots that stopped off one.  A non-finite or non-positive
+    omega0 raises InvalidValue."""
     if not 0.0 < omega0 < np.inf:
         raise InvalidValue(f"omega0 must be finite and > 0, got {omega0}")
     om, g = bath.omegas, bath.couplings
@@ -388,10 +407,15 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
 
     # outer roots start at their Gershgorin ends, inner ones at midpoints
     origin = np.concatenate(([0], np.arange(n)))
-    tau = np.concatenate(([outer[0]], 0.5 * gaps, [outer[1]]))
     q = np.concatenate(([2.0 * outer[0]], gaps, [2.0 * outer[1]]))
-    lo = np.concatenate(([outer[0]], np.zeros(n)))
-    hi = np.concatenate(([0.0], 0.5 * gaps, [outer[1]]))
+
+    def rounded(o, t, q):  # tau rounded onto the representable roots, but not onto a pole
+        r = (om[o] + t) - om[o]
+        return np.where((r == 0.0) | (r == q), t, r)
+
+    tau = rounded(origin, np.concatenate(([outer[0]], 0.5 * gaps, [outer[1]])), q)
+    lo = np.concatenate((tau[:1], np.zeros(n)))
+    hi = np.concatenate(([0.0], tau[1:]))
     act = np.arange(n + 1)
     *boxes, levels = geometry = _boxes(om)
     cm, _, _, px, pw = boxes
@@ -404,12 +428,12 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
     # the upper pole, where F(mid) < 0 makes the midpoint the lower end
     f = h - g2[origin] / tau
     up = np.flatnonzero(f[1:n] < 0.0) + 1
-    t_lo, g_lo, g_up = tau[up], g2[up - 1], g2[up]
-    h[up] = f[up] - g_up / t_lo
-    hp[up] += (g_lo - g_up) / t_lo**2
-    origin[up], tau[up], q[up], lo[up], hi[up] = up, -t_lo, -q[up], -t_lo, 0.0
+    t_lo, t_up, g_lo, g_up = tau[up], tau[up] - q[up], g2[up - 1], g2[up]
+    h[up] = f[up] + g_up / t_up
+    hp[up] += g_lo / t_lo**2 - g_up / t_up**2
+    origin[up], tau[up], q[up], lo[up], hi[up] = up, t_up, -q[up], t_up, 0.0
 
-    alphas = np.empty(n + 1)
+    alphas, weights, last = np.empty(n + 1), np.full(n + 1, np.nan), np.full(n + 1, np.nan)
     for _ in range(_MAX_ITER):
         o, t, qa = origin[act], tau[act], q[act]
         go2 = g2[o]
@@ -430,9 +454,14 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
         tol = _EPS * (np.abs(om[o]) + np.abs(t))
         ok = (a_lo < step) & (step < a_hi) | (np.abs(step - t) <= tol)
         step = np.where(f == 0.0, t, np.where(ok, step, 0.5 * (a_lo + a_hi)))
-        done = np.abs(step - t) <= tol
-        tau[act] = step
+        # stop within a rounding unit, or where the step rounds back onto the
+        # tau before (rounding cycles it); a fixed point's h' is its root's
+        r = rounded(o, step, qa)
+        done = (np.abs(step - t) <= tol) | (r == last[act])
+        fixed = done & (r == t)
+        last[act], tau[act] = t, r
         alphas[act[done]] = om[o[done]] + step[done]
+        weights[act[fixed]] = 1.0 / (hp[fixed] + go2[fixed] / t[fixed] ** 2)
         act = act[~done]
         if not act.size:
             break
@@ -442,9 +471,10 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
 
     if not (np.all(alphas[:-1] < om) and np.all(om < alphas[1:])):
         raise RootNotBracketed("a root rounds onto its pole; its mode would need deflation")
-    tau = alphas - om[origin]
-    _, hp = _secular_parts(om, g2, omega0, origin, tau, np.arange(n + 1), boxes, far)
-    weights = 1.0 / (hp + g2[origin] / tau**2)
+    rest = np.flatnonzero(np.isnan(weights))  # roots that stopped off a fixed point
+    tau[rest] = alphas[rest] - om[origin[rest]]
+    _, hp = _secular_parts(om, g2, omega0, origin, tau, rest, boxes, far)
+    weights[rest] = 1.0 / (hp + g2[origin[rest]] / tau[rest] ** 2)
     spec = Spectrum(alphas=alphas, weights=weights, omega0=float(omega0), bath=bath)
     vars(spec)["boxes"] = geometry  # cached_property keeps its value under its name
     return spec

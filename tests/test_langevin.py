@@ -1,7 +1,10 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import explicit_spectrum, make_random_bath, traced_peak
 from oracles import (
@@ -25,7 +28,7 @@ from qbm import (
     solve_spectrum,
     survival_probability,
 )
-from qbm import langevin
+from qbm import langevin, spectrum
 from qbm.errors import AmplitudeVanishes, InvalidValue
 
 
@@ -59,19 +62,66 @@ class TestMomentSignals:
         ts = np.linspace(0.0, 400.0, 600)
         assert np.all(np.abs(moment_signal(ref_spectrum, 0, ts)) <= 1.0 + 1e-12)
 
-    @pytest.mark.parametrize("probe", ["default", "plateau"])
-    def test_match_extended_precision_sum(self, probe, ref_spectrum, plateau_probe):
-        # the default grid on N = 100 and the plateau grid on N = 1000, taken
-        # whole as the CLI does; 64 times compared per grid
+    @pytest.mark.parametrize("probe", ["default", "plateau", "fit-window"])
+    def test_match_extended_precision_sum(self, probe, ref_spectrum, plateau_probe, recurrence_probe):
+        # the default grid on N = 100, the plateau grid on N = 1000 and the
+        # report's fit window on N = 10^4 (its root boxes met through proxy
+        # frequencies), taken whole as the CLI does; 64 times compared each
         if probe == "default":
             spec, ts = ref_spectrum, TimeGrid().times()
-        else:
+        elif probe == "plateau":
             spec, ts = plateau_probe[0], TimeGrid(t_start=1000.0, n_steps=12800).times()
+        else:
+            spec, ts = recurrence_probe, np.linspace(1.0, 20.0, 256)
         idx = np.linspace(0, ts.size - 1, 64).astype(int)
         want = direct_moments(spec, (0, 1, 2), ts[idx])
         for k in (0, 1, 2):
             got = moment_signal(spec, k, ts)
             np.testing.assert_allclose(got[idx], want[k], rtol=0.0, atol=2e-15)
+
+    def test_runs_form_one_box_of_rows_at_most(self, recurrence_probe):
+        # a run meets the outer roots and each root box of spec.boxes, on
+        # proxy frequencies or, as from t = 0, on the box's own phase rows
+        spec, node_sums, widths = recurrence_probe, langevin._node_sums, []
+
+        def spy(spec, ts, contract, carry, out):
+            def hooked(phase, *args):
+                def counted(e, trig, c0, c1):
+                    widths.append(c1 - c0)
+                    phase(e, trig, c0, c1)
+
+                return contract(counted, *args)
+
+            return node_sums(spec, ts, hooked, carry, out)
+
+        with mock.patch.object(langevin, "_node_sums", spy):
+            estimate_gamma(spec, (1.0, 20.0))
+            coefficient_series(spec, TimeGrid().times()[:100])
+        assert widths and max(widths) <= np.diff(spec.boxes[1]).max()
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.data())
+    def test_random_baths_on_small_boxes(self, data):
+        # uneven gaps, some wide (clusters), Omega inside or outside the
+        # band, boxes of 2 to 64 roots (solved inside the _BOX patch: the
+        # spectrum keeps the solve's boxes), fine or coarse times.  The gate
+        # is 2e-15 and the rounding of the largest phase t alpha, relative
+        # to sum_nu w_nu |alpha_nu|^k, which bounds |S_k|
+        n = data.draw(st.integers(2, 200), label="n")
+        gaps = np.array(data.draw(st.lists(st.floats(1e-3, 0.05), min_size=n, max_size=n), label="gaps"))
+        gaps[data.draw(st.lists(st.integers(0, n - 1), max_size=3), label="cluster starts")] += 1.0
+        omegas = 0.1 + np.cumsum(gaps)
+        couplings = data.draw(st.lists(st.floats(1e-3, 0.03), min_size=n, max_size=n), label="g")
+        omega0 = data.draw(st.floats(0.05, omegas[-1] + 2.0), label="omega0")
+        box = data.draw(st.integers(2, 64), label="box")
+        t0 = data.draw(st.floats(0.0, 200.0), label="t0")
+        ts = t0 + data.draw(st.sampled_from([0.1, 3.0]), label="step") * np.arange(64)
+        with mock.patch.object(spectrum, "_BOX", box):
+            spec = solve_spectrum(build_bath(ModelParams.explicit(omegas, couplings)), omega0)
+        err = langevin._moments(spec, (0, 1, 2), ts)[:, ::9] - direct_moments(spec, (0, 1, 2), ts[::9])
+        bound = np.abs(spec.alphas) ** np.arange(3)[:, None] @ spec.weights
+        gate = (2e-15 + np.finfo(float).eps * ts[-1] * np.abs(spec.alphas).max()) * bound
+        assert np.all(np.abs(err) <= gate[:, None]), np.abs(err).max(axis=1) / gate
 
     def test_shuffled_times(self, ref_spectrum):
         ts = TimeGrid().times()[::7]
@@ -290,13 +340,14 @@ class TestEstimateGamma:
 
     def test_recurrence_probe_fit_window_memory(self, recurrence_probe):
         # the report's fit window on the N = 10^4 bath is one run of 38 node
-        # times, whose (2, 38, 10001) phase block would take 6.1 MB: the
-        # moments meet it one slice of at most _SLICE_CELLS entries at a time
+        # times, whose (2, 38, 10001) phase block would take 6.1 MB; each
+        # root box meets them through 10 proxy frequencies instead, and the
+        # whole fit peaks at 0.39 MB traced
         spec = recurrence_probe
         r = spec.alphas[-1] / 2 - spec.alphas[0] / 2
         runs = langevin._node_runs(np.linspace(1.0, 20.0, 256), r, spec.n_levels)
         assert [x.size for *_, x, _ in runs] == [38]
-        assert traced_peak(estimate_gamma, spec, (1.0, 20.0)) < 2e6
+        assert traced_peak(estimate_gamma, spec, (1.0, 20.0)) < 6e5
 
     def test_vanishing_amplitude_inside_window(self):
         # engineer a symmetric doublet whose node lands on a sample point

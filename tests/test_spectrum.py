@@ -35,6 +35,23 @@ def moment_residuals(spec):
     )
 
 
+def fresh_weights(spec):
+    """1/F'(alpha) from one _secular_parts pass over all N+1 roots at
+    tau = alpha - omega_o, omega_o the root's nearer bounding pole, on the
+    spectrum's boxes and the far field of g^2 taken as the solve takes it."""
+    om, g2, al = spec.bath.omegas, spec.bath.couplings**2, spec.alphas
+    *boxes, levels = spec.boxes
+    cm, _, _, px, pw = boxes
+    anterp = [g2[m0:m1] @ spectrum._barycentric(om[m0:m1], p, pw) for m0, m1, p in zip(cm[1:], cm[2:], px)]
+    q = np.stack(anterp)[:, None]
+    far = spectrum._far(spectrum._m2l(levels), q), spectrum._far(spectrum._m2l(levels), q, square=True)
+    below, above = np.append(0, np.arange(om.size)), np.append(np.arange(om.size), om.size - 1)
+    o = np.where(al - om[below] > om[above] - al, above, below)
+    tau = al - om[o]
+    _, hp = spectrum._secular_parts(om, g2, spec.omega0, o, tau, np.arange(al.size), boxes, far)
+    return 1.0 / (hp + g2[o] / tau**2)
+
+
 class TestSecularResidual:
     def test_hand_value(self):
         bath = build_bath(ModelParams.explicit([1.0], [0.1]))
@@ -258,6 +275,7 @@ class TestAgainstDenseOracle:
         oracle = dense_diagonalize_oracle(bath, omega0)
         np.testing.assert_allclose(spec.alphas, oracle.alphas, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(spec.weights, oracle.weights, rtol=0.0, atol=1e-10)
+        np.testing.assert_array_max_ulp(fresh_weights(spec), spec.weights, maxulp=1)
 
     def test_poles_1e15_apart_resolved(self, ref_bath):
         # about five rounding units apart: the root between them is placed
@@ -321,6 +339,101 @@ def test_recurrence_probe_weights_are_inverse_slopes(recurrence_probe):
     f, fp = secular_values(al, recurrence_probe.bath, 1.0)
     assert np.max(np.abs(w * fp - 1.0)) <= 1e-12
     assert np.max(np.abs(f / fp) / np.maximum(1.0, np.abs(al))) <= 1e-14
+
+
+def test_three_full_passes_per_solve(recurrence_probe):
+    # the first pass and two steps see every root; a root whose rounded
+    # step returns the tau just evaluated takes its weight from that pass,
+    # so the closing pass sums only the roots that stopped off that point
+    n = recurrence_probe.n_levels
+    with mock.patch.object(spectrum, "_secular_parts", wraps=spectrum._secular_parts) as parts:
+        solve_spectrum(recurrence_probe.bath, 1.0)
+    sizes = [call.args[5].size for call in parts.call_args_list]
+    assert sizes.count(n) == 3
+    assert sizes[-1] <= 0.01 * n
+
+
+@pytest.mark.parametrize("probe", ["reference", "plateau", "recurrence"])
+def test_weights_match_one_fresh_pass(probe, ref_spectrum, plateau_probe, recurrence_probe):
+    # the weights taken at fixed points in the solve's passes and those of
+    # the closing pass are one pass's at the stored roots, to rounding
+    spec = {"reference": ref_spectrum, "plateau": plateau_probe[0], "recurrence": recurrence_probe}
+    np.testing.assert_array_max_ulp(fresh_weights(spec[probe]), spec[probe].weights, maxulp=1)
+
+
+# a 60-mode bath drawn by TestRow0KernelAccuracy.test_proxies_on_random_baths
+# (Omega = 3.3075, boxes of 40 modes): alpha_N's rounded steps alternate
+# between two taus two ulps of alpha apart, so it never reaches a fixed point
+CYCLING_OMEGAS = [
+    0.10979676267199621, 0.14854383524550596, 0.15655928252389778, 0.19165341269832803,
+    0.21483521053213467, 0.2391092152172736, 0.24775828549499496, 0.26703689475096626,
+    0.30267265509588226, 0.3192146901256584, 0.3676654294121784, 0.36879743647164553,
+    0.38679743647164555, 0.43478600256538913, 0.4406554048988409, 0.47664927773169063,
+    0.5081804251706477, 0.5515574544815555, 0.5695574544815555, 0.6095850640456846,
+    0.6123641729478335, 0.6323023893926601, 0.6523884409940812, 0.700358983219845,
+    0.7503589832198451, 0.7798652180348855, 0.7808652180348855, 1.8181834414156535,
+    1.8313921568416849, 1.8765138501322438, 1.9119006204706803, 1.9299006204706803,
+    1.9621473229289, 1.998373053630679, 2.0207563145394483, 2.0386184456488214,
+    2.0886184456488213, 2.105104264235756, 2.1231042642357556, 2.1411042642357554,
+    2.1731435943475357, 2.1741435943475356, 2.2197084145251913, 2.2620811446517397,
+    2.300646886275219, 2.324894128255383, 2.374177394318718, 2.37926062944303,
+    2.425409575297065, 2.454905845454445, 2.4559286056379177, 2.5033817565998717,
+    2.5269599295327763, 2.536667469847596, 2.5690319401132204, 2.5870319401132202,
+    2.6091223193429087, 2.6209008086729604, 2.6252553527666325, 2.6278456359069846,
+]
+CYCLING_COUPLINGS = [
+    0.027848955381921597, 0.013883863458916231, 0.006499241688826758, 0.0038820434854296925,
+    0.02846201824602455, 0.029150000719000736, 0.00897077509110476, 0.011622846806296421,
+    0.002103276155900196, 0.018, 0.018240799628763512, 0.0010000000000000002,
+    0.007011307405812123, 0.029858950302555046, 0.013953662994643474, 0.007622413850770116,
+    0.018, 0.025918409852755148, 0.017884102490774392, 0.027092104843085895,
+    0.00966906146946309, 0.004781188462006432, 0.0010000000000000002, 0.02036612644471022,
+    0.018, 0.018, 0.028241099622802614, 0.02994454229048347, 0.023012670421320856,
+    0.026026753194738107, 0.004061805568572049, 0.017333055415307504, 0.018, 0.0280738506836376,
+    0.022401410954405343, 0.02204421051478181, 0.011589895965481045, 0.01227191303569251,
+    0.01637539558177165, 0.01943514120545082, 0.0150384226992452, 0.022248129338678774, 0.018,
+    0.022894345877876875, 0.008027517213344196, 0.023017963154841427, 0.0072289175330572265,
+    0.018, 0.01220283165288447, 0.008628104960550873, 0.029203944745996274,
+    0.020786164702054577, 0.00795364232084678, 0.013110536831439094, 0.0054303590946190635,
+    0.018, 0.009044080031922582, 0.020080569848186635, 0.01414036192760991, 0.004164942427843085,
+]
+
+
+def two_cycle_bath():
+    """An adversarial draw of TestAgainstDenseOracle (two poles 1e-6 above
+    their neighbours, three couplings of 1, Omega = 3.7 above the band)
+    whose alpha_N steps back and forth between two taus, whatever the
+    boxes: each one's rounded step is the other."""
+    omegas = np.linspace(0.2, 3.0, 56)
+    omegas[[5, 15]] = 0.40363676727272724, 0.9127281854545453
+    couplings = np.full(56, -0.01)
+    couplings[[0, 7, 21, 34]] = -0.1, -1.0, -1.0, -1.0
+    return DiscretizedBath(omegas, couplings)
+
+
+@pytest.mark.parametrize(
+    "bath, omega0, box",
+    [
+        (DiscretizedBath(CYCLING_OMEGAS, CYCLING_COUPLINGS), 3.307520647389594, 40),
+        (two_cycle_bath(), 3.7, spectrum._BOX),
+    ],
+    ids=["alternating", "two-cycle"],
+)
+def test_root_off_a_fixed_point_takes_the_closing_pass(bath, omega0, box):
+    # alpha_N stops with alpha = omega_o + step, not looping to
+    # ToleranceNotReached, and its weight comes from the closing pass
+    with (
+        mock.patch.object(spectrum, "_BOX", box),
+        mock.patch.object(spectrum, "_secular_parts", wraps=spectrum._secular_parts) as parts,
+    ):
+        spec = solve_spectrum(bath, omega0)
+    al, om = spec.alphas, bath.omegas
+    assert bath.n in parts.call_args_list[-1].args[5]
+    assert np.all(al[:-1] < om) and np.all(om < al[1:])
+    np.testing.assert_array_max_ulp(fresh_weights(spec), spec.weights, maxulp=1)
+    oracle = dense_diagonalize_oracle(bath, omega0)
+    np.testing.assert_allclose(al, oracle.alphas, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(spec.weights, oracle.weights, rtol=0.0, atol=1e-10)
 
 
 def test_recurrence_probe_solve_memory(recurrence_probe):
