@@ -33,11 +33,11 @@ are nodes, so t = 0 is exact) and contracted along the mode axis; the
 caller's carry step takes that to the times with the matrix of the second
 (true) barycentric form (Berrut & Trefethen, SIAM Rev. 46, 2004), taken on
 the nodes as rounded: no error floor.  The runs are the only partition of
-the time axis: QBM_THREADS worker threads take whole runs, each forming
-the phase rows a run's contraction asks for.  The moments form no phase
-block: each root box of the spectrum's boxes meets a run through a few
-Chebyshev proxy frequencies of its own (spectrum._box_rows), or, where
-those would be as many as its roots, through its own rows.
+the time axis, cut by each kernel's price of a run (_node_runs), and
+QBM_THREADS worker threads take whole runs.  The moments form no phase
+block: a run meets the root boxes of the spectrum's boxes, in groups its
+price picks, through a few Chebyshev proxy frequencies per group
+(spectrum._box_rows), or a box through its own rows where those cost less.
 """
 
 from __future__ import annotations
@@ -60,8 +60,10 @@ _AMPLITUDE_FLOOR = 1e-12
 _FIT_SAMPLES = 256
 _T_CHUNK = 512  # most node times per run
 _PHASE_CELLS = 1 << 21  # most entries 2 K (N+1) of a phase block formed whole; proxies past it
-_CELLS = 1 << 18  # most entries in a carry block
-_T_SPAN = 8192  # most grid times one run looks ahead
+_CELLS = 1 << 18  # most entries in a carry block of the row-0 kernel
+_MOMENT_CELLS = 1 << 13  # and of the moments
+_GROUPS = (1, 2, 4)  # middle root boxes per proxy group, by rule
+_PRICE = (1000.0, 2150.0, 0.55, 0.26)  # moments, in phase entries: run, group, L entry, carry entry
 
 
 @dataclass(frozen=True)
@@ -111,33 +113,39 @@ def _times(t) -> np.ndarray:
     return ts.astype(float, copy=False)
 
 
-def _node_runs(ts, r, n_levels):
+def _node_runs(ts, r, n_levels, price=None):
     """(i0, t, x, w) per run: the times ts are cut, in order, into runs
-    t = ts[i0 : i0 + n], each evaluated on K = r h + 12 (r h)^(1/3) + 4
-    Chebyshev nodes x with barycentric weights w or, where those save no
-    flops (K (n_levels + n) / n >= n_levels per time), on its own times
-    (x = t, w None); runs take the cheapest length, spread evenly, with at
-    most _T_CHUNK nodes and K n_levels <= _PHASE_CELLS."""
-    i0, chunk = 0, max(1, min(_T_CHUNK, _PHASE_CELLS // n_levels))
+    t = ts[i0 : i0 + n], each on K = r h + 12 (r h)^(1/3) + 4 Chebyshev
+    nodes x with barycentric weights w or, where cheaper per time, on at
+    most _T_CHUNK of its own times (x = t, w None), by the kernel's price:
+    cost(k, h) + carry k n for n times on k points of half-width h, cost(n,
+    h) on their own; None, the row-0 kernel's, has cost k n_levels, carry 1
+    and K n_levels <= _PHASE_CELLS.  Runs take the cheapest length (K <=
+    _T_CHUNK, or half that by a price), spread evenly; each K is priced at
+    the most times it reaches, as far as carry K stays below the best."""
+    cost, carry = price[:2] if price else ((lambda k, h: k * n_levels), 1.0)
+    chunk = _T_CHUNK // 2 if price else max(1, min(_T_CHUNK, _PHASE_CELLS // n_levels))
+    i0, w = 0, 2048
     while i0 < ts.size:
-        t, rest = ts[i0 : i0 + _T_SPAN], ts.size - i0
-        rh = r * (np.maximum.accumulate(t) / 2 - np.minimum.accumulate(t) / 2)
-        nodes = _nodes(rh)
-        sizes = np.arange(1, t.size + 1)
-        ok = (nodes < sizes) & (nodes <= chunk)
-        cost = np.where(ok, nodes * (n_levels + sizes) / sizes, np.inf)
-        n = int(np.argmin(cost)) + 1
+        rest, stop = ts.size - i0, False
+        while not stop:  # a window of the times ahead, doubled until no longer run can win
+            t = ts[i0 : i0 + w]
+            h = np.maximum.accumulate(t) / 2 - np.minimum.accumulate(t) / 2
+            nodes = _nodes(r * h)
+            e = np.flatnonzero(np.append(nodes[1:] != nodes[:-1], True))  # the last time at each K
+            k, n = nodes[e], e + 1
+            per = np.where((k < n) & (k <= chunk), (cost(k, h[e]) + carry * k * n) / n, np.inf)
+            n, far = int(n[np.argmin(per)]), nodes[-1] > chunk or carry * nodes[-1] >= per.min()
+            stop, w = t.size == rest or far and t.size >= 2 * n, 2 * w  # even below is < 2 n
         # equal runs over the times left, so no short last run pays for a contraction
-        even = -(-rest // max(1, round(rest / n)))
-        if even <= t.size and ok[even - 1]:
-            n = even
-        if cost[n - 1] < n_levels:
-            x, w = _chebyshev(t[:n].min(), t[:n].max(), int(nodes[n - 1]))
-        else:
-            n = min(chunk, t.size)
-            x, w = t[:n], None
-        yield i0, t[:n], x, w
-        i0 += n
+        even, own = -(-rest // max(1, round(rest / n))), min(chunk, rest)
+        n = even if nodes[even - 1] < min(even, chunk + 1) else n
+        k, t = nodes[n - 1], ts[i0 : i0 + own]
+        c = cost(np.array([k, own]), np.array([h[n - 1], t.max() / 2 - t.min() / 2]))
+        node = k < min(n, chunk + 1) and (c[0] + carry * k * n) / n < c[1] / own
+        t = ts[i0 : i0 + (n if node else own)]
+        yield i0, t, *(_chebyshev(t.min(), t.max(), int(k)) if node else (t, None))
+        i0, w = i0 + t.size, max(256, min(w, 4 * t.size))
 
 
 def _worker_count() -> int:
@@ -177,26 +185,28 @@ def _one_blas_thread():
 
 def _node_sums(spec: Spectrum, ts: np.ndarray, contract, carry, out: np.ndarray) -> np.ndarray:
     """out[:, rows] = carry(a, b) per block of the times ts; returns out.
-    Per run of _node_runs, a = contract(phase, buffer, x, on_nodes, whole)
-    meets the phase rows [cos(x (alpha - abar)); sin(x (alpha - abar))] at
-    its K nodes x with the mode axis, sum_nu (...) e^{-i alpha_nu t} =
-    e^{-i abar t} (cos part - i sin part), one result per half stacked on
-    axis 0.  whole: both halves fit _PHASE_CELLS entries; past it the row-0
-    kernel forms no inner root's rows but meets them through per-box
-    frequency proxies (spectrum._cauchy).  phase(e, trig, c0, c1) forms the
-    rows [f(...) for f in trig] of the roots c0:c1 in e, and buffer(cells)
-    is the worker's own array of that many entries.  b is the (rows, K)
-    barycentric matrix to the times ts[rows] or, on a run of its own times,
-    None with a sliced to those rows on axis -2.  The runs are mapped over
-    _worker_count threads, each writing only its runs' columns of out, and
-    depend on the times alone, with BLAS held at one thread, so neither
-    thread count changes a value.  b holds at most _CELLS entries."""
-    workers = _worker_count()
-    al = spec.alphas
+    Per run of _node_runs, priced by carry.price = (cost, carry, cells) if
+    set (else the row-0 kernel's, cells = _CELLS), a = contract(phase,
+    buffer, x, on_nodes, whole) meets the phase rows [cos(x (alpha - abar));
+    sin(x (alpha - abar))] at its K nodes x with the mode axis,
+    sum_nu (...) e^{-i alpha_nu t} = e^{-i abar t} (cos part - i sin part),
+    one result per half stacked on axis 0.  whole: both halves fit
+    _PHASE_CELLS entries; past it the row-0 kernel forms no inner root's
+    rows but meets them through per-box frequency proxies (spectrum._cauchy).
+    phase(e, trig, c0, c1) forms the rows [f(...) for f in trig] of the
+    roots c0:c1 in e, and buffer(cells) is the worker's own array of that
+    many entries.  b is the (rows, K) barycentric matrix to the times
+    ts[rows] or, on a run of its own times, None with a sliced to those rows
+    on axis -2, at most cells entries.  _worker_count threads, the caller
+    one, take the runs in order, each writing only its runs' columns of out,
+    and a worker's error is raised here; the runs depend on the times alone,
+    with BLAS held at one thread, so neither thread count changes a value."""
+    workers, al = _worker_count(), spec.alphas
     _check_phases(ts, al)
     z, r = al - (al[0] / 2 + al[-1] / 2), al[-1] / 2 - al[0] / 2
+    price = getattr(carry, "price", None)
     # a list, not the generator: a run being built would sit on a worker's peak
-    runs = list(_node_runs(ts, r, al.size))
+    runs, block = list(_node_runs(ts, r, al.size, price)), price[2] if price else _CELLS
     # a phase buffer per worker, not per run: freeing a large block raises
     # glibc's mmap threshold, and the worker's later arrays stay in its heap
     local = threading.local()
@@ -213,43 +223,74 @@ def _node_sums(spec: Spectrum, ts: np.ndarray, contract, carry, out: np.ndarray)
                 f(e[-x.size :], out=e[h * x.size : (h + 1) * x.size])
 
         a = contract(phase, buffer, x, w is not None, 2 * x.size * al.size <= _PHASE_CELLS)
-        step = max(1, _CELLS // x.size)
+        step = max(1, block // x.size)
         for j in range(0, t.size, step):
             n = min(step, t.size - j)
             b = None if w is None else _barycentric(t[j : j + n], x, w)
             out[:, i0 + j : i0 + j + n] = carry(a[..., j : j + n, :] if b is None else a, b)
             del b
 
-    with _one_blas_thread():
-        if min(workers, len(runs)) <= 1:
-            for args in runs:
+    todo, failed, lock = iter(runs), [], threading.Lock()
+
+    def take():  # the next run in order, or None once all are taken or one has failed
+        with lock:
+            return None if failed else next(todo, None)
+
+    def work():
+        try:
+            for args in iter(take, None):
                 run(*args)
-        else:  # imported here, so that import qbm does not load it (and logging)
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run, *zip(*runs)))
+        except Exception as exc:  # raised in the caller
+            failed.append(exc)
+
+    with _one_blas_thread():
+        threads = [threading.Thread(target=work) for _ in range(min(workers, len(runs)) - 1)]
+        for th in threads:
+            th.start()
+        work()  # the caller is a worker too
+        for th in threads:
+            th.join()
+    if failed:
+        raise failed[0]
     return out
 
 
 def _moments(spec: Spectrum, ks, t) -> np.ndarray:
     """S_k(t) for each k in ks, shape (len(ks), T): the node sums of the
-    columns w alpha^k, remodulated by e^{-i abar t}, each run taken box by
-    box of spec.boxes through _box_rows."""
+    columns w alpha^k, remodulated by e^{-i abar t}.  A run meets the outer
+    roots and the middle boxes of spec.boxes through _box_rows, in groups of
+    _GROUPS[j] boxes (a run with a time at 0: of one) by its price: per run,
+    group and barycentric entry, and K min(P, B) cos and sin entries for B
+    roots on P proxies (_PRICE); groups of boxes only through proxies."""
     ts, al = _times(t), spec.alphas
     wk = np.stack([spec.weights * al**k for k in ks], axis=1)
-    cr, abar = spec.boxes[1], al[0] / 2 + al[-1] / 2
-    out = np.empty((len(ks), ts.size), dtype=complex)
+    mid, abar = spec.boxes[1][1:-1], al[0] / 2 + al[-1] / 2  # middle box bounds (N = 1: one empty)
+    groups = [mid[np.append(np.arange(0, mid.size - 1, m), mid.size - 1)] for m in _GROUPS]
+    r0, r1 = (np.concatenate([g[i] for g in groups]) for i in (slice(-1), slice(1, None)))
+    z, roots, (per_run, per_group, per_bary, per_carry) = al - abar, r1 - r0, _PRICE
+    rule = np.repeat(np.eye(len(groups)), [g.size - 1 for g in groups], axis=0)
+    many = rule * (np.searchsorted(mid, r1) - np.searchsorted(mid, r0) > 1)[:, None]  # of boxes
+    fixed = per_run + per_group * (rule.sum(axis=0) + 2)  # the outer roots' groups too
+
+    def cost(k, h):  # (runs, rules) prices at k points of half-width h; no rule if boxes go own
+        p, k = _nodes(np.multiply.outer(h, np.maximum(z[r1 - 1] - z[r0], 0.0)) / 2), k[:, None]
+        q, kb = p * (k + per_bary * roots), k * roots
+        return np.where((q >= kb) @ many, np.inf, np.minimum(q, kb) @ rule + fixed + 2 * k)
 
     def carry(a, b):
         u = a if b is None else b @ a
         return (u[0] - 1j * u[1]).T
 
-    def contract(phase, buffer, x, *_):  # the outer roots' boxes too; one mode leaves one empty
-        rows, boxes = _box_rows(phase, x), zip(cr[:-1].tolist(), cr[1:].tolist())
-        u = sum(rows(al[r0:r1] - abar, r0)(wk[r0:r1]) for r0, r1 in boxes if r1 > r0)
+    carry.price = (lambda k, h: cost(k, h).min(axis=1), per_carry, _MOMENT_CELLS)
+
+    def contract(phase, buffer, x, *_):  # each group's rows used before the next's
+        rows, h = _box_rows(phase, x, per_bary, buffer), x.max() / 2 - x.min() / 2
+        j = int(np.argmin(cost(np.array([x.size]), np.array([h])))) if mid.size > 2 else 0
+        g = [0, *(groups[j] if x.all() else mid).tolist(), al.size]  # from t = 0 box by box
+        u = sum(rows(z[c0:c1], c0)(wk[c0:c1]) for c0, c1 in zip(g[:-1], g[1:]) if c1 > c0)
         return u.reshape(2, x.size, len(ks))
 
-    s = _node_sums(spec, ts, contract, carry, out)
+    s = _node_sums(spec, ts, contract, carry, np.empty((len(ks), ts.size), dtype=complex))
     return s * np.exp(-1j * abar * ts)
 
 

@@ -45,9 +45,9 @@ so the far field of g^2 is taken once per solve.  _cauchy, for the row-0
 population kernel in evolution, runs the transposed product of K rows
 against 1/(omega_m - alpha_nu), O(K N (n_near + p)), on the same boxes and
 tree, which the spectrum keeps.  A run whose rows are too many to hold,
-like every run of the moments in langevin, meets each root box through a
-few Chebyshev proxy frequencies of its own, exact to rounding, or through
-the box's own rows where those are no more (_box_rows).
+like every run of the moments in langevin, meets each root box (or group
+of boxes) through a few Chebyshev proxy frequencies of its own, exact to
+rounding, or a box through its own rows where those cost no more (_box_rows).
 """
 
 from __future__ import annotations
@@ -242,28 +242,31 @@ def _far(levels, q, square=False, out=None):
     return phi
 
 
-def _box_rows(phase, x):
+def _box_rows(phase, x, bary=0.0, scratch=np.empty):
     """rows(z, c0): y -> the cos and sin rows at the K times x of the roots
     c0:c0 + B, their frequencies less the band centre z (ascending), times
     y.  A box of half-width d meets the x, within h of tc, through
     P = _nodes(h d) proxy frequencies zp (one butterfly level: Candes,
     Demanet & Ying, Multiscale Model. Simul. 7, 2009) as
     [[C, -S], [S, C]] [L^T cos(tc z); L^T sin(tc z)], C and S the cos and
-    sin of (x - tc) zp, L its barycentric matrix to zp; with P >= B, or a
-    time at 0, whose sin rows must vanish exactly, phase forms its own."""
+    sin of (x - tc) zp, L its barycentric matrix to zp; where P (K + bary B)
+    >= K B, or with a time at 0, whose sin rows must vanish exactly, phase
+    forms its own; both in scratch(cells), for callers done with each box."""
     lo, hi, k = x.min(), x.max(), x.size
     tc, h, at_zero = lo / 2 + hi / 2, hi / 2 - lo / 2, not x.all()
 
     def rows(z, c0):
         p = int(_nodes(h * (z[-1] - z[0]) / 2))
-        if at_zero or p >= z.size:
-            phase(own := np.empty((2 * k, z.size)), (np.cos, np.sin), c0, c0 + z.size)
+        if at_zero or p * (k + bary * z.size) >= k * z.size:
+            own = scratch(2 * k * z.size).reshape(2 * k, -1)
+            phase(own, (np.cos, np.sin), c0, c0 + z.size)
             return own.__matmul__
         zp, zw = _chebyshev(z[0], z[-1], p)
-        c, s = np.cos(a := np.multiply.outer(x - tc, zp)), np.sin(a)
-        ep = np.concatenate([np.concatenate(rs, axis=1) for rs in ((c, -s), (s, c))])
-        rot = np.stack((np.cos(tc * z), np.sin(tc * z)))
+        rot = np.stack((np.cos(tc * z), np.sin(tc * z)))  # before C, S: no heap growth per box
         rp = (_barycentric(z, zp, zw).T * rot[:, None]).reshape(2 * p, -1)
+        c, s = np.cos(a := np.multiply.outer(x - tc, zp)), np.sin(a)
+        ep = scratch(4 * k * p).reshape(2 * k, -1)
+        ep[:k, :p], ep[:k, p:], ep[k:, :p], ep[k:, p:] = c, -s, s, c
         return lambda y: ep @ (rp @ y)
 
     return rows

@@ -4,6 +4,8 @@ any QBM_THREADS, and every error type the package declares is one it
 raises."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,8 +16,10 @@ import qbm
 from qbm import (
     InitialOccupations,
     LangevinInput,
+    TimeGrid,
     coefficient_series,
     errors,
+    evolution,
     gamma_from_survival,
     mean_position,
     moment_signal,
@@ -77,6 +81,42 @@ def test_worker_count_does_not_change_values(ref_spectrum, monkeypatch, route):
         sys.setswitchinterval(interval)
     for one, three in zip(*outs):
         assert one.tobytes() == three.tobytes()
+
+
+def test_worker_error_raised_in_caller(ref_spectrum, ref_occupations, monkeypatch):
+    # a run that fails on a worker thread fails the call, with its own error
+    calls, cauchy = [], evolution._cauchy
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise errors.ToleranceNotReached("run 2 failed")
+        cauchy(*args)
+
+    monkeypatch.setenv("QBM_THREADS", "2")
+    monkeypatch.setattr(evolution, "_cauchy", failing)
+    with pytest.raises(errors.ToleranceNotReached, match="run 2 failed"):
+        oscillator_population(ref_spectrum, ref_occupations, TimeGrid().times())
+
+
+def test_worker_threads_load_no_executor(tmp_path):
+    # the workers are plain threads: neither concurrent.futures nor the
+    # logging it imports is loaded by a two-worker kernel call
+    code = (
+        "import sys, threading\n"
+        "from qbm import ModelParams, TimeGrid, build_bath, solve_spectrum, survival_probability\n"
+        "started, start = [], threading.Thread.start\n"
+        "threading.Thread.start = lambda self: (started.append(self), start(self))\n"
+        "spec = solve_spectrum(build_bath(ModelParams()), 1.0)\n"
+        "survival_probability(spec, TimeGrid().times())\n"
+        "print(len(started), 'concurrent.futures' in sys.modules, 'logging' in sys.modules)\n"
+    )
+    src = str(Path(qbm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "QBM_THREADS": "2", "PYTHONPATH": path}
+    run = [sys.executable, "-c", code]
+    out = subprocess.run(run, env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["1", "False", "False"]
 
 
 def test_bad_worker_count_is_typed_error(two_level, monkeypatch):

@@ -104,7 +104,8 @@ class TestMomentSignals:
     def test_random_baths_on_small_boxes(self, data):
         # uneven gaps, some wide (clusters), Omega inside or outside the
         # band, boxes of 2 to 64 roots (solved inside the _BOX patch: the
-        # spectrum keeps the solve's boxes), fine or coarse times.  The gate
+        # spectrum keeps the solve's boxes) in proxy groups of 1 to 8 boxes,
+        # fine or coarse times.  The gate
         # is 2e-15 and the rounding of the largest phase t alpha, relative
         # to sum_nu w_nu |alpha_nu|^k, which bounds |S_k|
         n = data.draw(st.integers(2, 200), label="n")
@@ -116,9 +117,12 @@ class TestMomentSignals:
         box = data.draw(st.integers(2, 64), label="box")
         t0 = data.draw(st.floats(0.0, 200.0), label="t0")
         ts = t0 + data.draw(st.sampled_from([0.1, 3.0]), label="step") * np.arange(64)
+        group = data.draw(st.integers(1, 8), label="boxes per group")  # the last one partial or not
         with mock.patch.object(spectrum, "_BOX", box):
             spec = solve_spectrum(build_bath(ModelParams.explicit(omegas, couplings)), omega0)
-        err = langevin._moments(spec, (0, 1, 2), ts)[:, ::9] - direct_moments(spec, (0, 1, 2), ts[::9])
+        with mock.patch.object(langevin, "_GROUPS", (group,)):
+            got = langevin._moments(spec, (0, 1, 2), ts)
+        err = got[:, ::9] - direct_moments(spec, (0, 1, 2), ts[::9])
         bound = np.abs(spec.alphas) ** np.arange(3)[:, None] @ spec.weights
         gate = (2e-15 + np.finfo(float).eps * ts[-1] * np.abs(spec.alphas).max()) * bound
         assert np.all(np.abs(err) <= gate[:, None]), np.abs(err).max(axis=1) / gate
@@ -130,6 +134,78 @@ class TestMomentSignals:
             got = moment_signal(ref_spectrum, k, ts[perm])
             want = moment_signal(ref_spectrum, k, ts)[perm]
             np.testing.assert_allclose(got, want, rtol=0.0, atol=2e-15)
+
+
+def runs_of(spec, ts, *price):
+    r = spec.alphas[-1] / 2 - spec.alphas[0] / 2
+    return list(langevin._node_runs(ts, r, spec.n_levels, *price))
+
+
+class TestRunPlans:
+    """_node_runs under the row-0 kernel's price, which population.csv's
+    bytes rest on, and under the moments' own."""
+
+    def test_row0_plans(self, ref_spectrum, plateau_probe, recurrence_probe):
+        ts = TimeGrid().times()
+        window = ts[(ts >= 100.0) & (ts <= 300.0)]
+        runs = runs_of(ref_spectrum, ts)
+        assert [(t.size > x.size, x.size) for _, t, x, _ in runs] == [(True, 37)] * 17
+        assert len(runs_of(ref_spectrum, window)) == 11
+        plateau = TimeGrid(t_start=1000.0, n_steps=12800).times()
+        sizes = [x.size for *_, x, _ in runs_of(plateau_probe[0], plateau)]
+        assert len(sizes) == 23 and set(sizes) == {84, 85}
+        assert [x.size for *_, x, _ in runs_of(recurrence_probe, window)] == [148]
+
+    def test_moment_runs_are_priced_by_their_kernel(self, ref_spectrum):
+        # the row-0 price cuts the default grid into 17 runs of K = 37; the
+        # moments' carry is cheap beside their phase rows, so their runs are long
+        plans, node_runs = [], langevin._node_runs
+
+        def spy(*args):
+            plans.append(list(node_runs(*args)))
+            return plans[-1]
+
+        with mock.patch.object(langevin, "_node_runs", spy):
+            coefficient_series(ref_spectrum, TimeGrid().times())
+        assert 1 <= len(plans[0]) <= 4
+
+    def test_lengths_priced_on_plateau_grid(self, plateau_probe):
+        # the row-0 price, counted: a few lengths a run, not 8192 each
+        spec, ts = plateau_probe[0], TimeGrid(t_start=1000.0, n_steps=12800).times()
+        priced = []
+
+        def cost(k, h):
+            priced.append(k.size)
+            return k * spec.n_levels
+
+        runs, counted = runs_of(spec, ts), runs_of(spec, ts, (cost, 1.0))
+        assert [(i0, x.tobytes()) for i0, _, x, _ in counted] == [
+            (i0, x.tobytes()) for i0, _, x, _ in runs
+        ]
+        assert sum(priced) <= 2 * ts.size
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.data())
+    def test_runs_partition_the_times(self, data):
+        n = data.draw(st.integers(1, 3000), label="T")
+        steps = data.draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n), label="steps")
+        ts = data.draw(st.floats(-100.0, 100.0), label="t0") + np.cumsum(steps)
+        if data.draw(st.booleans(), label="shuffled"):
+            ts = np.random.default_rng(data.draw(st.integers(0, 99), label="seed")).permutation(ts)
+        r = data.draw(st.floats(0.01, 3.0), label="r")
+        levels = data.draw(st.sampled_from([2, 101, 10001]), label="levels")
+        synthetic = (lambda k, h: 50.0 * k + 400.0 * h + 3000.0, 0.3)
+        price = data.draw(st.sampled_from([None, synthetic]), label="price")
+        runs, i0 = list(langevin._node_runs(ts, r, levels, price)), 0
+        for start, t, x, w in runs:
+            assert start == i0 and np.array_equal(t, ts[i0 : i0 + t.size])
+            if w is None:
+                assert x is t and t.size <= langevin._T_CHUNK
+            else:
+                assert x.size < t.size and x.size <= langevin._T_CHUNK
+                assert (x[0], x[-1]) == (t.max(), t.min())
+            i0 += t.size
+        assert i0 == ts.size
 
 
 OMEGAS = [0.5, 1.0, 2.0]
@@ -348,6 +424,17 @@ class TestEstimateGamma:
         runs = langevin._node_runs(np.linspace(1.0, 20.0, 256), r, spec.n_levels)
         assert [x.size for *_, x, _ in runs] == [38]
         assert traced_peak(estimate_gamma, spec, (1.0, 20.0)) < 6e5
+        # the 79 middle boxes in proxy groups of several: fewer factors than
+        # the 81 of box by box with the two outer roots'
+        factors, box_rows = [], langevin._box_rows
+
+        def counted(*args):
+            rows = box_rows(*args)
+            return lambda *group: factors.append(group) or rows(*group)
+
+        with mock.patch.object(langevin, "_box_rows", counted):
+            estimate_gamma(spec, (1.0, 20.0))
+        assert len(factors) < 81
 
     def test_vanishing_amplitude_inside_window(self):
         # engineer a symmetric doublet whose node lands on a sample point
