@@ -19,13 +19,14 @@ and runs on the node-time phase kernel of langevin (|U_0m|^2 does not see
 the band-centre phase): the Cauchy product against 1/(omega_m - alpha_nu)
 runs on the K node times, not the T grid times, as spectrum._cauchy, on
 the boxes and tree the solve built, which the spectrum keeps (both
-described in spectrum); past _PHASE_CELLS a run's inner roots are met
-through per-box Chebyshev proxy frequencies, their phase rows never
-formed.  The product is never held: it is folded box by box into a
-K x K Gram matrix per half of the phase rows, O(N K^2), and the population
-at each of the T times is a quadratic form in that time's barycentric row,
-O(K^2 T) in all.  The survival amplitude, on the same kernel, is the (0,0)
-element
+described in spectrum), root box by root box: a run whose rows fit
+_PHASE_CELLS keeps each box's own for both of _cauchy's passes; past it
+its inner roots are met through per-box Chebyshev proxy frequencies,
+their phase rows never formed.  The product is never held: it is folded
+box by box into a K x K Gram matrix per half of the phase rows,
+O(N K^2), and the population at each of the T times is a quadratic form
+in that time's barycentric row, O(K^2 T) in all.  The survival
+amplitude, on the same kernel, is the (0,0) element
 
     A(t) = sum_nu w_nu exp(-i alpha_nu t),
 
@@ -41,6 +42,9 @@ from .errors import InvalidValue
 from .langevin import _check_phases, _node_sums, _times, moment_signal
 from .model import InitialOccupations
 from .spectrum import Spectrum, _cauchy, overlap_matrix
+
+_PHASE_CELLS = 1 << 21  # most 2 K (N+1) entries of rows kept (proxies past it) and K (N+1) a run
+_CELLS = 1 << 18  # most entries in a carry block
 
 
 def survival_probability(spec: Spectrum, t) -> np.ndarray:
@@ -75,6 +79,12 @@ def population_series(spec: Spectrum, occ0: InitialOccupations, times) -> np.nda
     return out
 
 
+def _row0_price(n_levels):
+    """The row-0 kernel's price of a run for langevin._node_runs: cost
+    K (N+1), carry 1, carry blocks of _CELLS, and K (N+1) <= _PHASE_CELLS."""
+    return (lambda k, h: k * n_levels), 1.0, _CELLS, _PHASE_CELLS // n_levels
+
+
 def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
     """sum_m P_{Omega,m}(t) v[m, k] for each column k of v, shape (k, T).
     Row 0 of U(t) is U_0m = sum_nu K_num e^{-i alpha_nu t}, K_nu0 = w_nu and
@@ -89,7 +99,7 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
     vg = v * np.append(1.0, spec.bath.couplings**2)[:, None]  # >= 0: sqrt(vg) is real
     spec.boxes  # built here, not in a worker, if the spectrum was made directly
 
-    def contract(phase, buffer, x, on_nodes, whole):
+    def contract(buffer, x, on_nodes):
         k = x.size
         g = np.zeros((2, cols, k, k) if on_nodes else (2, k, cols))
 
@@ -102,14 +112,15 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
             else:  # |U_0m|^2 = cos part^2 + sin part^2, squared in place
                 g[:] += np.square(s3, out=s3) @ vg[m0:m1]
 
-        _cauchy(phase, buffer, spec, fold, x, whole)
+        _cauchy(buffer, spec, fold, x, 2 * k * spec.n_levels <= _PHASE_CELLS)
         return g
 
     def carry(a, b):  # the halves summed; b G b^T, row by row of b, for each G
         a = a[0] + a[1]
         return a.T if b is None else np.multiply(q := b @ a, b, out=q).sum(axis=2)
 
-    return _node_sums(spec, ts, contract, carry, np.empty((cols, ts.size)))
+    price = _row0_price(spec.n_levels)
+    return _node_sums(spec, ts, price, contract, carry, np.empty((cols, ts.size)))
 
 
 def oscillator_population(spec: Spectrum, occ0: InitialOccupations, times) -> np.ndarray:

@@ -27,17 +27,17 @@ The moments share one phase kernel, _node_sums, with the row-0 population
 kernel in evolution.  Demodulated by the band centre abar,
 sum_nu c_nu exp(-i alpha_nu t) = exp(-i abar t) sum_nu c_nu
 exp(-i (alpha_nu - abar) t) has frequencies within r = (alpha_N -
-alpha_0)/2, so on a run of times [tc - h, tc + h] the phase block is
+alpha_0)/2, so on a run of times [tc - h, tc + h] the phase rows are
 formed at K ~ r h Chebyshev node times only (second kind: the run's ends
 are nodes, so t = 0 is exact) and contracted along the mode axis; the
 caller's carry step takes that to the times with the matrix of the second
 (true) barycentric form (Berrut & Trefethen, SIAM Rev. 46, 2004), taken on
 the nodes as rounded: no error floor.  The runs are the only partition of
 the time axis, cut by each kernel's price of a run (_node_runs), and
-QBM_THREADS worker threads take whole runs.  The moments form no phase
-block: a run meets the root boxes of the spectrum's boxes, in groups its
-price picks, through a few Chebyshev proxy frequencies per group
-(spectrum._box_rows), or a box through its own rows where those cost less.
+QBM_THREADS worker threads take whole runs.  Neither kernel forms a phase
+block: each root box (for the moments, each group of boxes their price
+picks) meets a run through a few Chebyshev proxy frequencies of its own
+(spectrum._box_rows), or through its own rows where cheaper or kept.
 """
 
 from __future__ import annotations
@@ -59,9 +59,7 @@ _DENOM_RTOL = 1e-12
 _AMPLITUDE_FLOOR = 1e-12
 _FIT_SAMPLES = 256
 _T_CHUNK = 512  # most node times per run
-_PHASE_CELLS = 1 << 21  # most entries 2 K (N+1) of a phase block formed whole; proxies past it
-_CELLS = 1 << 18  # most entries in a carry block of the row-0 kernel
-_MOMENT_CELLS = 1 << 13  # and of the moments
+_MOMENT_CELLS = 1 << 13  # most entries in a carry block of the moments
 _GROUPS = (1, 2, 4)  # middle root boxes per proxy group, by rule
 _PRICE = (1000.0, 2150.0, 0.55, 0.26)  # moments, in phase entries: run, group, L entry, carry entry
 
@@ -113,18 +111,18 @@ def _times(t) -> np.ndarray:
     return ts.astype(float, copy=False)
 
 
-def _node_runs(ts, r, n_levels, price=None):
+def _node_runs(ts, r, price):
     """(i0, t, x, w) per run: the times ts are cut, in order, into runs
     t = ts[i0 : i0 + n], each on K = r h + 12 (r h)^(1/3) + 4 Chebyshev
     nodes x with barycentric weights w or, where cheaper per time, on at
-    most _T_CHUNK of its own times (x = t, w None), by the kernel's price:
-    cost(k, h) + carry k n for n times on k points of half-width h, cost(n,
-    h) on their own; None, the row-0 kernel's, has cost k n_levels, carry 1
-    and K n_levels <= _PHASE_CELLS.  Runs take the cheapest length (K <=
-    _T_CHUNK, or half that by a price), spread evenly; each K is priced at
-    the most times it reaches, as far as carry K stays below the best."""
-    cost, carry = price[:2] if price else ((lambda k, h: k * n_levels), 1.0)
-    chunk = _T_CHUNK // 2 if price else max(1, min(_T_CHUNK, _PHASE_CELLS // n_levels))
+    most chunk of its own times (x = t, w None), by the kernel's price
+    (cost, carry, cells, cap): cost(k, h) + carry k n for n times on k
+    points of half-width h, cost(n, h) on their own.  Runs take the
+    cheapest length (K <= chunk, cap or _T_CHUNK), spread evenly; each K
+    is priced at the most times it reaches, as far as carry K stays below
+    the best."""
+    cost, carry, _, cap = price
+    chunk = max(1, min(_T_CHUNK, cap))
     i0, w = 0, 2048
     while i0 < ts.size:
         rest, stop = ts.size - i0, False
@@ -183,19 +181,15 @@ def _one_blas_thread():
         put(threads)
 
 
-def _node_sums(spec: Spectrum, ts: np.ndarray, contract, carry, out: np.ndarray) -> np.ndarray:
+def _node_sums(spec: Spectrum, ts: np.ndarray, price, contract, carry, out) -> np.ndarray:
     """out[:, rows] = carry(a, b) per block of the times ts; returns out.
-    Per run of _node_runs, priced by carry.price = (cost, carry, cells) if
-    set (else the row-0 kernel's, cells = _CELLS), a = contract(phase,
-    buffer, x, on_nodes, whole) meets the phase rows [cos(x (alpha - abar));
-    sin(x (alpha - abar))] at its K nodes x with the mode axis,
-    sum_nu (...) e^{-i alpha_nu t} = e^{-i abar t} (cos part - i sin part),
-    one result per half stacked on axis 0.  whole: both halves fit
-    _PHASE_CELLS entries; past it the row-0 kernel forms no inner root's
-    rows but meets them through per-box frequency proxies (spectrum._cauchy).
-    phase(e, trig, c0, c1) forms the rows [f(...) for f in trig] of the
-    roots c0:c1 in e, and buffer(cells) is the worker's own array of that
-    many entries.  b is the (rows, K) barycentric matrix to the times
+    Per run of _node_runs, priced by the kernel's price = (cost, carry,
+    cells, cap), a = contract(buffer, x, on_nodes) meets the phase rows
+    [cos(x (alpha - abar)); sin(x (alpha - abar))] at its K nodes x with the
+    mode axis, sum_nu (...) e^{-i alpha_nu t} = e^{-i abar t} (cos part -
+    i sin part), one result per half stacked on axis 0, root box by root
+    box (spectrum._box_rows); buffer(cells) is the worker's own array of
+    that many entries.  b is the (rows, K) barycentric matrix to the times
     ts[rows] or, on a run of its own times, None with a sliced to those rows
     on axis -2, at most cells entries.  _worker_count threads, the caller
     one, take the runs in order, each writing only its runs' columns of out,
@@ -203,26 +197,19 @@ def _node_sums(spec: Spectrum, ts: np.ndarray, contract, carry, out: np.ndarray)
     with BLAS held at one thread, so neither thread count changes a value."""
     workers, al = _worker_count(), spec.alphas
     _check_phases(ts, al)
-    z, r = al - (al[0] / 2 + al[-1] / 2), al[-1] / 2 - al[0] / 2
-    price = getattr(carry, "price", None)
     # a list, not the generator: a run being built would sit on a worker's peak
-    runs, block = list(_node_runs(ts, r, al.size, price)), price[2] if price else _CELLS
-    # a phase buffer per worker, not per run: freeing a large block raises
-    # glibc's mmap threshold, and the worker's later arrays stay in its heap
+    runs, block = list(_node_runs(ts, al[-1] / 2 - al[0] / 2, price)), price[2]
+    # a buffer per worker, not per run: freeing a large block raises glibc's
+    # mmap threshold, and the worker's later arrays stay in its heap
     local = threading.local()
 
-    def buffer(cells):  # the worker's phase buffer, grown as needed
+    def buffer(cells):  # the worker's buffer, grown as needed
         if (e := getattr(local, "e", None)) is None or e.size < cells:
             e = local.e = np.empty(cells)
         return e[:cells]
 
     def run(i0, t, x, w):
-        def phase(e, trig, c0, c1):
-            np.multiply.outer(x, z[c0:c1], out=e[-x.size :])
-            for h, f in enumerate(trig):
-                f(e[-x.size :], out=e[h * x.size : (h + 1) * x.size])
-
-        a = contract(phase, buffer, x, w is not None, 2 * x.size * al.size <= _PHASE_CELLS)
+        a = contract(buffer, x, w is not None)
         step = max(1, block // x.size)
         for j in range(0, t.size, step):
             n = min(step, t.size - j)
@@ -281,16 +268,16 @@ def _moments(spec: Spectrum, ks, t) -> np.ndarray:
         u = a if b is None else b @ a
         return (u[0] - 1j * u[1]).T
 
-    carry.price = (lambda k, h: cost(k, h).min(axis=1), per_carry, _MOMENT_CELLS)
+    price = (lambda k, h: cost(k, h).min(axis=1), per_carry, _MOMENT_CELLS, _T_CHUNK // 2)
 
-    def contract(phase, buffer, x, *_):  # each group's rows used before the next's
-        rows, h = _box_rows(phase, x, per_bary, buffer), x.max() / 2 - x.min() / 2
+    def contract(buffer, x, _):  # each group's rows used before the next's
+        rows, h = _box_rows(x, per_bary, buffer), x.max() / 2 - x.min() / 2
         j = int(np.argmin(cost(np.array([x.size]), np.array([h])))) if mid.size > 2 else 0
         g = [0, *(groups[j] if x.all() else mid).tolist(), al.size]  # from t = 0 box by box
-        u = sum(rows(z[c0:c1], c0)(wk[c0:c1]) for c0, c1 in zip(g[:-1], g[1:]) if c1 > c0)
+        u = sum(rows(z[c0:c1])(wk[c0:c1]) for c0, c1 in zip(g[:-1], g[1:]) if c1 > c0)
         return u.reshape(2, x.size, len(ks))
 
-    s = _node_sums(spec, ts, contract, carry, np.empty((len(ks), ts.size), dtype=complex))
+    s = _node_sums(spec, ts, price, contract, carry, np.empty((len(ks), ts.size), dtype=complex))
     return s * np.exp(-1j * abar * ts)
 
 

@@ -44,10 +44,10 @@ F' in O(N (n_near + p)) per pass, not O(N^2): its boxes are the bath's,
 so the far field of g^2 is taken once per solve.  _cauchy, for the row-0
 population kernel in evolution, runs the transposed product of K rows
 against 1/(omega_m - alpha_nu), O(K N (n_near + p)), on the same boxes and
-tree, which the spectrum keeps.  A run whose rows are too many to hold,
-like every run of the moments in langevin, meets each root box (or group
-of boxes) through a few Chebyshev proxy frequencies of its own, exact to
-rounding, or a box through its own rows where those cost no more (_box_rows).
+tree, which the spectrum keeps.  Both take a run's rows root box by root
+box, or for the moments in langevin group by group (_box_rows): through a
+few Chebyshev proxy frequencies of their own, exact to rounding, or the
+box's own rows where those cost no more or a run small enough keeps them.
 """
 
 from __future__ import annotations
@@ -242,25 +242,34 @@ def _far(levels, q, square=False, out=None):
     return phi
 
 
-def _box_rows(phase, x, bary=0.0, scratch=np.empty):
-    """rows(z, c0): y -> the cos and sin rows at the K times x of the roots
-    c0:c0 + B, their frequencies less the band centre z (ascending), times
-    y.  A box of half-width d meets the x, within h of tc, through
-    P = _nodes(h d) proxy frequencies zp (one butterfly level: Candes,
-    Demanet & Ying, Multiscale Model. Simul. 7, 2009) as
+def _phase_rows(x, z, scratch=np.empty):
+    """The cos and then the sin rows of x z, the K times x by the B
+    frequencies z, (2 K, B) in scratch(cells)."""
+    k = x.size
+    e = scratch(2 * k * z.size).reshape(2 * k, z.size)
+    np.cos(a := np.multiply.outer(x, z, out=e[k:]), out=e[:k])
+    np.sin(a, out=a)
+    return e
+
+
+def _box_rows(x, bary=0.0, scratch=np.empty, own=False):
+    """rows(z): y -> the cos and sin rows at the K times x of a box of roots,
+    their frequencies less the band centre z (ascending), times y.  A box
+    of half-width d meets the x, within h of tc, through P = _nodes(h d)
+    proxy frequencies zp (one butterfly level: Candes, Demanet & Ying,
+    Multiscale Model. Simul. 7, 2009) as
     [[C, -S], [S, C]] [L^T cos(tc z); L^T sin(tc z)], C and S the cos and
     sin of (x - tc) zp, L its barycentric matrix to zp; where P (K + bary B)
-    >= K B, or with a time at 0, whose sin rows must vanish exactly, phase
-    forms its own; both in scratch(cells), for callers done with each box."""
+    >= K B (P = 0 for no roots), with own, or with a time at 0, whose sin
+    rows must vanish exactly, through its own (_phase_rows); both in
+    scratch(cells), for callers done with each box."""
     lo, hi, k = x.min(), x.max(), x.size
-    tc, h, at_zero = lo / 2 + hi / 2, hi / 2 - lo / 2, not x.all()
+    tc, h, own = lo / 2 + hi / 2, hi / 2 - lo / 2, own or not x.all()
 
-    def rows(z, c0):
-        p = int(_nodes(h * (z[-1] - z[0]) / 2))
-        if at_zero or p * (k + bary * z.size) >= k * z.size:
-            own = scratch(2 * k * z.size).reshape(2 * k, -1)
-            phase(own, (np.cos, np.sin), c0, c0 + z.size)
-            return own.__matmul__
+    def rows(z):
+        p = int(_nodes(h * (z[-1] - z[0]) / 2)) if z.size else 0
+        if own or p * (k + bary * z.size) >= k * z.size:
+            return _phase_rows(x, z, scratch).__matmul__
         zp, zw = _chebyshev(z[0], z[-1], p)
         rot = np.stack((np.cos(tc * z), np.sin(tc * z)))  # before C, S: no heap growth per box
         rp = (_barycentric(z, zp, zw).T * rot[:, None]).reshape(2 * p, -1)
@@ -272,43 +281,39 @@ def _box_rows(phase, x, bary=0.0, scratch=np.empty):
     return rows
 
 
-def _cauchy(phase, buffer, spec, fold, x, whole):
+def _cauchy(buffer, spec, fold, x, keep):
     """The columns [sum_nu w_nu e_nu, sum_nu w_nu e_nu / (om_m - al_nu)] for
     the roots al, weights w and modes om of spec and the K cos and K sin
-    rows e of z = al - abar (abar the band centre) at the times x, which
-    phase(out, trig, c0, c1) forms for the roots c0:c1, box by box of
-    spec.boxes: box i's columns m0:m1 go to fold(m0, s), column 0 last to
-    fold(0, s).  The outer roots are summed exactly, one rank-2 product per
-    box, and so are near pairs; the far field goes through the tree: each
-    root box is anterpolated onto its p = _PROXIES proxies, _far takes the
-    potentials to every box's proxies in even chunks of the 2 K rows, of at
-    most _SWEEP_CELLS charges (the halves at fewest), each over charges
-    already swept, and the barycentric interpolant carries them to the
-    modes.  With whole, e in buffer holds every inner root; otherwise each
-    root box's rows come from _box_rows, so no inner root's are formed
-    where its box's proxy frequencies are fewer than its roots.  The boxes
-    near a target box are kept for the next."""
+    rows e of z = al - abar (abar the band centre) at the times x, box by
+    box of spec.boxes: box i's columns m0:m1 go to fold(m0, s), column 0
+    last to fold(0, s).  The outer roots are summed exactly through their
+    own rows, one rank-2 product per box, and so are near pairs; the far
+    field goes through the tree: each root box is anterpolated onto its
+    p = _PROXIES proxies, _far takes the potentials to every box's proxies
+    in even chunks of the 2 K rows, of at most _SWEEP_CELLS charges (the
+    halves at fewest), each over charges already swept, and the barycentric
+    interpolant carries them to the modes.  Every root box's rows come from
+    _box_rows: with keep, its own rows, formed once and kept for both
+    passes; otherwise no inner root's are formed where its box's proxy
+    frequencies are fewer than its roots, and the boxes near a target box
+    are kept for the next.  Each near block is formed in buffer(cells)."""
     al, w, om = spec.alphas, spec.weights, spec.bath.omegas
     cm, cr, near, px, pw, levels = spec.boxes
-    n, k, boxed, trig = om.size, x.size, near[1:-1, 1:-1], (np.cos, np.sin)
+    k, boxed = x.size, near[1:-1, 1:-1]
     edges = np.diff(boxed, axis=1, prepend=False, append=False)  # each target's near runs' ends
-    outer, held, abar = np.empty((2 * k, 2)), {}, al[0] / 2 + al[-1] / 2
-    box_rows = _box_rows(phase, x)
-    if whole:
-        phase(e := buffer(2 * k * (n - 1)).reshape(2 * k, n - 1), trig, 1, n)
+    abar, box_rows = al[0] / 2 + al[-1] / 2, _box_rows(x, own=keep)
 
     def rows(j):  # y -> the rows of root box j times y
-        r0, r1 = cr[j + 1], cr[j + 2]
-        return e[:, r0 - 1 : r1 - 1].__matmul__ if whole else box_rows(al[r0:r1] - abar, r0)
+        return box_rows(al[cr[j + 1] : cr[j + 2]] - abar)
 
-    phase(outer[:, :1], trig, 0, 1)
-    phase(outer[:, 1:], trig, n, n + 1)
+    outer = _phase_rows(x, al[[0, -1]] - abar)
+    held = {j: rows(j) for j in range(len(px))} if keep else {}  # for both passes
     k_outer, total = w[[0, -1]] / np.subtract.outer(om, al[[0, -1]]), outer @ w[[0, -1]]
     sweeps = max(2, -(-2 * k // max(1, _SWEEP_CELLS // (len(px) * _PROXIES))))
     cuts, c = [2 * k * i // sweeps for i in range(sweeps + 1)], -(-2 * k // sweeps)
     pq = np.empty((len(px), 2 * k + c, _PROXIES))  # [phi; q cos; q sin]
     for j, (r0, r1) in enumerate(zip(cr[1:-2].tolist(), cr[2:-1].tolist())):
-        b, f = _barycentric(al[r0:r1], px[j], pw), rows(j)
+        b, f = _barycentric(al[r0:r1], px[j], pw), held.get(j) or rows(j)
         pq[j, c:] = f(np.multiply(b, w[r0:r1, None], out=b))
         total += f(w[r0:r1])
     tree = _m2l(levels)  # held through the sweeps only
@@ -317,19 +322,15 @@ def _cauchy(phase, buffer, spec, fold, x, whole):
     del tree
     for i, (m0, m1) in enumerate(zip(cm[1:-2].tolist(), cm[2:-1].tolist())):
         s = outer @ k_outer[m0:m1].T
-        if not whole:  # the factors of the root boxes near box i, kept from box i - 1's
+        if not keep:  # the factors of the root boxes near box i, kept from box i - 1's
             held = {j: held.get(j) or rows(j) for j in np.flatnonzero(boxed[i]).tolist()}
         for j0, j1 in np.flatnonzero(edges[i]).reshape(-1, 2).tolist():  # a run of near boxes
             s0, s1 = cr[j0 + 1], cr[j1 + 1]
-            # streamed, each near block reuses the worker's buffer, not paged in afresh
-            out = None if whole else buffer((m1 - m0) * (s1 - s0)).reshape(m1 - m0, -1)
-            d = np.subtract.outer(om[m0:m1], al[s0:s1], out=out)
-            y = np.divide(w[s0:s1], d, out=d).T
-            if whole:
-                s += e[:, s0 - 1 : s1 - 1] @ y
-            else:
-                for j in range(j0, j1):
-                    s += held[j](y[cr[j + 1] - s0 : cr[j + 2] - s0])
+            # each near block reuses the worker's buffer, not paged in afresh
+            d = buffer((m1 - m0) * (s1 - s0)).reshape(m1 - m0, -1)
+            y = np.divide(w[s0:s1], np.subtract.outer(om[m0:m1], al[s0:s1], out=d), out=d).T
+            for j in range(j0, j1):
+                s += held[j](y[cr[j + 1] - s0 : cr[j + 2] - s0])
         del d, y  # before the next box's blocks, which can then reuse its memory
         if not near[i + 1].all():
             s += pq[i, : 2 * k] @ _barycentric(om[m0:m1], px[i], pw).T

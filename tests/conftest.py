@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qbm import ModelParams, build_bath, solve_spectrum, thermal_occupations
+from qbm import ModelParams, build_bath, evolution, langevin, solve_spectrum, thermal_occupations
 
 
 @pytest.fixture(scope="session")
@@ -67,6 +67,13 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def row0_runs(spec, ts):
+    """The runs of langevin._node_runs over the times ts under the row-0
+    kernel's price, read at the call, so under any patch of its bounds."""
+    r = spec.alphas[-1] / 2 - spec.alphas[0] / 2
+    return list(langevin._node_runs(ts, r, evolution._row0_price(spec.n_levels)))
 
 
 def make_random_bath(rng, n):

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import row0_runs
 import qbm
 from qbm import (
     InitialOccupations,
@@ -28,7 +29,6 @@ from qbm import (
     population_series,
     survival_probability,
 )
-from qbm.langevin import _node_runs
 
 
 def occ(spec):
@@ -68,8 +68,7 @@ def test_worker_count_does_not_change_values(ref_spectrum, monkeypatch, route):
     # change no bit; more workers than cores, switching often, each writing
     # its own columns of one output
     ts = np.linspace(0.0, 150.0, 3000)
-    half_band = ref_spectrum.alphas[-1] / 2 - ref_spectrum.alphas[0] / 2
-    assert len(list(_node_runs(ts, half_band, ref_spectrum.n_levels))) >= 3
+    assert len(row0_runs(ref_spectrum, ts)) >= 3
     outs, interval = [], sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import UNEVEN_BATHS, explicit_spectrum, make_random_bath, traced_peak
+from conftest import UNEVEN_BATHS, explicit_spectrum, make_random_bath, row0_runs, traced_peak
 from oracles import direct_moments, naive_transition_probabilities, row0_population
 from qbm import evolution, langevin, spectrum
 from qbm.errors import InvalidValue
@@ -24,6 +24,21 @@ from qbm import (
     thermal_occupations,
     transition_probabilities,
 )
+
+
+def rows_counted(spec, formed):
+    """A spy for spectrum._phase_rows that counts, per run (its nodes x),
+    how often each root's own rows are formed: formed[x] over the roots."""
+    al, phase_rows = spec.alphas, spectrum._phase_rows
+    z = al - (al[0] / 2 + al[-1] / 2)
+
+    def spy(x, zs, *args):
+        roots = np.searchsorted(z, zs)
+        assert np.array_equal(z[roots], zs)  # each of the roots' z, as the kernel forms it
+        formed.setdefault(x.tobytes(), np.zeros(al.size, int))[roots] += 1
+        return phase_rows(x, zs, *args)
+
+    return spy
 
 
 def wide_box_bath():
@@ -332,30 +347,22 @@ class TestRow0KernelAccuracy:
     def check_proxies(spec, ts):
         # every run past _PHASE_CELLS, set to K (N+1) of the largest run so
         # that the runs stay as they are, against the explicit sum; returns
-        # how many inner roots had their own rows formed, in root boxes of
-        # no more roots than proxies
-        n, r = spec.n_levels, spec.alphas[-1] / 2 - spec.alphas[0] / 2
-        cells = n * max(x.size for *_, x, _ in langevin._node_runs(ts, r, n))
-        formed, cauchy = np.zeros(n, int), evolution._cauchy
-
-        def spy(phase, *args):
-            def counted(e, trig, c0, c1):
-                formed[c0:c1] += 1
-                phase(e, trig, c0, c1)
-
-            cauchy(counted, *args)
-
+        # how many inner roots had their own rows formed (spectrum's
+        # _phase_rows), in root boxes of no more roots than proxies
+        n = spec.n_levels
+        cells = n * max(x.size for *_, x, _ in row0_runs(spec, ts))
+        formed = {}
         occ = thermal_occupations(spec.bath, 1.0, 1.0)
         with (
-            mock.patch.object(langevin, "_PHASE_CELLS", cells),
-            mock.patch.object(evolution, "_cauchy", spy),
+            mock.patch.object(evolution, "_PHASE_CELLS", cells),
+            mock.patch.object(spectrum, "_phase_rows", rows_counted(spec, formed)),
         ):
-            assert all(2 * x.size * n > cells for *_, x, _ in langevin._node_runs(ts, r, n))
+            assert all(2 * x.size * n > cells for *_, x, _ in row0_runs(spec, ts))
             got = oscillator_population(spec, occ, ts)
         idx = np.linspace(0, ts.size - 1, 8).astype(int)
         want = row0_population(spec, occ, ts[idx])
         np.testing.assert_allclose(got[idx], want, rtol=0.0, atol=1e-13)
-        return int(np.count_nonzero(formed[1:-1]))
+        return int(np.count_nonzero(sum(formed.values())[1:-1]))
 
     @UNEVEN_BATHS
     def test_proxies_on_uneven_baths(self, omegas, omega0):
@@ -396,6 +403,17 @@ class TestRow0KernelAccuracy:
             spec = solve_spectrum(build_bath(ModelParams.explicit(omegas, couplings)), omega0)
             self.check_proxies(spec, t0 + step * np.arange(64))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_windowed_runs_on_few_modes(self, n):
+        # one mode leaves the middle root box empty, two or three modes one
+        # or two roots; node runs and runs of their own times, each past
+        # _PHASE_CELLS, meet it through _box_rows' window
+        omegas = 1.0 + 0.1 * (np.arange(n) - (n - 1) / 2)
+        spec = solve_spectrum(build_bath(ModelParams.explicit(omegas, np.full(n, 0.05))), 1.0)
+        assert spec.boxes[1].tolist()[1:3] == [1, n]  # the middle root box
+        for ts in (0.5 + 0.5 * np.arange(64), 0.5 + 20.0 * np.arange(64)):
+            self.check_proxies(spec, ts)
+
     # 600 fine times, one run on 173 node times, then 700 coarse ones, two
     # runs on their own times: both carry steps write into one output
     MIXED = np.concatenate([1000.0 + 0.05 * np.arange(600), 1100.0 + 3.0 * np.arange(700)])
@@ -403,8 +421,7 @@ class TestRow0KernelAccuracy:
     def test_node_and_direct_runs_in_one_call(self, plateau_probe):
         spec, occ = plateau_probe
         ts = self.MIXED
-        r = spec.alphas[-1] / 2 - spec.alphas[0] / 2
-        runs = [(x.size, w is None) for _, _, x, w in langevin._node_runs(ts, r, spec.n_levels)]
+        runs = [(x.size, w is None) for _, _, x, w in row0_runs(spec, ts)]
         assert runs == [(173, False), (512, True), (138, True)]
         want = row0_population(spec, occ, ts)
         total, surviving, influx = population_decomposition(spec, occ, ts)
@@ -413,70 +430,72 @@ class TestRow0KernelAccuracy:
         np.testing.assert_allclose(surviving + influx, total, rtol=0.0, atol=1e-14)
 
     def test_half_blocks_match_whole_ones(self, plateau_probe):
-        # a cap between one half of the 173-node run's block and both halves
-        # keeps that run and sweeps its cos and then its sin rows, sliding a
-        # window up the roots; the runs on their own times, cut at 259 times
-        # by the cap, take halves too
+        # every run keeps its own rows at the default cap; a cap between
+        # one half of the 173-node run's rows and both halves keeps that
+        # run's length but meets its root boxes through _box_rows, in a
+        # window that slides past the target boxes; the runs on their own
+        # times, cut at 259 times by the cap, take the window too
         spec, occ = plateau_probe
         ts = self.MIXED
-        r = spec.alphas[-1] / 2 - spec.alphas[0] / 2
         cells = 259 * spec.n_levels
         assert 173 * spec.n_levels <= cells < 2 * 173 * spec.n_levels
 
-        def runs():
-            return [(x.size, w is None) for _, _, x, w in langevin._node_runs(ts, r, spec.n_levels)]
+        def runs():  # (kept, K, on its own times)
+            cap = evolution._PHASE_CELLS
+            return [(2 * x.size * spec.n_levels <= cap, x.size, w is None) for *_, x, w in row0_runs(spec, ts)]
 
-        whole = population_decomposition(spec, occ, ts), langevin._moments(spec, (0, 1, 2), ts)
-        assert runs() == [(173, False), (512, True), (138, True)]
-        with mock.patch.object(langevin, "_PHASE_CELLS", cells):
-            assert runs() == [(173, False), (259, True), (259, True), (132, True)]
-            halves = population_decomposition(spec, occ, ts), langevin._moments(spec, (0, 1, 2), ts)
-        for got, want in zip(halves, whole):
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+        kept = population_decomposition(spec, occ, ts)
+        assert runs() == [(True, 173, False), (True, 512, True), (True, 138, True)]
+        with mock.patch.object(evolution, "_PHASE_CELLS", cells):
+            assert runs() == [(False, 173, False), (False, 259, True), (False, 259, True), (False, 132, True)]
+            windowed = population_decomposition(spec, occ, ts)
+        np.testing.assert_allclose(windowed, kept, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("streamed", [False, True], ids=["whole", "streamed"])
     @pytest.mark.parametrize("probe", ["plateau", "groups-of-3"])
     def test_each_root_formed_once_per_pass(self, plateau_probe, probe, streamed):
-        # a run whose cos and sin rows fit _PHASE_CELLS forms each root once;
-        # past it (a cap of 173 levels per node) only the outer roots alpha_0
-        # and alpha_N have their rows formed, and every inner root goes
-        # through its box's frequency proxies, also where the wide-box
-        # bath's box 4 wide is near every box
+        # a run whose cos and sin rows fit _PHASE_CELLS forms each root's
+        # own rows once (spectrum's _phase_rows) and keeps them for both
+        # passes; past it (a cap of 173 levels per node) only the outer
+        # roots alpha_0 and alpha_N have their rows formed, and every inner
+        # root goes through its box's frequency proxies, also where the
+        # wide-box bath's box 4 wide is near every box
         if probe == "plateau":
             (spec, occ), ts = plateau_probe, self.MIXED
         else:
             spec = solve_spectrum(wide_box_bath(), 1.0)
             occ, ts = thermal_occupations(spec.bath, 1.0, 1.0), 50.0 + 0.1 * np.arange(400)
-        r = spec.alphas[-1] / 2 - spec.alphas[0] / 2
-        cells = 173 * spec.n_levels if streamed else langevin._PHASE_CELLS
-        formed, cauchy = [], evolution._cauchy
-
-        def spy(phase, *args):  # one call per run: count its roots formed by cos and by sin
-            counts = {np.cos: np.zeros(spec.n_levels, int), np.sin: np.zeros(spec.n_levels, int)}
-            formed.append(counts)
-
-            def counted(e, trig, c0, c1):
-                for f in trig:
-                    counts[f][c0:c1] += 1
-                phase(e, trig, c0, c1)
-
-            cauchy(counted, *args)
-
+        cells = 173 * spec.n_levels if streamed else evolution._PHASE_CELLS
+        formed = {}
         with (
-            mock.patch.object(langevin, "_PHASE_CELLS", cells),
-            mock.patch.object(evolution, "_cauchy", spy),
+            mock.patch.object(evolution, "_PHASE_CELLS", cells),
+            mock.patch.object(spectrum, "_phase_rows", rows_counted(spec, formed)),
         ):
-            sizes = [x.size for *_, x, _ in langevin._node_runs(ts, r, spec.n_levels)]
+            sizes = [x.size for *_, x, _ in row0_runs(spec, ts)]
             total = population_decomposition(spec, occ, ts)[0]
         assert all((2 * k * spec.n_levels > cells) == streamed for k in sizes)
         assert len(formed) == len(sizes)
         want = np.ones(spec.n_levels, int)
         want[1:-1] = 0 if streamed else 1
-        for counts in formed:
-            for f in (np.cos, np.sin):
-                np.testing.assert_array_equal(counts[f], want)
+        for counts in formed.values():
+            np.testing.assert_array_equal(counts, want)
         idx = np.linspace(0, ts.size - 1, 8).astype(int)
         np.testing.assert_allclose(total[idx], row0_population(spec, occ, ts[idx]), rtol=0.0, atol=1e-13)
+
+    def test_worker_count_with_kept_and_windowed_runs(self, plateau_probe, monkeypatch):
+        # a cap of 512 levels per node keeps the plan, and the rows of the
+        # 173-node run and the 138-time run, but puts the 512-time run on
+        # the window: either rule, the threads change no bit
+        spec, occ = plateau_probe
+        cells = 512 * spec.n_levels
+        monkeypatch.setattr(evolution, "_PHASE_CELLS", cells)
+        runs = [(2 * x.size * spec.n_levels <= cells, x.size) for *_, x, _ in row0_runs(spec, self.MIXED)]
+        assert runs == [(True, 173), (False, 512), (True, 138)]
+        outs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("QBM_THREADS", workers)
+            outs.append(np.stack(population_decomposition(spec, occ, self.MIXED)).tobytes())
+        assert outs[0] == outs[1]
 
     def test_runs_bound_the_phase_block(self, recurrence_probe):
         # 3000 steps of the recurrence preset on the N = 10^4 bath would take 442
@@ -485,10 +504,10 @@ class TestRow0KernelAccuracy:
         spec = recurrence_probe
         ts = spec.tau_omega / 8.0 * np.arange(3000)
         r = spec.alphas[-1] / 2 - spec.alphas[0] / 2
-        runs = list(langevin._node_runs(ts, r, spec.n_levels))
+        runs = row0_runs(spec, ts)
         assert 0 < max(x.size for *_, x, w in runs if w is not None) <= 209
         assert np.array_equal(np.concatenate([t for _, t, _, _ in runs]), ts)
-        runs = list(langevin._node_runs(ts[:20], r, langevin._PHASE_CELLS + 1))
+        runs = list(langevin._node_runs(ts[:20], r, evolution._row0_price(evolution._PHASE_CELLS + 1)))
         assert [t.size for _, t, _, w in runs if w is None] == [1] * 20
 
     def test_carry_blocks_match_one_block(self, plateau_probe):
@@ -496,7 +515,7 @@ class TestRow0KernelAccuracy:
         # on their own times into blocks of 8 and 29
         spec, occ = plateau_probe
         whole = population_decomposition(spec, occ, self.MIXED)
-        with mock.patch.object(langevin, "_CELLS", 4096):
+        with mock.patch.object(evolution, "_CELLS", 4096):
             blocked = population_decomposition(spec, occ, self.MIXED)
         np.testing.assert_allclose(blocked, whole, rtol=0.0, atol=1e-15)
 
@@ -529,12 +548,12 @@ def test_population_memory_does_not_grow_with_times():
     bath = build_bath(ModelParams(n_bath=1000, step=0.0018))
     spec = solve_spectrum(bath, 1.0)
     occ = thermal_occupations(bath, 1.0, 1.0)
-    r, peaks, nodes = spec.alphas[-1] / 2 - spec.alphas[0] / 2, [], []
+    peaks, nodes = [], []
     # both lengths run on the same node count: the kernel's buffers scale
     # with it, so only then does a peak that grows mean it grows with times
     for n_times in (8192, 12733):
         ts = 1000.0 + np.pi / 20.0 * np.arange(n_times)
-        nodes.append({x.size for *_, x, _ in langevin._node_runs(ts, r, spec.n_levels)})
+        nodes.append({x.size for *_, x, _ in row0_runs(spec, ts)})
         peaks.append(traced_peak(oscillator_population, spec, occ, ts))
     assert nodes[0] == nodes[1]
     assert peaks[1] == pytest.approx(peaks[0], rel=0.1)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import explicit_spectrum, make_random_bath, traced_peak
+from conftest import explicit_spectrum, make_random_bath, row0_runs, traced_peak
 from oracles import (
     dense_diagonalize_oracle,
     direct_moments,
@@ -28,7 +28,7 @@ from qbm import (
     solve_spectrum,
     survival_probability,
 )
-from qbm import langevin, spectrum
+from qbm import evolution, langevin, spectrum
 from qbm.errors import AmplitudeVanishes, InvalidValue
 
 
@@ -81,20 +81,15 @@ class TestMomentSignals:
 
     def test_runs_form_one_box_of_rows_at_most(self, recurrence_probe):
         # a run meets the outer roots and each root box of spec.boxes, on
-        # proxy frequencies or, as from t = 0, on the box's own phase rows
-        spec, node_sums, widths = recurrence_probe, langevin._node_sums, []
+        # proxy frequencies or, as from t = 0, on the box's own phase rows,
+        # which spectrum._phase_rows forms for the roots it is given
+        spec, phase_rows, widths = recurrence_probe, spectrum._phase_rows, []
 
-        def spy(spec, ts, contract, carry, out):
-            def hooked(phase, *args):
-                def counted(e, trig, c0, c1):
-                    widths.append(c1 - c0)
-                    phase(e, trig, c0, c1)
+        def spy(x, z, *args):
+            widths.append(z.size)
+            return phase_rows(x, z, *args)
 
-                return contract(counted, *args)
-
-            return node_sums(spec, ts, hooked, carry, out)
-
-        with mock.patch.object(langevin, "_node_sums", spy):
+        with mock.patch.object(spectrum, "_phase_rows", spy):
             estimate_gamma(spec, (1.0, 20.0))
             coefficient_series(spec, TimeGrid().times()[:100])
         assert widths and max(widths) <= np.diff(spec.boxes[1]).max()
@@ -136,11 +131,6 @@ class TestMomentSignals:
             np.testing.assert_allclose(got, want, rtol=0.0, atol=2e-15)
 
 
-def runs_of(spec, ts, *price):
-    r = spec.alphas[-1] / 2 - spec.alphas[0] / 2
-    return list(langevin._node_runs(ts, r, spec.n_levels, *price))
-
-
 class TestRunPlans:
     """_node_runs under the row-0 kernel's price, which population.csv's
     bytes rest on, and under the moments' own."""
@@ -148,13 +138,13 @@ class TestRunPlans:
     def test_row0_plans(self, ref_spectrum, plateau_probe, recurrence_probe):
         ts = TimeGrid().times()
         window = ts[(ts >= 100.0) & (ts <= 300.0)]
-        runs = runs_of(ref_spectrum, ts)
+        runs = row0_runs(ref_spectrum, ts)
         assert [(t.size > x.size, x.size) for _, t, x, _ in runs] == [(True, 37)] * 17
-        assert len(runs_of(ref_spectrum, window)) == 11
+        assert len(row0_runs(ref_spectrum, window)) == 11
         plateau = TimeGrid(t_start=1000.0, n_steps=12800).times()
-        sizes = [x.size for *_, x, _ in runs_of(plateau_probe[0], plateau)]
+        sizes = [x.size for *_, x, _ in row0_runs(plateau_probe[0], plateau)]
         assert len(sizes) == 23 and set(sizes) == {84, 85}
-        assert [x.size for *_, x, _ in runs_of(recurrence_probe, window)] == [148]
+        assert [x.size for *_, x, _ in row0_runs(recurrence_probe, window)] == [148]
 
     def test_moment_runs_are_priced_by_their_kernel(self, ref_spectrum):
         # the row-0 price cuts the default grid into 17 runs of K = 37; the
@@ -178,7 +168,8 @@ class TestRunPlans:
             priced.append(k.size)
             return k * spec.n_levels
 
-        runs, counted = runs_of(spec, ts), runs_of(spec, ts, (cost, 1.0))
+        r, price = spec.alphas[-1] / 2 - spec.alphas[0] / 2, evolution._row0_price(spec.n_levels)
+        runs, counted = row0_runs(spec, ts), list(langevin._node_runs(ts, r, (cost, *price[1:])))
         assert [(i0, x.tobytes()) for i0, _, x, _ in counted] == [
             (i0, x.tobytes()) for i0, _, x, _ in runs
         ]
@@ -194,9 +185,9 @@ class TestRunPlans:
             ts = np.random.default_rng(data.draw(st.integers(0, 99), label="seed")).permutation(ts)
         r = data.draw(st.floats(0.01, 3.0), label="r")
         levels = data.draw(st.sampled_from([2, 101, 10001]), label="levels")
-        synthetic = (lambda k, h: 50.0 * k + 400.0 * h + 3000.0, 0.3)
-        price = data.draw(st.sampled_from([None, synthetic]), label="price")
-        runs, i0 = list(langevin._node_runs(ts, r, levels, price)), 0
+        synthetic = (lambda k, h: 50.0 * k + 400.0 * h + 3000.0, 0.3, 1 << 13, langevin._T_CHUNK // 2)
+        price = data.draw(st.sampled_from([evolution._row0_price(levels), synthetic]), label="price")
+        runs, i0 = list(langevin._node_runs(ts, r, price)), 0
         for start, t, x, w in runs:
             assert start == i0 and np.array_equal(t, ts[i0 : i0 + t.size])
             if w is None:
@@ -420,8 +411,7 @@ class TestEstimateGamma:
         # root box meets them through 10 proxy frequencies instead, and the
         # whole fit peaks at 0.39 MB traced
         spec = recurrence_probe
-        r = spec.alphas[-1] / 2 - spec.alphas[0] / 2
-        runs = langevin._node_runs(np.linspace(1.0, 20.0, 256), r, spec.n_levels)
+        runs = row0_runs(spec, np.linspace(1.0, 20.0, 256))
         assert [x.size for *_, x, _ in runs] == [38]
         assert traced_peak(estimate_gamma, spec, (1.0, 20.0)) < 6e5
         # the 79 middle boxes in proxy groups of several: fewer factors than

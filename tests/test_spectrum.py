@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import UNEVEN_BATHS, make_random_bath, traced_peak
+from conftest import UNEVEN_BATHS, make_random_bath, row0_runs, traced_peak
 from oracles import dense_diagonalize_oracle, hamiltonian_matrix, secular_residual, secular_values
 from qbm import (
     DiscretizedBath,
@@ -15,7 +15,6 @@ from qbm import (
     Spectrum,
     build_bath,
     evolution,
-    langevin,
     overlap_matrix,
     population_decomposition,
     solve_spectrum,
@@ -465,8 +464,7 @@ def test_one_box_geometry_and_far_field_per_solve(recurrence_probe):
         assert boxes.call_count == 1
         assert trees.call_count == 1
         ts = 100.0 + 5.0 * np.arange(300)
-        r = spec.alphas[-1] / 2 - spec.alphas[0] / 2
-        assert len(list(langevin._node_runs(ts, r, spec.n_levels))) == 2
+        assert len(row0_runs(spec, ts)) == 2
         population_decomposition(spec, thermal_occupations(bath, 1.0, 1.0), ts)
     assert boxes.call_count == 1
     assert trees.call_count == 1
@@ -516,8 +514,8 @@ def test_solve_and_kernel_share_one_tree(recurrence_probe):
         spec = solve_spectrum(recurrence_probe.bath, 1.0)
         population_decomposition(spec, occ, 100.0 + 5.0 * np.arange(300))
     assert len(built) == 1 and spec.boxes is built[0]
-    assert cauchy.call_count == 2  # one per run: 209 times streamed, 91 whole
-    assert all(call.args[2].boxes is built[0] for call in cauchy.call_args_list)
+    assert cauchy.call_count == 2  # one per run: 209 times windowed, 91 kept
+    assert all(call.args[1].boxes is built[0] for call in cauchy.call_args_list)
     _, _, near, px, _, levels = spec.boxes
     assert px.shape[0] == 79
     assert np.all(px[:, 0] > px[:, -1])
