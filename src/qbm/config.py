@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidValue, ParseError, QbmError, UnknownKey
 from .langevin import LangevinInput
-from .model import ModelParams, build_bath
+from .model import _MAX_OCCUPATION, ModelParams, build_bath
 from .series import TimeGrid
 
 PRODUCTS = ("spectrum", "population", "survival", "position", "coefficients", "report")
@@ -51,6 +51,8 @@ class RunConfig:
             raise InvalidValue(f"N_Omega0 must be finite, got {self.n_omega0}")
         if self.n_omega0 < 0.0:
             raise InvalidValue(f"N_Omega0 must be >= 0, got {self.n_omega0}")
+        if self.n_omega0 > _MAX_OCCUPATION:  # refused before the solve
+            raise InvalidValue(f"N_Omega0 must be at most {_MAX_OCCUPATION:g}, got {self.n_omega0}")
 
 
 def _items(raw: str) -> tuple[str, ...]:

@@ -19,13 +19,13 @@ and runs on the node-time phase kernel of langevin (|U_0m|^2 does not see
 the band-centre phase): the Cauchy product against 1/(omega_m - alpha_nu)
 runs on the K node times, not the T grid times, as spectrum._cauchy, on
 the boxes and tree the solve built, which the spectrum keeps (both
-described in spectrum), root box by root box: a run whose rows fit
-_PHASE_CELLS keeps each box's own for both of _cauchy's passes; past it
-its inner roots are met through per-box Chebyshev proxy frequencies,
-their phase rows never formed.  The product is never held: it is folded
-box by box into a K x K Gram matrix per half of the phase rows,
-O(N K^2), and the population at each of the T times is a quadratic form
-in that time's barycentric row, O(K^2 T) in all.  The survival
+described in spectrum), root box by root box, through Chebyshev proxy
+frequencies of its own where fewer than its roots.  The product is never
+held: it is folded box by box into a K x K Gram matrix per half of the
+phase rows, O(N K^2), and the population at each of the T times is a
+quadratic form in that time's barycentric row, O(K^2 T) in all.  A run
+whose rows fit _PHASE_CELLS makes one pass, its far field met after the
+tree sweep through a (2K, p) and a (p, p) factor per box.  The survival
 amplitude, on the same kernel, is the (0,0) element
 
     A(t) = sum_nu w_nu exp(-i alpha_nu t),
@@ -41,10 +41,10 @@ import numpy as np
 from .errors import InvalidValue
 from .langevin import _check_phases, _node_sums, _times, moment_signal
 from .model import InitialOccupations
-from .spectrum import Spectrum, _cauchy, overlap_matrix
+from .spectrum import _PROXIES, Spectrum, _cauchy, overlap_matrix
 
-_PHASE_CELLS = 1 << 21  # most 2 K (N+1) entries of rows kept (proxies past it) and K (N+1) a run
-_CELLS = 1 << 18  # most entries in a carry block
+_PHASE_CELLS = 1 << 21  # most 2 K (N+1) row entries of a one-pass run, and K (N+1) of any run
+_CELLS = 1 << 16  # most entries in a carry block
 
 
 def survival_probability(spec: Spectrum, t) -> np.ndarray:
@@ -79,10 +79,11 @@ def population_series(spec: Spectrum, occ0: InitialOccupations, times) -> np.nda
     return out
 
 
-def _row0_price(n_levels):
-    """The row-0 kernel's price of a run for langevin._node_runs: cost
-    K (N+1), carry 1, carry blocks of _CELLS, and K (N+1) <= _PHASE_CELLS."""
-    return (lambda k, h: k * n_levels), 1.0, _CELLS, _PHASE_CELLS // n_levels
+def _row0_price(n):
+    """The row-0 kernel's price of a run for langevin._node_runs, fitted in
+    phase entries: (158 + K + 0.0098 K^2) (N+1) a run and 0.83 K + 0.002 K^2
+    a time; carry blocks of _CELLS, and K (N+1) <= _PHASE_CELLS."""
+    return (lambda k, h: (158 + k + 0.0098 * k * k) * n), (0.83, 0.002), _CELLS, _PHASE_CELLS // n
 
 
 def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -93,26 +94,40 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
     cos and sin rows meet the boxed product _cauchy on the spectrum's boxes,
     folded in box by box: on a node run each block s, scaled by sqrt(v g^2),
     adds s s^T to its half's K x K Gram matrix per column of v; on a run of
-    its own times its squares meet v g^2.  The carry sums the halves to G,
-    and the times take b G b^T, b their barycentric rows."""
+    its own times its squares meet v g^2; a kept run's far field phi b^T
+    meets them after the sweep through X = s vg b and M = b^T vg b.  The
+    carry sums the halves to G, and the times take b G b^T, b their rows."""
     cols = v.shape[1]
     vg = v * np.append(1.0, spec.bath.couplings**2)[:, None]  # >= 0: sqrt(vg) is real
     spec.boxes  # built here, not in a worker, if the spectrum was made directly
+    far = int(np.count_nonzero(~spec.boxes[2][1:-1].all(axis=1)))  # middle boxes with a far box
 
     def contract(buffer, x, on_nodes):
-        k = x.size
+        k, ms, keep = x.size, [], 2 * x.size * spec.n_levels <= _PHASE_CELLS
         g = np.zeros((2, cols, k, k) if on_nodes else (2, k, cols))
+        xs = np.empty((2, cols, k, far, _PROXIES)) if keep else None
 
-        def fold(m0, s):
+        def fold(m0, s, b):
             m1, s3 = m0 + s.shape[1], s.reshape(2, k, -1)
+            if b is not None:  # X = s vg b and M = b^T vg b per column, for phi after the sweep
+                u = vg[m0:m1].T[:, :, None] * b
+                xs[..., len(ms), :] = s3[:, None] @ u
+                ms.append(b.T @ u)
             if on_nodes:
                 for c, rc in enumerate(np.sqrt(vg[m0:m1]).T):
                     t = np.multiply(s3, rc, out=s3 if c == cols - 1 else None)  # last in place
-                    g[:, c] += t @ t.transpose(0, 2, 1)
+                    for h in (0, 1):  # a half at a time: half the product's temporary
+                        g[h, c] += t[h] @ t[h].T
             else:  # |U_0m|^2 = cos part^2 + sin part^2, squared in place
                 g[:] += np.square(s3, out=s3) @ vg[m0:m1]
 
-        _cauchy(buffer, spec, fold, x, 2 * k * spec.n_levels <= _PHASE_CELLS)
+        phi = _cauchy(buffer, spec, fold, x, keep)
+        if ms:  # phi's X phi^T + phi X^T + phi M phi^T = Z phi^T + phi Z^T, Z = X + phi M / 2
+            for q, mb in enumerate(ms):  # all boxes in one product
+                xs[..., q, :] += phi[:, None, :, q * _PROXIES : (q + 1) * _PROXIES] @ mb / 2
+            z, phi = xs.reshape(2, cols, k, -1), phi[:, None]
+            a = z @ phi.transpose(0, 1, 3, 2) if on_nodes else np.sum(z * phi, axis=-1).transpose(0, 2, 1)
+            g += a + (a.transpose(0, 1, 3, 2) if on_nodes else a)
         return g
 
     def carry(a, b):  # the halves summed; b G b^T, row by row of b, for each G

@@ -37,7 +37,7 @@ the time axis, cut by each kernel's price of a run (_node_runs), and
 QBM_THREADS worker threads take whole runs.  Neither kernel forms a phase
 block: each root box (for the moments, each group of boxes their price
 picks) meets a run through a few Chebyshev proxy frequencies of its own
-(spectrum._box_rows), or through its own rows where cheaper or kept.
+(spectrum._box_rows), or through its own rows where those cost less.
 """
 
 from __future__ import annotations
@@ -91,10 +91,10 @@ class GammaEstimate:
 
 
 def _check_phases(ts: np.ndarray, alphas: np.ndarray) -> None:
-    """InvalidValue unless max|t| * max|alpha|, in Python floats, is finite."""
+    """InvalidValue unless max|t| * max|alpha|, in Python floats, is below 2^52 (phase bits below 1)."""
     big = float(np.max(np.abs(ts), initial=0.0)) * float(np.max(np.abs(alphas), initial=0.0))
-    if not math.isfinite(big):
-        raise InvalidValue(f"phases t*alpha are not finite: max|t| * max|alpha| = {big}")
+    if not big < 2.0**52:
+        raise InvalidValue(f"phases t*alpha keep no fractional bits: max|t| * max|alpha| = {big} >= 2^52")
 
 
 def _times(t) -> np.ndarray:
@@ -114,15 +114,16 @@ def _times(t) -> np.ndarray:
 def _node_runs(ts, r, price):
     """(i0, t, x, w) per run: the times ts are cut, in order, into runs
     t = ts[i0 : i0 + n], each on K = r h + 12 (r h)^(1/3) + 4 Chebyshev
-    nodes x with barycentric weights w or, where cheaper per time, on at
-    most chunk of its own times (x = t, w None), by the kernel's price
-    (cost, carry, cells, cap): cost(k, h) + carry k n for n times on k
-    points of half-width h, cost(n, h) on their own.  Runs take the
-    cheapest length (K <= chunk, cap or _T_CHUNK), spread evenly; each K
-    is priced at the most times it reaches, as far as carry K stays below
-    the best."""
-    cost, carry, _, cap = price
-    chunk = max(1, min(_T_CHUNK, cap))
+    nodes x with barycentric weights w or, where cheaper per time or the
+    nodes would lie closer than 2^-970 (t - x subnormal, w / d overflows),
+    on at most chunk of its own times (x = t, w None), by the kernel's price
+    (cost, (c1, c2), cells, cap): cost(k, h) + (c1 + c2 k) k n for n times
+    on k points of half-width h, cost(n, h) on their own.  Runs take the
+    cheapest length (K <= chunk, cap or _T_CHUNK), spread evenly; each K is
+    priced at the most times it reaches, as far as its carry per time,
+    which grows with K, stays below the best."""
+    cost, (c1, c2), _, cap = price
+    chunk, carry = max(1, min(_T_CHUNK, cap)), lambda k: (c1 + c2 * k) * k
     i0, w = 0, 2048
     while i0 < ts.size:
         rest, stop = ts.size - i0, False
@@ -132,15 +133,16 @@ def _node_runs(ts, r, price):
             nodes = _nodes(r * h)
             e = np.flatnonzero(np.append(nodes[1:] != nodes[:-1], True))  # the last time at each K
             k, n = nodes[e], e + 1
-            per = np.where((k < n) & (k <= chunk), (cost(k, h[e]) + carry * k * n) / n, np.inf)
-            n, far = int(n[np.argmin(per)]), nodes[-1] > chunk or carry * nodes[-1] >= per.min()
+            per = np.where((k < n) & (k <= chunk), (cost(k, h[e]) + carry(k) * n) / n, np.inf)
+            n, far = int(n[np.argmin(per)]), nodes[-1] > chunk or carry(nodes[-1]) >= per.min()
             stop, w = t.size == rest or far and t.size >= 2 * n, 2 * w  # even below is < 2 n
         # equal runs over the times left, so no short last run pays for a contraction
         even, own = -(-rest // max(1, round(rest / n))), min(chunk, rest)
         n = even if nodes[even - 1] < min(even, chunk + 1) else n
         k, t = nodes[n - 1], ts[i0 : i0 + own]
         c = cost(np.array([k, own]), np.array([h[n - 1], t.max() / 2 - t.min() / 2]))
-        node = k < min(n, chunk + 1) and (c[0] + carry * k * n) / n < c[1] / own
+        narrow = h[n - 1] * (1.0 - np.cos(np.pi / (k - 1))) < 2.0**-970  # the nodes' closest pair
+        node = k < min(n, chunk + 1) and not narrow and (c[0] + carry(k) * n) / n < c[1] / own
         t = ts[i0 : i0 + (n if node else own)]
         yield i0, t, *(_chebyshev(t.min(), t.max(), int(k)) if node else (t, None))
         i0, w = i0 + t.size, max(256, min(w, 4 * t.size))
@@ -268,7 +270,7 @@ def _moments(spec: Spectrum, ks, t) -> np.ndarray:
         u = a if b is None else b @ a
         return (u[0] - 1j * u[1]).T
 
-    price = (lambda k, h: cost(k, h).min(axis=1), per_carry, _MOMENT_CELLS, _T_CHUNK // 2)
+    price = (lambda k, h: cost(k, h).min(axis=1), (per_carry, 0.0), _MOMENT_CELLS, _T_CHUNK // 2)
 
     def contract(buffer, x, _):  # each group's rows used before the next's
         rows, h = _box_rows(x, per_bary, buffer), x.max() / 2 - x.min() / 2

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import InvalidValue, NonPositiveFrequency
 
 COUPLING_RULES = ("lorentzian", "explicit")
+_MAX_OCCUPATION = 1e290  # 2^60 of it, as many times as a TimeGrid holds, sum to a finite float
 
 
 @dataclass(frozen=True)
@@ -158,6 +159,8 @@ class InitialOccupations:
             raise InvalidValue(f"n_omega0 must be finite and >= 0, got {self.n_omega0}")
         if not np.all(np.isfinite(nb)) or np.any(nb < 0.0):
             raise InvalidValue("bath occupations must be finite and >= 0")
+        if max(self.n_omega0, nb.max(initial=0.0)) > _MAX_OCCUPATION:
+            raise InvalidValue(f"occupations must be at most {_MAX_OCCUPATION:g}")
         nb.setflags(write=False)
         object.__setattr__(self, "n_bath_modes", nb)
 

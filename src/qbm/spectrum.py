@@ -47,7 +47,7 @@ against 1/(omega_m - alpha_nu), O(K N (n_near + p)), on the same boxes and
 tree, which the spectrum keeps.  Both take a run's rows root box by root
 box, or for the moments in langevin group by group (_box_rows): through a
 few Chebyshev proxy frequencies of their own, exact to rounding, or the
-box's own rows where those cost no more or a run small enough keeps them.
+box's own rows where those cost no more.
 """
 
 from __future__ import annotations
@@ -252,7 +252,7 @@ def _phase_rows(x, z, scratch=np.empty):
     return e
 
 
-def _box_rows(x, bary=0.0, scratch=np.empty, own=False):
+def _box_rows(x, bary=0.0, scratch=np.empty):
     """rows(z): y -> the cos and sin rows at the K times x of a box of roots,
     their frequencies less the band centre z (ascending), times y.  A box
     of half-width d meets the x, within h of tc, through P = _nodes(h d)
@@ -260,15 +260,18 @@ def _box_rows(x, bary=0.0, scratch=np.empty, own=False):
     Multiscale Model. Simul. 7, 2009) as
     [[C, -S], [S, C]] [L^T cos(tc z); L^T sin(tc z)], C and S the cos and
     sin of (x - tc) zp, L its barycentric matrix to zp; where P (K + bary B)
-    >= K B (P = 0 for no roots), with own, or with a time at 0, whose sin
-    rows must vanish exactly, through its own (_phase_rows); both in
-    scratch(cells), for callers done with each box."""
+    >= K B (P = 0 for no roots), or with a time at 0, whose sin rows must
+    vanish exactly, through its own (_phase_rows); both in rows.cells(z)
+    of scratch, or rows(z, scratch), for callers done with each box."""
     lo, hi, k = x.min(), x.max(), x.size
-    tc, h, own = lo / 2 + hi / 2, hi / 2 - lo / 2, own or not x.all()
+    tc, h, own = lo / 2 + hi / 2, hi / 2 - lo / 2, not x.all()
 
-    def rows(z):
+    def proxies(z):  # P, or 0 where the box takes its own rows
         p = int(_nodes(h * (z[-1] - z[0]) / 2)) if z.size else 0
-        if own or p * (k + bary * z.size) >= k * z.size:
+        return 0 if own or p * (k + bary * z.size) >= k * z.size else p
+
+    def rows(z, scratch=scratch):
+        if not (p := proxies(z)):
             return _phase_rows(x, z, scratch).__matmul__
         zp, zw = _chebyshev(z[0], z[-1], p)
         rot = np.stack((np.cos(tc * z), np.sin(tc * z)))  # before C, S: no heap growth per box
@@ -278,6 +281,7 @@ def _box_rows(x, bary=0.0, scratch=np.empty, own=False):
         ep[:k, :p], ep[:k, p:], ep[k:, :p], ep[k:, p:] = c, -s, s, c
         return lambda y: ep @ (rp @ y)
 
+    rows.cells = lambda z: 4 * k * p if (p := proxies(z)) else 2 * k * z.size  # of scratch
     return rows
 
 
@@ -285,57 +289,71 @@ def _cauchy(buffer, spec, fold, x, keep):
     """The columns [sum_nu w_nu e_nu, sum_nu w_nu e_nu / (om_m - al_nu)] for
     the roots al, weights w and modes om of spec and the K cos and K sin
     rows e of z = al - abar (abar the band centre) at the times x, box by
-    box of spec.boxes: box i's columns m0:m1 go to fold(m0, s), column 0
-    last to fold(0, s).  The outer roots are summed exactly through their
-    own rows, one rank-2 product per box, and so are near pairs; the far
-    field goes through the tree: each root box is anterpolated onto its
-    p = _PROXIES proxies, _far takes the potentials to every box's proxies
-    in even chunks of the 2 K rows, of at most _SWEEP_CELLS charges (the
-    halves at fewest), each over charges already swept, and the barycentric
-    interpolant carries them to the modes.  Every root box's rows come from
-    _box_rows: with keep, its own rows, formed once and kept for both
-    passes; otherwise no inner root's are formed where its box's proxy
-    frequencies are fewer than its roots, and the boxes near a target box
-    are kept for the next.  Each near block is formed in buffer(cells)."""
+    box of spec.boxes: box i's columns m0:m1 go to fold(m0, s, b), column 0
+    last.  The outer roots and near pairs are summed exactly, a root box's
+    factor (_box_rows) formed at its first target box and freed after its
+    last; each root box is anterpolated onto its p = _PROXIES proxies, _far
+    takes the potentials phi to every box's proxies on the tree in even
+    chunks of the 2 K rows, of at most _SWEEP_CELLS charges (the halves at
+    fewest), and b (B, p), box i's barycentric matrix, carries them to its
+    modes.  Without keep the boxes are anterpolated first and s gets phi_i
+    b^T, b None.  With keep, one pass: each factor, in one of as many slots
+    of buffer as are held at once, is anterpolated when formed; s is the
+    near field, and phi of the boxes with b, (2, K, boxes p), is returned
+    after the sweep."""
     al, w, om = spec.alphas, spec.weights, spec.bath.omegas
     cm, cr, near, px, pw, levels = spec.boxes
-    k, boxed = x.size, near[1:-1, 1:-1]
-    edges = np.diff(boxed, axis=1, prepend=False, append=False)  # each target's near runs' ends
-    abar, box_rows = al[0] / 2 + al[-1] / 2, _box_rows(x, own=keep)
+    k, n, boxed, far = x.size, len(px), near[1:-1, 1:-1], ~near[1:-1].all(axis=1)
+    abar, box_rows, roots = al[0] / 2 + al[-1] / 2, _box_rows(x), np.diff(cr[1:-1])
 
-    def rows(j):  # y -> the rows of root box j times y
-        return box_rows(al[cr[j + 1] : cr[j + 2]] - abar)
-
+    z = lambda j: al[cr[j + 1] : cr[j + 2]] - abar  # root box j's frequencies less abar
     outer = _phase_rows(x, al[[0, -1]] - abar)
-    held = {j: rows(j) for j in range(len(px))} if keep else {}  # for both passes
     k_outer, total = w[[0, -1]] / np.subtract.outer(om, al[[0, -1]]), outer @ w[[0, -1]]
-    sweeps = max(2, -(-2 * k // max(1, _SWEEP_CELLS // (len(px) * _PROXIES))))
+    sweeps = max(2, -(-2 * k // max(1, _SWEEP_CELLS // (n * _PROXIES))))
     cuts, c = [2 * k * i // sweeps for i in range(sweeps + 1)], -(-2 * k // sweeps)
-    pq = np.empty((len(px), 2 * k + c, _PROXIES))  # [phi; q cos; q sin]
-    for j, (r0, r1) in enumerate(zip(cr[1:-2].tolist(), cr[2:-1].tolist())):
-        b, f = _barycentric(al[r0:r1], px[j], pw), held.get(j) or rows(j)
+    pq = np.empty((n, 2 * k + c, _PROXIES))  # [phi; q cos; q sin]
+
+    def anterpolate(j, f):  # root box j's rows f onto its proxies, and into column 0
+        b = _barycentric(al[(r0 := cr[j + 1]) : (r1 := cr[j + 2])], px[j], pw)
         pq[j, c:] = f(np.multiply(b, w[r0:r1, None], out=b))
-        total += f(w[r0:r1])
-    tree = _m2l(levels)  # held through the sweeps only
-    for r0, r1 in zip(cuts, cuts[1:]):
-        _far(tree, pq[:, c + r0 : c + r1], out=pq[:, r0:r1])
-    del tree
+        total[:] += f(w[r0:r1])
+
+    def sweep():
+        tree = _m2l(levels)  # held through the sweeps only
+        for r0, r1 in zip(cuts, cuts[1:]):
+            _far(tree, pq[:, c + r0 : c + r1], out=pq[:, r0:r1])
+
+    first, last, held = boxed.argmax(axis=0), n - 1 - boxed[::-1].argmax(axis=0), {}
+    made, done = first * n + np.arange(n), last * n + np.arange(n)  # in (target, box) order
+    at_once = max(np.searchsorted(np.sort(made), made, "right") - np.searchsorted(np.sort(done), made))
+    cells = max(box_rows.cells(z(j)) for j in range(n)) if keep else 0
+    if not keep:  # every root box anterpolated first
+        for j in range(n):
+            anterpolate(j, box_rows(z(j)))
+        sweep()
+    area = buffer(cells * at_once + int(np.diff(cm[1:-1]).max() * roots.max()))
+    *free, block = np.split(area, cells * np.arange(1, at_once + 1))  # the slots, the near block
     for i, (m0, m1) in enumerate(zip(cm[1:-2].tolist(), cm[2:-1].tolist())):
         s = outer @ k_outer[m0:m1].T
-        if not keep:  # the factors of the root boxes near box i, kept from box i - 1's
-            held = {j: held.get(j) or rows(j) for j in np.flatnonzero(boxed[i]).tolist()}
-        for j0, j1 in np.flatnonzero(edges[i]).reshape(-1, 2).tolist():  # a run of near boxes
-            s0, s1 = cr[j0 + 1], cr[j1 + 1]
-            # each near block reuses the worker's buffer, not paged in afresh
-            d = buffer((m1 - m0) * (s1 - s0)).reshape(m1 - m0, -1)
-            y = np.divide(w[s0:s1], np.subtract.outer(om[m0:m1], al[s0:s1], out=d), out=d).T
-            for j in range(j0, j1):
-                s += held[j](y[cr[j + 1] - s0 : cr[j + 2] - s0])
-        del d, y  # before the next box's blocks, which can then reuse its memory
-        if not near[i + 1].all():
-            s += pq[i, : 2 * k] @ _barycentric(om[m0:m1], px[i], pw).T
-        fold(m0 + 1, s)
-    fold(0, total[:, None])
+        for j in np.flatnonzero(boxed[i]).tolist():  # each near root box's block
+            if first[j] == i:
+                e = free.pop()
+                held[j] = e, box_rows(z(j), (lambda cells: e[:cells]) if keep else np.empty)
+                if keep:
+                    anterpolate(j, held[j][1])
+            r0, r1 = cr[j + 1], cr[j + 2]
+            d = block[: (m1 - m0) * (r1 - r0)].reshape(m1 - m0, -1)
+            s += held[j][1](np.divide(w[r0:r1], np.subtract.outer(om[m0:m1], al[r0:r1], out=d), out=d).T)
+            if last[j] == i:
+                free.append(held.pop(j)[0])
+        b = _barycentric(om[m0:m1], px[i], pw) if far[i] else None
+        if b is not None and not keep:
+            s += pq[i, : 2 * k] @ b.T
+        fold(m0 + 1, s, b if keep else None)
+    fold(0, total[:, None], None)
+    if keep and far.any():
+        sweep()
+        return np.stack([pq[i, : 2 * k].reshape(2, k, -1) for i in np.flatnonzero(far)], 2).reshape(2, k, -1)
 
 
 def _secular_parts(om, g2, omega0, origin, tau, act, boxes, far):

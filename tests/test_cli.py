@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -272,6 +273,8 @@ class TestExitCodes:
             ("coupling = explicit\nomegas = 1.0\ncouplings = 1e200\noutputs = survival\n", 2, "InvalidValue: line "),
             # grid and bath are each fine; their phases t * alpha overflow
             ("t_step = 5e307\nn_steps = 3\noutputs = survival\n", 2, "InvalidValue: phases "),
+            # finite, but from 2^52 on they keep no bits below the unit
+            ("t_step = 1e300\nn_steps = 3\noutputs = coefficients\n", 2, "InvalidValue: phases "),
             ("A = 1e300\n", 2, "InvalidValue: line "),
             ("n_steps = 100000000000000000000\n", 2, "InvalidValue: line "),
             # sum|g| rounds away beside omega_1: the lowest root starts on its pole
@@ -288,7 +291,7 @@ class TestExitCodes:
             ("beta = 1e-310\noutputs = population\n", 2, "InvalidValue: beta "),
         ],
         ids=[
-            "last-time", "bath-span", "bath-g2", "phase", "lorentzian-width", "grid-size",
+            "last-time", "bath-span", "bath-g2", "phase", "phase-bits", "lorentzian-width", "grid-size",
             "outer-root-on-pole", "outer-root-on-pole-omega-2", "half-width-n4", "half-width-n100",
             "position-mass", "position-span", "tiny-beta", "denormal-beta",
         ],
@@ -307,6 +310,38 @@ class TestExitCodes:
         assert proc.stderr.startswith(prefix)
         assert proc.stderr.count("\n") == 1
         assert not out.exists()
+
+    def test_subnormal_steps_write_no_nan(self, tmp_path):
+        # 17 steps of 5e-324 on N = 3: no span of them holds a run's nodes
+        # apart, so every run takes its own times; no warning, no NaN row
+        text = "N = 3\nt_step = 5e-324\nn_steps = 17\noutputs = population, survival, position\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(tmp_path, text)
+        assert code == 0
+        for name in ("population", "survival", "position"):
+            _, rows = read_rows(out / f"{name}.csv")
+            values = np.array([row[1] for row in rows], dtype=float)
+            assert values.size == 17 and np.all(np.isfinite(values))
+
+    def test_huge_occupation_refused_before_the_solve(self, tmp_path, capsys):
+        # the recurrence grid's plateau mean of N_Omega0 = 1.7e308 would
+        # overflow to inf: N_Omega0 above 1e290 is refused when the config
+        # is read; at 1e290 the report's mean is finite
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("N_Omega0 = 1.7e308\ngrid = recurrence\n")
+        with mock.patch("qbm.cli.solve_spectrum") as solve:
+            code = main(["report", "--config", str(cfg)])
+        assert code == 2
+        streams = capsys.readouterr()
+        assert streams.out == "" and streams.err.startswith("InvalidValue: ") and "N_Omega0" in streams.err
+        solve.assert_not_called()
+        cfg.write_text("N = 10\nN_Omega0 = 1e290\ngrid = recurrence\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["report", "--config", str(cfg)]) == 0
+        fields = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+        assert 0.0 < float(fields["plateau_mean"]) < 1e290
 
     def test_bad_thread_env(self, tmp_path, monkeypatch, capsys):
         # run and report reject it before the spectrum is solved

@@ -64,6 +64,7 @@ class TestErrors:
             "n_steps = 0\n",
             "M = 0\n",
             "N_Omega0 = -0.5\n",
+            "N_Omega0 = 1.7e308\n",
             "coupling = gaussian\n",
             "grid = shortest\n",
             "outputs = everything\n",
@@ -286,7 +287,7 @@ def run_configs(draw):
     outputs = draw(st.lists(st.sampled_from(PRODUCTS), min_size=1, unique=True))
     return RunConfig(
         model=model,
-        n_omega0=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        n_omega0=draw(st.floats(min_value=0.0, max_value=1e290)),
         grid=grid,
         grid_preset=preset,
         langevin_input=LangevinInput(

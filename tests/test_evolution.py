@@ -15,6 +15,7 @@ from qbm import (
     TimeGrid,
     InitialOccupations,
     build_bath,
+    coefficient_series,
     moment_signal,
     oscillator_population,
     population_decomposition,
@@ -37,6 +38,26 @@ def rows_counted(spec, formed):
         assert np.array_equal(z[roots], zs)  # each of the roots' z, as the kernel forms it
         formed.setdefault(x.tobytes(), np.zeros(al.size, int))[roots] += 1
         return phase_rows(x, zs, *args)
+
+    return spy
+
+
+def factors_counted(spec, formed):
+    """A spy for spectrum._box_rows that counts, per run (its nodes x), how
+    often each root box's factor is formed: formed[x] at the box's first
+    root."""
+    al, box_rows = spec.alphas, spectrum._box_rows
+    z = al - (al[0] / 2 + al[-1] / 2)
+
+    def spy(x, *args):
+        rows = box_rows(x, *args)
+
+        def counted(zs, *more):
+            formed.setdefault(x.tobytes(), np.zeros(al.size, int))[np.searchsorted(z, zs[:1])] += 1
+            return rows(zs, *more)
+
+        counted.cells = rows.cells
+        return counted
 
     return spy
 
@@ -430,11 +451,13 @@ class TestRow0KernelAccuracy:
         np.testing.assert_allclose(surviving + influx, total, rtol=0.0, atol=1e-14)
 
     def test_half_blocks_match_whole_ones(self, plateau_probe):
-        # every run keeps its own rows at the default cap; a cap between
-        # one half of the 173-node run's rows and both halves keeps that
-        # run's length but meets its root boxes through _box_rows, in a
-        # window that slides past the target boxes; the runs on their own
-        # times, cut at 259 times by the cap, take the window too
+        # every run is kept at the default cap: one pass, its far field met
+        # after the sweep; a cap between one half of the 173-node run's rows
+        # and both halves keeps that run's length but takes it in two
+        # passes, the root boxes anterpolated first and met again in a
+        # window that slides past the target boxes, the far field in each
+        # box's block; the runs on their own times, cut at 259 times by the
+        # cap, take two passes too
         spec, occ = plateau_probe
         ts = self.MIXED
         cells = 259 * spec.n_levels
@@ -454,38 +477,45 @@ class TestRow0KernelAccuracy:
     @pytest.mark.parametrize("streamed", [False, True], ids=["whole", "streamed"])
     @pytest.mark.parametrize("probe", ["plateau", "groups-of-3"])
     def test_each_root_formed_once_per_pass(self, plateau_probe, probe, streamed):
-        # a run whose cos and sin rows fit _PHASE_CELLS forms each root's
-        # own rows once (spectrum's _phase_rows) and keeps them for both
-        # passes; past it (a cap of 173 levels per node) only the outer
-        # roots alpha_0 and alpha_N have their rows formed, and every inner
-        # root goes through its box's frequency proxies, also where the
-        # wide-box bath's box 4 wide is near every box
+        # a run whose cos and sin rows fit _PHASE_CELLS makes one pass: it
+        # forms each root box's factor (spectrum._box_rows) exactly once, and
+        # no root's own rows (spectrum._phase_rows) twice; past it (a cap of
+        # 173 levels per node) only the outer roots alpha_0 and alpha_N have
+        # their rows formed, and every inner root goes through its box's
+        # frequency proxies, also where the wide-box bath's box 4 wide is
+        # near every box
         if probe == "plateau":
             (spec, occ), ts = plateau_probe, self.MIXED
         else:
             spec = solve_spectrum(wide_box_bath(), 1.0)
             occ, ts = thermal_occupations(spec.bath, 1.0, 1.0), 50.0 + 0.1 * np.arange(400)
         cells = 173 * spec.n_levels if streamed else evolution._PHASE_CELLS
-        formed = {}
+        formed, factors = {}, {}
         with (
             mock.patch.object(evolution, "_PHASE_CELLS", cells),
             mock.patch.object(spectrum, "_phase_rows", rows_counted(spec, formed)),
+            mock.patch.object(spectrum, "_box_rows", factors_counted(spec, factors)),
         ):
             sizes = [x.size for *_, x, _ in row0_runs(spec, ts)]
             total = population_decomposition(spec, occ, ts)[0]
         assert all((2 * k * spec.n_levels > cells) == streamed for k in sizes)
-        assert len(formed) == len(sizes)
-        want = np.ones(spec.n_levels, int)
-        want[1:-1] = 0 if streamed else 1
-        for counts in formed.values():
-            np.testing.assert_array_equal(counts, want)
+        assert len(formed) == len(factors) == len(sizes)
+        cr = spec.boxes[1]
+        for counts, each in zip(formed.values(), factors.values()):
+            assert counts[0] == counts[-1] == 1
+            if streamed:
+                assert not counts[1:-1].any()
+            else:
+                assert counts.max() == 1
+                np.testing.assert_array_equal(each[cr[1:-2]], 1)  # each middle box, by its first root
+                assert each.sum() == len(cr) - 3
         idx = np.linspace(0, ts.size - 1, 8).astype(int)
         np.testing.assert_allclose(total[idx], row0_population(spec, occ, ts[idx]), rtol=0.0, atol=1e-13)
 
     def test_worker_count_with_kept_and_windowed_runs(self, plateau_probe, monkeypatch):
-        # a cap of 512 levels per node keeps the plan, and the rows of the
-        # 173-node run and the 138-time run, but puts the 512-time run on
-        # the window: either rule, the threads change no bit
+        # a cap of 512 levels per node keeps the plan, and the 173-node run
+        # and the 138-time run in one pass, but puts the 512-time run on the
+        # window's two: either rule, the threads change no bit
         spec, occ = plateau_probe
         cells = 512 * spec.n_levels
         monkeypatch.setattr(evolution, "_PHASE_CELLS", cells)
@@ -527,21 +557,48 @@ class TestRow0KernelAccuracy:
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
 
-@pytest.mark.parametrize("t", [1.7e308, float("nan")], ids=["overflow", "nan"])
+@pytest.mark.parametrize(
+    "t", [1.7e308, 1e300, 2.0**52, float("nan")], ids=["overflow", "huge", "no-fraction", "nan"]
+)
 def test_phase_overflow_is_typed_error(two_level, t):
-    # max|t| * max|alpha| = 1.7e308 * 1.1 overflows: no product evaluates it
+    # max|t| * max|alpha| = 1.7e308 * 1.1 overflows, and from 2^52 on the
+    # phases keep no bits below the unit (at 1e300 the price of a run
+    # would overflow): no product evaluates them, nor prices their runs
     occ = InitialOccupations(n_omega0=1.0, n_bath_modes=np.array([0.5]))
     calls = (
         lambda: survival_probability(two_level, np.array([0.0, t])),
         lambda: oscillator_population(two_level, occ, [0.0, t]),
         lambda: population_decomposition(two_level, occ, [0.0, t]),
         lambda: transition_probabilities(two_level, t),
+        lambda: coefficient_series(two_level, np.array([0.0, t])),
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for call in calls:
-            with pytest.raises(InvalidValue, match="phases"):
-                call()
+        with mock.patch.object(langevin, "_node_runs") as runs:
+            for call in calls:
+                with pytest.raises(InvalidValue, match="phases"):
+                    call()
+        runs.assert_not_called()
+        # just below the bound, 4e15 * 1.1 < 2^52, the phases are evaluated
+        assert np.all(np.isfinite(survival_probability(two_level, np.array([0.0, 4e15]))))
+
+
+@pytest.mark.parametrize("step", [5e-324, 1e-300], ids=["subnormal", "tiny"])
+def test_narrow_spans_run_on_their_own_times(ref_spectrum, ref_occupations, step):
+    # 17 times 5e-324 or 1e-300 apart: a run's Chebyshev nodes would round
+    # together, or lie so close that t - x is subnormal and _barycentric's
+    # w / d overflows; every run takes its own times, and every product is
+    # its value at t = 0 to rounding
+    ts = step * np.arange(17)
+    assert all(w is None for *_, w in row0_runs(ref_spectrum, ts))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        survival = survival_probability(ref_spectrum, ts)
+        population = oscillator_population(ref_spectrum, ref_occupations, ts)
+        omega2, gamma, ok = coefficient_series(ref_spectrum, ts)
+    np.testing.assert_allclose(survival, 1.0, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(population, 1.0, rtol=0.0, atol=1e-13)
+    assert np.all(np.isfinite(omega2[ok])) and np.all(np.isfinite(gamma[ok]))
 
 
 def test_population_memory_does_not_grow_with_times():
@@ -551,12 +608,26 @@ def test_population_memory_does_not_grow_with_times():
     peaks, nodes = [], []
     # both lengths run on the same node count: the kernel's buffers scale
     # with it, so only then does a peak that grows mean it grows with times
-    for n_times in (8192, 12733):
+    for n_times in (4096, 8192):
         ts = 1000.0 + np.pi / 20.0 * np.arange(n_times)
         nodes.append({x.size for *_, x, _ in row0_runs(spec, ts)})
         peaks.append(traced_peak(oscillator_population, spec, occ, ts))
     assert nodes[0] == nodes[1]
     assert peaks[1] == pytest.approx(peaks[0], rel=0.1)
+
+
+def test_population_memory_on_plateau_grid(plateau_probe, monkeypatch):
+    # the plateau grid's 12,800 times on one worker, 12 runs of K = 130: a
+    # kept run forms each root box's factor once, into one of two slots of
+    # the worker's buffer that the boxes after it reuse, and keeps per box
+    # with a far field only X and M, (2 K, p) and (p, p) per column, until
+    # the sweep gives the potentials: longer runs, no more memory than
+    # 23 runs of K = 85 that keep every root box's own rows (2.97e6)
+    monkeypatch.setenv("QBM_THREADS", "1")
+    spec, occ = plateau_probe
+    ts = TimeGrid(t_start=1000.0, n_steps=12800).times()
+    assert [x.size for *_, x, _ in row0_runs(spec, ts)] == [130] * 12
+    assert traced_peak(oscillator_population, spec, occ, ts) < 3.0e6
 
 
 def test_population_memory_on_report_window(recurrence_probe):

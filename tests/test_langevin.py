@@ -138,16 +138,19 @@ class TestRunPlans:
     def test_row0_plans(self, ref_spectrum, plateau_probe, recurrence_probe):
         ts = TimeGrid().times()
         window = ts[(ts >= 100.0) & (ts <= 300.0)]
+        # the price counts a run's Gram fold (K^2 N) and carry (K^2 a time):
+        # the default grid takes 5 runs of K = 69, plateau's 12,800 times
+        # 12 runs of K = 130
         runs = row0_runs(ref_spectrum, ts)
-        assert [(t.size > x.size, x.size) for _, t, x, _ in runs] == [(True, 37)] * 17
-        assert len(row0_runs(ref_spectrum, window)) == 11
+        assert [(t.size > x.size, x.size) for _, t, x, _ in runs] == [(True, 69)] * 5
+        assert [x.size for *_, x, _ in row0_runs(ref_spectrum, window)] == [71] * 3
         plateau = TimeGrid(t_start=1000.0, n_steps=12800).times()
         sizes = [x.size for *_, x, _ in row0_runs(plateau_probe[0], plateau)]
-        assert len(sizes) == 23 and set(sizes) == {84, 85}
+        assert sizes == [130] * 12
         assert [x.size for *_, x, _ in row0_runs(recurrence_probe, window)] == [148]
 
     def test_moment_runs_are_priced_by_their_kernel(self, ref_spectrum):
-        # the row-0 price cuts the default grid into 17 runs of K = 37; the
+        # the row-0 price cuts the default grid into 5 runs of K = 69; the
         # moments' carry is cheap beside their phase rows, so their runs are long
         plans, node_runs = [], langevin._node_runs
 
@@ -162,13 +165,13 @@ class TestRunPlans:
     def test_lengths_priced_on_plateau_grid(self, plateau_probe):
         # the row-0 price, counted: a few lengths a run, not 8192 each
         spec, ts = plateau_probe[0], TimeGrid(t_start=1000.0, n_steps=12800).times()
-        priced = []
+        priced, price = [], evolution._row0_price(spec.n_levels)
 
         def cost(k, h):
             priced.append(k.size)
-            return k * spec.n_levels
+            return price[0](k, h)
 
-        r, price = spec.alphas[-1] / 2 - spec.alphas[0] / 2, evolution._row0_price(spec.n_levels)
+        r = spec.alphas[-1] / 2 - spec.alphas[0] / 2
         runs, counted = row0_runs(spec, ts), list(langevin._node_runs(ts, r, (cost, *price[1:])))
         assert [(i0, x.tobytes()) for i0, _, x, _ in counted] == [
             (i0, x.tobytes()) for i0, _, x, _ in runs
@@ -185,7 +188,7 @@ class TestRunPlans:
             ts = np.random.default_rng(data.draw(st.integers(0, 99), label="seed")).permutation(ts)
         r = data.draw(st.floats(0.01, 3.0), label="r")
         levels = data.draw(st.sampled_from([2, 101, 10001]), label="levels")
-        synthetic = (lambda k, h: 50.0 * k + 400.0 * h + 3000.0, 0.3, 1 << 13, langevin._T_CHUNK // 2)
+        synthetic = (lambda k, h: 50.0 * k + 400.0 * h + 3000.0, (0.3, 0.001), 1 << 13, langevin._T_CHUNK // 2)
         price = data.draw(st.sampled_from([evolution._row0_price(levels), synthetic]), label="price")
         runs, i0 = list(langevin._node_runs(ts, r, price)), 0
         for start, t, x, w in runs:

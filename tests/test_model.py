@@ -233,6 +233,14 @@ class TestThermalOccupations:
         with pytest.raises(ValueError):
             InitialOccupations(n_omega0=-0.1, n_bath_modes=np.array([0.5]))
 
+    @pytest.mark.parametrize("n0, bath", [(1e291, 0.5), (1.0, 1.7e308)], ids=["oscillator", "bath"])
+    def test_huge_occupation_rejected(self, n0, bath):
+        # 2^60 times, the most a TimeGrid holds, of an occupation above
+        # 1e290 need not sum to a finite mean; 1e290 itself is accepted
+        with pytest.raises(InvalidValue, match="at most 1e\\+290"):
+            InitialOccupations(n_omega0=n0, n_bath_modes=np.array([bath]))
+        InitialOccupations(n_omega0=1e290, n_bath_modes=np.array([1e290]))
+
 
 class TestHamiltonianMatrix:
     def test_arrowhead_structure(self, ref_bath):
