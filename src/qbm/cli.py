@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import PRODUCTS, RunConfig, parse_config
-from .errors import ConfigError, QbmError
+from .errors import ConfigError, InvalidValue, QbmError
 from .evolution import oscillator_population, survival_probability
 from .langevin import (
     _velocity_scale,
@@ -42,6 +42,7 @@ from .spectrum import Spectrum, solve_spectrum
 # report fit window and equilibrium averaging window
 _FIT_WINDOW = (1.0, 20.0)
 _PLATEAU_WINDOW = (100.0, 300.0)
+_RECURRENCE_TIMES = 1 << 24  # most times of a grid = recurrence (the N = 10^4 probe's: 58,696)
 
 
 def _fmt(x: float) -> str:
@@ -50,8 +51,9 @@ def _fmt(x: float) -> str:
 
 def _setup(config: RunConfig) -> tuple[Spectrum, TimeGrid]:
     """The spectrum and time grid of a config, QBM_THREADS validated before
-    the solve.  build_bath and solve_spectrum are looked up as module
-    globals, so that bench/spans.py traces them."""
+    the solve, a recurrence grid refused above _RECURRENCE_TIMES times.
+    build_bath and solve_spectrum are looked up as module globals, so that
+    bench/spans.py traces them."""
     _worker_count()
     spec = solve_spectrum(build_bath(config.model), config.model.omega0)
     if config.grid_preset == "default":
@@ -59,14 +61,19 @@ def _setup(config: RunConfig) -> tuple[Spectrum, TimeGrid]:
     # recurrence preset: coarse step (tau_Omega/8), long horizon (1.2 t_r)
     step = spec.tau_omega / 8.0
     horizon = 1.2 * recurrence_time(spec)
+    if not horizon / step <= _RECURRENCE_TIMES - 1:  # before it is allocated; nan and inf too
+        raise InvalidValue(f"grid = recurrence needs {horizon / step + 1:.3g} times, more than {_RECURRENCE_TIMES}")
     n_steps = max(2, int(math.ceil(horizon / step)) + 1)
     return spec, TimeGrid(t_start=0.0, t_step=step, n_steps=n_steps)
 
 
 def _write_text(path: Path, text: str) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)  # a run that fails early writes nothing
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)  # a run that fails early writes nothing
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
     return path
 
 

@@ -12,21 +12,34 @@ probabilities.  Mean occupations evolve classically through it:
     <N_n(t)> = sum_m P_nm(t) <N_m(0)>.
 
 `population_series` evaluates this with the dense P(t) at each time, O(N^3)
-per time: it is the reference that the row-0 kernel behind
-`oscillator_population` and `population_decomposition` is checked against.
-That kernel needs only row 0, U_0m(t) = sum_nu K_num exp(-i alpha_nu t),
-and runs on the node-time phase kernel of langevin (|U_0m|^2 does not see
-the band-centre phase): the Cauchy product against 1/(omega_m - alpha_nu)
-runs on the K node times, not the T grid times, as spectrum._cauchy, on
-the boxes and tree the solve built, which the spectrum keeps (both
-described in spectrum), root box by root box, through Chebyshev proxy
-frequencies of its own where fewer than its roots.  The product is never
-held: it is folded box by box into a K x K Gram matrix per half of the
-phase rows, O(N K^2), and the population at each of the T times is a
-quadratic form in that time's barycentric row, O(K^2 T) in all.  A run
-whose rows fit _PHASE_CELLS makes one pass, its far field met after the
-tree sweep through a (2K, p) and a (p, p) factor per box.  The survival
-amplitude, on the same kernel, is the (0,0) element
+per time: the reference for the row-0 kernel (_row0_contract) behind
+`oscillator_population` and `population_decomposition`.
+
+That kernel needs only U_0m(t) = sum_nu K_num e^{-i alpha_nu t}, K_nu0 =
+w_nu and K_num = w_nu g_m / (alpha_nu - omega_m): g_m^2 moves onto the
+occupations, and a column's sign and the band-centre phase drop out of
+|U_0m|^2.  On langevin's node-time phase kernel, the Cauchy product of the
+cos and sin rows of alpha - abar against 1/(omega_m - alpha_nu) is taken at
+a run's K node times, not its T times, O(K N (n_near + p)), box by box on
+the boxes and tree the spectrum keeps (spectrum).  Outer roots and near
+pairs are summed exactly, a root box's factor (spectrum._box_rows) formed
+at its first target box and freed after its last.  The far field goes
+through the p proxies of each box: the root boxes are anterpolated onto
+theirs, _far takes the potentials phi to every box's on the tree, in even
+chunks of the 2 K rows of at most _SWEEP_CELLS charges (two at fewest), and
+a box's (B, p) barycentric matrix b carries them to its modes.  The product
+is never held: each box's columns s, weighted by the occupations, are
+folded into a K x K Gram matrix per half of the rows, O(N K^2) (on a run of
+its own times, their squares into one value a time), and each of the T
+times takes a quadratic form in its barycentric row, O(K^2 T).  A run whose
+2 K (N+1) rows fit _PHASE_CELLS makes one pass: a root box is anterpolated
+when its factor, in a slot of the worker's buffer, is formed, and each box
+with a far field keeps X = s vg b and M = b^T vg b, (2 K, p) and (p, p),
+until the sweep gives phi.  A larger run takes two passes and holds no X:
+the root boxes are anterpolated and swept first and met again in a window
+that slides past the target boxes, phi b^T added to each s.  The survival
+amplitude, from the moments on the same node-time kernel, is the (0,0)
+element
 
     A(t) = sum_nu w_nu exp(-i alpha_nu t),
 
@@ -41,9 +54,10 @@ import numpy as np
 from .errors import InvalidValue
 from .langevin import _check_phases, _node_sums, _times, moment_signal
 from .model import InitialOccupations
-from .spectrum import _PROXIES, Spectrum, _cauchy, overlap_matrix
+from .spectrum import Spectrum, _barycentric, _box_rows, _far, _m2l, _phase_rows, overlap_matrix
 
 _PHASE_CELLS = 1 << 21  # most 2 K (N+1) row entries of a one-pass run, and K (N+1) of any run
+_SWEEP_CELLS = 1 << 16  # most entries leaves x rows x proxies of one tree sweep
 _CELLS = 1 << 16  # most entries in a carry block
 
 
@@ -67,12 +81,19 @@ def transition_probabilities(spec: Spectrum, t: float) -> np.ndarray:
     return u.real**2 + u.imag**2
 
 
+def _occupations(spec: Spectrum, occ0: InitialOccupations) -> np.ndarray:
+    """occ0's vector of N+1 occupations; InvalidValue unless its length is the spectrum's."""
+    n0 = occ0.vector
+    if n0.size != spec.n_levels:
+        raise InvalidValue(f"occupations of {n0.size} levels given for a spectrum of {spec.n_levels} levels")
+    return n0
+
+
 def population_series(spec: Spectrum, occ0: InitialOccupations, times) -> np.ndarray:
     """Occupation vectors <N_n(t)> = sum_m P_nm(t) N_m(0) over an array of
     times, shape (N+1, len(times)), from the dense propagator at each time.
     O(N^3) per time: the reference the row-0 kernel is checked against."""
-    ts = _times(times)
-    n0 = occ0.vector
+    ts, n0 = _times(times), _occupations(spec, occ0)
     out = np.empty((spec.n_levels, ts.size))
     for j, t in enumerate(ts):
         out[:, j] = transition_probabilities(spec, t) @ n0
@@ -87,55 +108,97 @@ def _row0_price(n):
 
 
 def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_m P_{Omega,m}(t) v[m, k] for each column k of v, shape (k, T).
-    Row 0 of U(t) is U_0m = sum_nu K_num e^{-i alpha_nu t}, K_nu0 = w_nu and
-    K_num = w_nu g_m / (alpha_nu - omega_m) (g_m^2 moves onto v; a column's
-    sign drops out of |U_0m|^2, and so does the band-centre phase).  A run's
-    cos and sin rows meet the boxed product _cauchy on the spectrum's boxes,
-    folded in box by box: on a node run each block s, scaled by sqrt(v g^2),
-    adds s s^T to its half's K x K Gram matrix per column of v; on a run of
-    its own times its squares meet v g^2; a kept run's far field phi b^T
-    meets them after the sweep through X = s vg b and M = b^T vg b.  The
-    carry sums the halves to G, and the times take b G b^T, b their rows."""
-    cols = v.shape[1]
-    vg = v * np.append(1.0, spec.bath.couplings**2)[:, None]  # >= 0: sqrt(vg) is real
-    spec.boxes  # built here, not in a worker, if the spectrum was made directly
-    far = int(np.count_nonzero(~spec.boxes[2][1:-1].all(axis=1)))  # middle boxes with a far box
+    """sum_m P_{Omega,m}(t) v[m] at the times ts for v >= 0 of length N+1
+    (module docstring).  Per run the boxes' columns, column 0 last, go into
+    the Gram matrices, then a kept run's far field as phi X^T + X phi^T +
+    phi M phi^T = Z phi^T + phi Z^T, Z = X + phi M / 2."""
+    al, w, om = spec.alphas, spec.weights, spec.bath.omegas
+    cm, cr, near, px, pw, levels = spec.boxes  # built here, not in a worker, if the spectrum was made directly
+    vg = v * np.append(1.0, spec.bath.couplings**2)  # >= 0: sqrt(vg) is real
+    n, p, boxed, far = len(px), pw.size, near[1:-1, 1:-1], ~near[1:-1].all(axis=1)
+    abar, roots, n_far = al[0] / 2 + al[-1] / 2, np.diff(cr[1:-1]), int(np.count_nonzero(far))
+    z = lambda j: al[cr[j + 1] : cr[j + 2]] - abar  # root box j's frequencies less abar
+    k_outer = w[[0, -1]] / np.subtract.outer(om, al[[0, -1]])
+    # a root box's factor is formed at its first target box and freed after its last
+    first, last = boxed.argmax(axis=0), n - 1 - boxed[::-1].argmax(axis=0)
+    made, done = first * n + np.arange(n), last * n + np.arange(n)  # in (target, box) order
+    at_once = max(np.searchsorted(np.sort(made), made, "right") - np.searchsorted(np.sort(done), made))
 
     def contract(buffer, x, on_nodes):
-        k, ms, keep = x.size, [], 2 * x.size * spec.n_levels <= _PHASE_CELLS
-        g = np.zeros((2, cols, k, k) if on_nodes else (2, k, cols))
-        xs = np.empty((2, cols, k, far, _PROXIES)) if keep else None
+        k, keep, box_rows = x.size, 2 * x.size * spec.n_levels <= _PHASE_CELLS, _box_rows(x)
+        g, ms = np.zeros((2, k, k) if on_nodes else (2, k)), []
+        xs = np.empty((2, k, n_far, p)) if keep else None  # X per box with a far field
+        outer = _phase_rows(x, al[[0, -1]] - abar)
+        total = outer @ w[[0, -1]]
+        sweeps = max(2, -(-2 * k // max(1, _SWEEP_CELLS // (n * p))))
+        cuts, c = [2 * k * i // sweeps for i in range(sweeps + 1)], -(-2 * k // sweeps)
+        pq = np.empty((n, 2 * k + c, p))  # [phi; q cos; q sin]
 
-        def fold(m0, s, b):
-            m1, s3 = m0 + s.shape[1], s.reshape(2, k, -1)
-            if b is not None:  # X = s vg b and M = b^T vg b per column, for phi after the sweep
-                u = vg[m0:m1].T[:, :, None] * b
-                xs[..., len(ms), :] = s3[:, None] @ u
-                ms.append(b.T @ u)
+        def anterpolate(j, f):  # root box j's rows f onto its proxies, and into column 0
+            b = _barycentric(al[(r0 := cr[j + 1]) : (r1 := cr[j + 2])], px[j], pw)
+            pq[j, c:] = f(np.multiply(b, w[r0:r1, None], out=b))
+            total[:] += f(w[r0:r1])
+
+        def sweep():  # the potentials phi at every box's proxies, in even chunks of the rows
+            tree = _m2l(levels)  # held through the sweeps only
+            for r0, r1 in zip(cuts, cuts[1:]):
+                _far(tree, pq[:, c + r0 : c + r1], out=pq[:, r0:r1])
+
+        def gram(s, vs):  # the columns s, weighted by vs, into each half's Gram matrix
+            s3 = s.reshape(2, k, -1)
             if on_nodes:
-                for c, rc in enumerate(np.sqrt(vg[m0:m1]).T):
-                    t = np.multiply(s3, rc, out=s3 if c == cols - 1 else None)  # last in place
-                    for h in (0, 1):  # a half at a time: half the product's temporary
-                        g[h, c] += t[h] @ t[h].T
+                t = np.multiply(s3, np.sqrt(vs), out=s3)
+                for h in (0, 1):  # a half at a time: half the product's temporary
+                    g[h] += t[h] @ t[h].T
             else:  # |U_0m|^2 = cos part^2 + sin part^2, squared in place
-                g[:] += np.square(s3, out=s3) @ vg[m0:m1]
+                g[:] += np.square(s3, out=s3) @ vs
 
-        phi = _cauchy(buffer, spec, fold, x, keep)
-        if ms:  # phi's X phi^T + phi X^T + phi M phi^T = Z phi^T + phi Z^T, Z = X + phi M / 2
-            for q, mb in enumerate(ms):  # all boxes in one product
-                xs[..., q, :] += phi[:, None, :, q * _PROXIES : (q + 1) * _PROXIES] @ mb / 2
-            z, phi = xs.reshape(2, cols, k, -1), phi[:, None]
-            a = z @ phi.transpose(0, 1, 3, 2) if on_nodes else np.sum(z * phi, axis=-1).transpose(0, 2, 1)
-            g += a + (a.transpose(0, 1, 3, 2) if on_nodes else a)
-        return g
+        cells, held = max(box_rows.cells(z(j)) for j in range(n)) if keep else 0, {}
+        if not keep:  # two passes: every root box anterpolated first
+            for j in range(n):
+                anterpolate(j, box_rows(z(j)))
+            sweep()
+        area = buffer(cells * at_once + int(np.diff(cm[1:-1]).max() * roots.max()))
+        *free, block = np.split(area, cells * np.arange(1, at_once + 1))  # the slots, the near block
+        for i, (m0, m1) in enumerate(zip(cm[1:-2].tolist(), cm[2:-1].tolist())):
+            s = outer @ k_outer[m0:m1].T
+            for j in np.flatnonzero(boxed[i]).tolist():  # each near root box's block
+                if first[j] == i:  # on one pass, in a slot and anterpolated
+                    e = free.pop()
+                    held[j] = e, box_rows(z(j), (lambda cells: e[:cells]) if keep else np.empty)
+                    if keep:
+                        anterpolate(j, held[j][1])
+                r0, r1 = cr[j + 1], cr[j + 2]
+                d = block[: (m1 - m0) * (r1 - r0)].reshape(m1 - m0, -1)
+                s += held[j][1](np.divide(w[r0:r1], np.subtract.outer(om[m0:m1], al[r0:r1], out=d), out=d).T)
+                if last[j] == i:
+                    free.append(held.pop(j)[0])
+            if far[i]:  # phi_i b^T, b the box's barycentric matrix from its proxies
+                b = _barycentric(om[m0:m1], px[i], pw)
+                if keep:  # X = s vg b and M = b^T vg b, for phi after the sweep
+                    u = vg[m0 + 1 : m1 + 1, None] * b
+                    xs[:, :, len(ms)] = s.reshape(2, k, -1) @ u
+                    ms.append(b.T @ u)
+                else:
+                    s += pq[i, : 2 * k] @ b.T
+            gram(s, vg[m0 + 1 : m1 + 1])
+        gram(total, vg[:1])
+        if ms:  # a kept run's far field
+            sweep()
+            phi = np.stack([pq[i, : 2 * k].reshape(2, k, -1) for i in np.flatnonzero(far)], 2).reshape(2, k, -1)
+            del pq  # as phi is stacked, not on the far field's peak
+            for q, mb in enumerate(ms):  # Z = X + phi M / 2, box by box
+                xs[:, :, q] += phi[..., q * p : (q + 1) * p] @ mb / 2
+            xs = xs.reshape(2, k, -1)  # all boxes in one product
+            a = xs @ phi.transpose(0, 2, 1) if on_nodes else np.sum(xs * phi, axis=-1)
+            g += a + (a.transpose(0, 2, 1) if on_nodes else a)
+        return g if on_nodes else g[..., None]  # own times: _node_sums slices axis -2
 
-    def carry(a, b):  # the halves summed; b G b^T, row by row of b, for each G
+    def carry(a, b):  # the halves summed; b G b^T, row by row of b
         a = a[0] + a[1]
-        return a.T if b is None else np.multiply(q := b @ a, b, out=q).sum(axis=2)
+        return a.T if b is None else np.multiply(q := b @ a, b, out=q).sum(axis=1)
 
-    price = _row0_price(spec.n_levels)
-    return _node_sums(spec, ts, price, contract, carry, np.empty((cols, ts.size)))
+    return _node_sums(spec, ts, _row0_price(spec.n_levels), contract, carry, np.empty((1, ts.size)))[0]
 
 
 def oscillator_population(spec: Spectrum, occ0: InitialOccupations, times) -> np.ndarray:
@@ -143,7 +206,7 @@ def oscillator_population(spec: Spectrum, occ0: InitialOccupations, times) -> np
     transition matrix: for T times on K node times, the boxed Cauchy
     product's O(K N (n_near + p)), O(N K^2) Gram and O(K^2 T) carry
     flops."""
-    return _row0_contract(spec, _times(times), occ0.vector[:, None])[0]
+    return _row0_contract(spec, _times(times), _occupations(spec, occ0))
 
 
 def population_decomposition(
@@ -152,12 +215,13 @@ def population_decomposition(
     """Oscillator occupation over an array of times, split into what
     survives and what arrives:
 
-        <N_Omega(t)> = |A(t)|^2 N_Omega(0) + sum_n P_Omega,n(t) N_n(0).
+        <N_Omega(t)> = |A(t)|^2 N_Omega(0) + sum_{n>=1} P_Omega,n(t) N_n(0).
 
-    Returns (total, surviving, influx) arrays; total is the full row-0
-    contraction, so surviving + influx matches it to rounding.
+    Returns (total, surviving, influx): surviving is
+    survival_probability(spec, t) N_Omega(0), influx the row-0 kernel on
+    the occupations [0, N_1(0), ..., N_N(0)], and total = surviving + influx.
     """
-    n0 = occ0.vector
-    v = np.zeros((n0.size, 3))
-    v[:, 0], v[0, 1], v[1:, 2] = n0, n0[0], n0[1:]
-    return tuple(_row0_contract(spec, _times(times), v))
+    ts, n0 = _times(times), _occupations(spec, occ0)
+    surviving = survival_probability(spec, ts) * n0[0]
+    influx = _row0_contract(spec, ts, np.append(0.0, n0[1:]))
+    return surviving + influx, surviving, influx

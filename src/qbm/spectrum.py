@@ -41,13 +41,12 @@ with p proxies.  Charges go up the tree, meet at each level the far boxes
 whose parents are near (at most 3 per box on an even bath), and come back
 down: O(N p^2 / B) per row.  The secular solve (_secular_parts) sums F and
 F' in O(N (n_near + p)) per pass, not O(N^2): its boxes are the bath's,
-so the far field of g^2 is taken once per solve.  _cauchy, for the row-0
-population kernel in evolution, runs the transposed product of K rows
-against 1/(omega_m - alpha_nu), O(K N (n_near + p)), on the same boxes and
-tree, which the spectrum keeps.  Both take a run's rows root box by root
-box, or for the moments in langevin group by group (_box_rows): through a
-few Chebyshev proxy frequencies of their own, exact to rounding, or the
-box's own rows where those cost no more.
+so the far field of g^2 is taken once per solve.  The spectrum keeps the
+boxes and tree for the node-time kernels (the row-0 population kernel in
+evolution, the moments in langevin), which take a run's rows root box by
+root box, or group by group (_box_rows): through a few Chebyshev proxy
+frequencies of their own, exact to rounding, or the box's own rows where
+those cost no more.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ _EPS = float(np.finfo(float).eps)
 _TINY = 1e-308  # g^2 below this underflows: its root cannot leave the pole
 _BOX = 128  # modes and roots per box of the boxed Cauchy sums
 _PROXIES = 20  # Chebyshev proxies per box for the far field
-_SWEEP_CELLS = 1 << 16  # most entries leaves x rows x _PROXIES of one tree sweep
 _MAX_ITER = 100
 # K = c + 12 c^(1/3) + 4 nodes: 4 sum_{k>=K} |J_k(c)| < 1e-17 bounds the
 # Chebyshev tail of exp(-i beta u), |beta| <= c, on [-1, 1]
@@ -283,77 +281,6 @@ def _box_rows(x, bary=0.0, scratch=np.empty):
 
     rows.cells = lambda z: 4 * k * p if (p := proxies(z)) else 2 * k * z.size  # of scratch
     return rows
-
-
-def _cauchy(buffer, spec, fold, x, keep):
-    """The columns [sum_nu w_nu e_nu, sum_nu w_nu e_nu / (om_m - al_nu)] for
-    the roots al, weights w and modes om of spec and the K cos and K sin
-    rows e of z = al - abar (abar the band centre) at the times x, box by
-    box of spec.boxes: box i's columns m0:m1 go to fold(m0, s, b), column 0
-    last.  The outer roots and near pairs are summed exactly, a root box's
-    factor (_box_rows) formed at its first target box and freed after its
-    last; each root box is anterpolated onto its p = _PROXIES proxies, _far
-    takes the potentials phi to every box's proxies on the tree in even
-    chunks of the 2 K rows, of at most _SWEEP_CELLS charges (the halves at
-    fewest), and b (B, p), box i's barycentric matrix, carries them to its
-    modes.  Without keep the boxes are anterpolated first and s gets phi_i
-    b^T, b None.  With keep, one pass: each factor, in one of as many slots
-    of buffer as are held at once, is anterpolated when formed; s is the
-    near field, and phi of the boxes with b, (2, K, boxes p), is returned
-    after the sweep."""
-    al, w, om = spec.alphas, spec.weights, spec.bath.omegas
-    cm, cr, near, px, pw, levels = spec.boxes
-    k, n, boxed, far = x.size, len(px), near[1:-1, 1:-1], ~near[1:-1].all(axis=1)
-    abar, box_rows, roots = al[0] / 2 + al[-1] / 2, _box_rows(x), np.diff(cr[1:-1])
-
-    z = lambda j: al[cr[j + 1] : cr[j + 2]] - abar  # root box j's frequencies less abar
-    outer = _phase_rows(x, al[[0, -1]] - abar)
-    k_outer, total = w[[0, -1]] / np.subtract.outer(om, al[[0, -1]]), outer @ w[[0, -1]]
-    sweeps = max(2, -(-2 * k // max(1, _SWEEP_CELLS // (n * _PROXIES))))
-    cuts, c = [2 * k * i // sweeps for i in range(sweeps + 1)], -(-2 * k // sweeps)
-    pq = np.empty((n, 2 * k + c, _PROXIES))  # [phi; q cos; q sin]
-
-    def anterpolate(j, f):  # root box j's rows f onto its proxies, and into column 0
-        b = _barycentric(al[(r0 := cr[j + 1]) : (r1 := cr[j + 2])], px[j], pw)
-        pq[j, c:] = f(np.multiply(b, w[r0:r1, None], out=b))
-        total[:] += f(w[r0:r1])
-
-    def sweep():
-        tree = _m2l(levels)  # held through the sweeps only
-        for r0, r1 in zip(cuts, cuts[1:]):
-            _far(tree, pq[:, c + r0 : c + r1], out=pq[:, r0:r1])
-
-    first, last, held = boxed.argmax(axis=0), n - 1 - boxed[::-1].argmax(axis=0), {}
-    made, done = first * n + np.arange(n), last * n + np.arange(n)  # in (target, box) order
-    at_once = max(np.searchsorted(np.sort(made), made, "right") - np.searchsorted(np.sort(done), made))
-    cells = max(box_rows.cells(z(j)) for j in range(n)) if keep else 0
-    if not keep:  # every root box anterpolated first
-        for j in range(n):
-            anterpolate(j, box_rows(z(j)))
-        sweep()
-    area = buffer(cells * at_once + int(np.diff(cm[1:-1]).max() * roots.max()))
-    *free, block = np.split(area, cells * np.arange(1, at_once + 1))  # the slots, the near block
-    for i, (m0, m1) in enumerate(zip(cm[1:-2].tolist(), cm[2:-1].tolist())):
-        s = outer @ k_outer[m0:m1].T
-        for j in np.flatnonzero(boxed[i]).tolist():  # each near root box's block
-            if first[j] == i:
-                e = free.pop()
-                held[j] = e, box_rows(z(j), (lambda cells: e[:cells]) if keep else np.empty)
-                if keep:
-                    anterpolate(j, held[j][1])
-            r0, r1 = cr[j + 1], cr[j + 2]
-            d = block[: (m1 - m0) * (r1 - r0)].reshape(m1 - m0, -1)
-            s += held[j][1](np.divide(w[r0:r1], np.subtract.outer(om[m0:m1], al[r0:r1], out=d), out=d).T)
-            if last[j] == i:
-                free.append(held.pop(j)[0])
-        b = _barycentric(om[m0:m1], px[i], pw) if far[i] else None
-        if b is not None and not keep:
-            s += pq[i, : 2 * k] @ b.T
-        fold(m0 + 1, s, b if keep else None)
-    fold(0, total[:, None], None)
-    if keep and far.any():
-        sweep()
-        return np.stack([pq[i, : 2 * k].reshape(2, k, -1) for i in np.flatnonzero(far)], 2).reshape(2, k, -1)
 
 
 def _secular_parts(om, g2, omega0, origin, tau, act, boxes, far):

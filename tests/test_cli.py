@@ -10,7 +10,7 @@ import pytest
 
 import qbm
 from conftest import traced_peak
-from qbm import parse_config
+from qbm import TimeGrid, parse_config
 from qbm.cli import build_report, main, run
 
 TWO_LEVEL_CFG = "coupling = explicit\nomegas = 1.0\ncouplings = 0.1\n"
@@ -232,6 +232,17 @@ class TestExitCodes:
         code = main(["run", "--config", str(tmp_path / "nope.cfg")])
         assert code == 2
         assert "ConfigError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out_name", ["f", "f/x"], ids=["file", "under-file"])
+    def test_unwritable_out_dir_is_config_error(self, tmp_path, capsys, out_name):
+        # --out names an existing file (FileExistsError) or a path under one
+        # (NotADirectoryError): one line naming the file, exit 2
+        (tmp_path / "f").write_text("")
+        code, out = run_cli(tmp_path, "N = 5\nn_steps = 5\noutputs = spectrum\n", out_name)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ConfigError: cannot write {out / 'spectrum.csv'}: ")
+        assert err.count("\n") == 1
 
     def test_numerical_error(self, tmp_path, capsys):
         # negative frequency passes parsing but cannot be thermally occupied
@@ -487,6 +498,21 @@ class TestRecurrencePreset:
         late = ts > 1.0  # skip the trivial maximum at t = 0
         assert ps[late].max() >= 0.999
         assert abs(ts[late][np.argmax(ps[late])] - 10.0 * np.pi) < 1e-9
+
+    @pytest.mark.parametrize("n", [3, 40])
+    def test_unbounded_grid_refused_before_it_is_allocated(self, tmp_path, capsys, monkeypatch, n):
+        # at A = 1e-8 the grid to 1.2 t_r would hold 1.48e9 (N = 3) or 1.03e9
+        # (N = 40) times, 8-12 GB a float array: run and report refuse it,
+        # and never allocate it
+        monkeypatch.setattr(TimeGrid, "times", lambda grid: pytest.fail(f"{grid.n_steps} times allocated"))
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text(f"N = {n}\nA = 1e-8\ngrid = recurrence\n")
+        for args in (["run", "--out", str(tmp_path / "o")], ["report"]):
+            assert main([*args, "--config", str(cfg)]) == 2
+            streams = capsys.readouterr()
+            assert streams.out == "" and streams.err.count("\n") == 1
+            assert streams.err.startswith("InvalidValue: grid = recurrence needs ")
+        assert not (tmp_path / "o").exists()
 
     def test_explicit_grid_keys_rejected(self, tmp_path, capsys):
         # the preset sets its own grid; explicit grid keys are an error, not

@@ -58,6 +58,18 @@ def test_times_in_arrays_out(two_level, route, times, n):
         assert part.shape[-1] == n
 
 
+@pytest.mark.parametrize(
+    "route", [oscillator_population, population_decomposition, population_series],
+    ids=["oscillator_population", "population_decomposition", "population_series"],
+)
+@pytest.mark.parametrize("modes", [0, 2], ids=["fewer", "more"])
+def test_occupations_of_another_bath_are_invalid(two_level, route, modes):
+    # two_level has one bath mode: occupations of 0 or 2 modes are another bath's
+    occ = InitialOccupations(n_omega0=1.0, n_bath_modes=np.full(modes, 0.5))
+    with pytest.raises(errors.InvalidValue, match=f"occupations of {modes + 1} levels .* spectrum of 2 levels"):
+        route(two_level, occ, [0.0, 1.0])
+
+
 # the routes on the node-run kernel; population_series is the dense reference
 KERNEL_ROUTES = {k: f for k, f in ROUTES.items() if k != "population_series"}
 
@@ -84,16 +96,16 @@ def test_worker_count_does_not_change_values(ref_spectrum, monkeypatch, route):
 
 def test_worker_error_raised_in_caller(ref_spectrum, ref_occupations, monkeypatch):
     # a run that fails on a worker thread fails the call, with its own error
-    calls, cauchy = [], evolution._cauchy
+    calls, box_rows = [], evolution._box_rows
 
-    def failing(*args):
+    def failing(*args):  # called once per run
         calls.append(None)
         if len(calls) == 2:
             raise errors.ToleranceNotReached("run 2 failed")
-        cauchy(*args)
+        return box_rows(*args)
 
     monkeypatch.setenv("QBM_THREADS", "2")
-    monkeypatch.setattr(evolution, "_cauchy", failing)
+    monkeypatch.setattr(evolution, "_box_rows", failing)
     with pytest.raises(errors.ToleranceNotReached, match="run 2 failed"):
         oscillator_population(ref_spectrum, ref_occupations, TimeGrid().times())
 

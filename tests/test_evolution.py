@@ -28,8 +28,9 @@ from qbm import (
 
 
 def rows_counted(spec, formed):
-    """A spy for spectrum._phase_rows that counts, per run (its nodes x),
-    how often each root's own rows are formed: formed[x] over the roots."""
+    """A spy for _phase_rows, as evolution (the outer roots) and spectrum
+    (_box_rows) look it up, that counts, per run (its nodes x), how often
+    each root's own rows are formed: formed[x] over the roots."""
     al, phase_rows = spec.alphas, spectrum._phase_rows
     z = al - (al[0] / 2 + al[-1] / 2)
 
@@ -43,9 +44,9 @@ def rows_counted(spec, formed):
 
 
 def factors_counted(spec, formed):
-    """A spy for spectrum._box_rows that counts, per run (its nodes x), how
-    often each root box's factor is formed: formed[x] at the box's first
-    root."""
+    """A spy for _box_rows, as evolution looks it up, that counts, per run
+    (its nodes x), how often each root box's factor is formed: formed[x] at
+    the box's first root."""
     al, box_rows = spec.alphas, spectrum._box_rows
     z = al - (al[0] / 2 + al[-1] / 2)
 
@@ -225,6 +226,17 @@ class TestPopulationDecomposition:
         want = survival_probability(ref_spectrum, grid.times())
         np.testing.assert_allclose(surviving, want, rtol=1e-10, atol=1e-13)
 
+    def test_parts_are_survival_and_influx_exactly(self, ref_spectrum):
+        # surviving is |A|^2 N_Omega(0) and total is surviving + influx, bit
+        # for bit; influx is the row-0 kernel without the oscillator's share
+        occ = thermal_occupations(ref_spectrum.bath, 1.0, 2.5)
+        ts = TimeGrid(t_start=0.0, t_step=0.5, n_steps=80).times()
+        total, surviving, influx = population_decomposition(ref_spectrum, occ, ts)
+        np.testing.assert_array_equal(surviving, survival_probability(ref_spectrum, ts) * 2.5)
+        np.testing.assert_array_equal(total, surviving + influx)
+        bath_only = InitialOccupations(n_omega0=0.0, n_bath_modes=occ.n_bath_modes)
+        np.testing.assert_array_equal(influx, oscillator_population(ref_spectrum, bath_only, ts))
+
     def test_initial_point(self, ref_spectrum, ref_occupations):
         grid = TimeGrid(t_start=0.0, t_step=1.0, n_steps=4)
         total, surviving, influx = population_decomposition(
@@ -260,10 +272,10 @@ class TestRow0KernelAccuracy:
         window = ts[(ts >= 100.0) & (ts <= 300.0)]
         row = spec.boxes[3].shape[0] * spectrum._PROXIES  # cells of a row of charges
         got, sweeps = {}, {}
-        for label, cells in (("default", spectrum._SWEEP_CELLS), ("rows-3", 3 * row), ("halves", 296 * row)):
+        for label, cells in (("default", evolution._SWEEP_CELLS), ("rows-3", 3 * row), ("halves", 296 * row)):
             with (
-                mock.patch.object(spectrum, "_SWEEP_CELLS", cells),
-                mock.patch.object(spectrum, "_far", wraps=spectrum._far) as far,
+                mock.patch.object(evolution, "_SWEEP_CELLS", cells),
+                mock.patch.object(evolution, "_far", wraps=spectrum._far) as far,
             ):
                 got[label] = oscillator_population(spec, occ, window)
             sweeps[label] = [call.args[1].shape[1] for call in far.call_args_list]
@@ -368,15 +380,17 @@ class TestRow0KernelAccuracy:
     def check_proxies(spec, ts):
         # every run past _PHASE_CELLS, set to K (N+1) of the largest run so
         # that the runs stay as they are, against the explicit sum; returns
-        # how many inner roots had their own rows formed (spectrum's
-        # _phase_rows), in root boxes of no more roots than proxies
+        # how many inner roots had their own rows formed (_phase_rows), in
+        # root boxes of no more roots than proxies
         n = spec.n_levels
         cells = n * max(x.size for *_, x, _ in row0_runs(spec, ts))
         formed = {}
         occ = thermal_occupations(spec.bath, 1.0, 1.0)
+        spy = rows_counted(spec, formed)
         with (
             mock.patch.object(evolution, "_PHASE_CELLS", cells),
-            mock.patch.object(spectrum, "_phase_rows", rows_counted(spec, formed)),
+            mock.patch.object(evolution, "_phase_rows", spy),
+            mock.patch.object(spectrum, "_phase_rows", spy),
         ):
             assert all(2 * x.size * n > cells for *_, x, _ in row0_runs(spec, ts))
             got = oscillator_population(spec, occ, ts)
@@ -478,8 +492,8 @@ class TestRow0KernelAccuracy:
     @pytest.mark.parametrize("probe", ["plateau", "groups-of-3"])
     def test_each_root_formed_once_per_pass(self, plateau_probe, probe, streamed):
         # a run whose cos and sin rows fit _PHASE_CELLS makes one pass: it
-        # forms each root box's factor (spectrum._box_rows) exactly once, and
-        # no root's own rows (spectrum._phase_rows) twice; past it (a cap of
+        # forms each root box's factor (_box_rows) exactly once, and no
+        # root's own rows (_phase_rows) twice; past it (a cap of
         # 173 levels per node) only the outer roots alpha_0 and alpha_N have
         # their rows formed, and every inner root goes through its box's
         # frequency proxies, also where the wide-box bath's box 4 wide is
@@ -491,13 +505,15 @@ class TestRow0KernelAccuracy:
             occ, ts = thermal_occupations(spec.bath, 1.0, 1.0), 50.0 + 0.1 * np.arange(400)
         cells = 173 * spec.n_levels if streamed else evolution._PHASE_CELLS
         formed, factors = {}, {}
+        spy = rows_counted(spec, formed)
         with (
             mock.patch.object(evolution, "_PHASE_CELLS", cells),
-            mock.patch.object(spectrum, "_phase_rows", rows_counted(spec, formed)),
-            mock.patch.object(spectrum, "_box_rows", factors_counted(spec, factors)),
+            mock.patch.object(evolution, "_phase_rows", spy),
+            mock.patch.object(spectrum, "_phase_rows", spy),
+            mock.patch.object(evolution, "_box_rows", factors_counted(spec, factors)),
         ):
             sizes = [x.size for *_, x, _ in row0_runs(spec, ts)]
-            total = population_decomposition(spec, occ, ts)[0]
+            total = oscillator_population(spec, occ, ts)
         assert all((2 * k * spec.n_levels > cells) == streamed for k in sizes)
         assert len(formed) == len(factors) == len(sizes)
         cr = spec.boxes[1]

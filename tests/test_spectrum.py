@@ -509,13 +509,13 @@ def test_solve_and_kernel_share_one_tree(recurrence_probe):
     occ = thermal_occupations(recurrence_probe.bath, 1.0, 1.0)
     with (
         mock.patch.object(spectrum, "_boxes", record),
-        mock.patch.object(evolution, "_cauchy", wraps=spectrum._cauchy) as cauchy,
+        mock.patch.object(evolution, "_m2l", wraps=spectrum._m2l) as m2l,
     ):
         spec = solve_spectrum(recurrence_probe.bath, 1.0)
         population_decomposition(spec, occ, 100.0 + 5.0 * np.arange(300))
     assert len(built) == 1 and spec.boxes is built[0]
-    assert cauchy.call_count == 2  # one per run: 209 times windowed, 91 kept
-    assert all(call.args[1].boxes is built[0] for call in cauchy.call_args_list)
+    assert m2l.call_count == 2  # one sweep per run: 209 times windowed, 91 kept
+    assert all(call.args[0] is built[0][5] for call in m2l.call_args_list)
     _, _, near, px, _, levels = spec.boxes
     assert px.shape[0] == 79
     assert np.all(px[:, 0] > px[:, -1])
