@@ -197,19 +197,22 @@ def run(config: RunConfig, out_dir=None) -> list[Path]:
     grid, and write them to out_dir.  Returns the written paths."""
     if "position" in config.outputs:  # refused before the solve and any file
         _velocity_scale(config.langevin_input, config.model.omega0)
-    spec, grid = _setup(config)
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir)
+    products = [p for p in PRODUCTS if p in config.outputs]  # fixed order for determinism
+    paths = [out / ("report.txt" if p == "report" else f"{p}.csv") for p in products]
+    base = next((p for p in (out, *out.parents) if p.exists()), out)  # out, or its nearest existing ancestor
+    if not base.is_dir():  # refused before the solve, creating nothing
+        raise ConfigError(f"cannot write {paths[0]}: {base} is not a directory")
+    spec, grid = _setup(config)
     ts = grid.times()
 
     written: list[Path] = []
-    for product in PRODUCTS:  # fixed evaluation order for determinism
-        if product not in config.outputs:
-            continue
+    for product, path in zip(products, paths):
         if product == "report":
-            path, text = out / "report.txt", _report_text(config, spec, grid)
+            text = _report_text(config, spec, grid)
         else:
             header, cols, _ = _PRODUCTS[product]
-            path, text = out / f"{product}.csv", _csv(header, cols(config, spec, ts))
+            text = _csv(header, cols(config, spec, ts))
         written.append(_write_text(path, text))
 
     if any(p in config.outputs for p in _PRODUCTS):
@@ -237,14 +240,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.config is not None:
-            try:
-                text = Path(args.config).read_text(encoding="utf-8")
-            except OSError as exc:
-                print(f"ConfigError: cannot read {args.config}: {exc}", file=sys.stderr)
-                return 2
-        else:
-            text = ""
+        try:
+            text = "" if args.config is None else Path(args.config).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot read {args.config}: {exc}") from None
         config = parse_config(text)
         if args.command == "run":
             for path in run(config, out_dir=args.out):
@@ -252,12 +251,9 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(build_report(config))
         return 0
-    except ConfigError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except QbmError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ConfigError) else 3
 
 
 if __name__ == "__main__":

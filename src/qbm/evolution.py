@@ -21,13 +21,14 @@ occupations, and a column's sign and the band-centre phase drop out of
 |U_0m|^2.  On langevin's node-time phase kernel, the Cauchy product of the
 cos and sin rows of alpha - abar against 1/(omega_m - alpha_nu) is taken at
 a run's K node times, not its T times, O(K N (n_near + p)), box by box on
-the boxes and tree the spectrum keeps (spectrum).  Outer roots and near
-pairs are summed exactly, a root box's factor (spectrum._box_rows) formed
-at its first target box and freed after its last.  The far field goes
-through the p proxies of each box: the root boxes are anterpolated onto
-theirs, _far takes the potentials phi to every box's on the tree, in even
-chunks of the 2 K rows of at most _SWEEP_CELLS charges (two at fewest), and
-a box's (B, p) barycentric matrix b carries them to its modes.  The product
+the boxes and tree the spectrum keeps (spectrum).  Near pairs are summed
+exactly, a root box's factor (spectrum._box_rows) formed at its first
+target box and freed after its last; alpha_0 and alpha_N, near every box,
+share one factor a run (their own rows).  The far field goes through the
+p proxies of each box: the root boxes are anterpolated onto theirs, _far
+takes the potentials phi to every box's on the tree, in even chunks of the
+2 K rows of at most _SWEEP_CELLS charges (two at fewest), and a box's
+(B, p) barycentric matrix b carries them to its modes.  The product
 is never held: each box's columns s, weighted by the occupations, are
 folded into a K x K Gram matrix per half of the rows, O(N K^2) (on a run of
 its own times, their squares into one value a time), and each of the T
@@ -54,7 +55,7 @@ import numpy as np
 from .errors import InvalidValue
 from .langevin import _check_phases, _node_sums, _times, moment_signal
 from .model import InitialOccupations
-from .spectrum import Spectrum, _barycentric, _box_rows, _far, _m2l, _phase_rows, overlap_matrix
+from .spectrum import Spectrum, _barycentric, _box_rows, _far, _m2l, overlap_matrix
 
 _PHASE_CELLS = 1 << 21  # most 2 K (N+1) row entries of a one-pass run, and K (N+1) of any run
 _SWEEP_CELLS = 1 << 16  # most entries leaves x rows x proxies of one tree sweep
@@ -118,7 +119,6 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
     n, p, boxed, far = len(px), pw.size, near[1:-1, 1:-1], ~near[1:-1].all(axis=1)
     abar, roots, n_far = al[0] / 2 + al[-1] / 2, np.diff(cr[1:-1]), int(np.count_nonzero(far))
     z = lambda j: al[cr[j + 1] : cr[j + 2]] - abar  # root box j's frequencies less abar
-    k_outer = w[[0, -1]] / np.subtract.outer(om, al[[0, -1]])
     # a root box's factor is formed at its first target box and freed after its last
     first, last = boxed.argmax(axis=0), n - 1 - boxed[::-1].argmax(axis=0)
     made, done = first * n + np.arange(n), last * n + np.arange(n)  # in (target, box) order
@@ -128,8 +128,8 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
         k, keep, box_rows = x.size, 2 * x.size * spec.n_levels <= _PHASE_CELLS, _box_rows(x)
         g, ms = np.zeros((2, k, k) if on_nodes else (2, k)), []
         xs = np.empty((2, k, n_far, p)) if keep else None  # X per box with a far field
-        outer = _phase_rows(x, al[[0, -1]] - abar)
-        total = outer @ w[[0, -1]]
+        outer = box_rows(al[[0, -1]] - abar)  # alpha_0's and alpha_N's own rows
+        total = outer(w[[0, -1]])
         sweeps = max(2, -(-2 * k // max(1, _SWEEP_CELLS // (n * p))))
         cuts, c = [2 * k * i // sweeps for i in range(sweeps + 1)], -(-2 * k // sweeps)
         pq = np.empty((n, 2 * k + c, p))  # [phi; q cos; q sin]
@@ -161,7 +161,7 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
         area = buffer(cells * at_once + int(np.diff(cm[1:-1]).max() * roots.max()))
         *free, block = np.split(area, cells * np.arange(1, at_once + 1))  # the slots, the near block
         for i, (m0, m1) in enumerate(zip(cm[1:-2].tolist(), cm[2:-1].tolist())):
-            s = outer @ k_outer[m0:m1].T
+            s = outer((w[[0, -1]] / np.subtract.outer(om[m0:m1], al[[0, -1]])).T)  # their near block
             for j in np.flatnonzero(boxed[i]).tolist():  # each near root box's block
                 if first[j] == i:  # on one pass, in a slot and anterpolated
                     e = free.pop()

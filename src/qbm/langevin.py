@@ -248,9 +248,9 @@ def _moments(spec: Spectrum, ks, t) -> np.ndarray:
     """S_k(t) for each k in ks, shape (len(ks), T): the node sums of the
     columns w alpha^k, remodulated by e^{-i abar t}.  A run meets the outer
     roots and the middle boxes of spec.boxes through _box_rows, in groups of
-    _GROUPS[j] boxes (a run with a time at 0: of one) by its price: per run,
-    group and barycentric entry, and K min(P, B) cos and sin entries for B
-    roots on P proxies (_PRICE); groups of boxes only through proxies."""
+    _GROUPS[j] boxes by its price: per run, group and barycentric entry, and
+    K min(P, B) cos and sin entries for B roots on P proxies (_PRICE);
+    groups of boxes only through proxies."""
     ts, al = _times(t), spec.alphas
     wk = np.stack([spec.weights * al**k for k in ks], axis=1)
     mid, abar = spec.boxes[1][1:-1], al[0] / 2 + al[-1] / 2  # middle box bounds (N = 1: one empty)
@@ -274,8 +274,7 @@ def _moments(spec: Spectrum, ks, t) -> np.ndarray:
 
     def contract(buffer, x, _):  # each group's rows used before the next's
         rows, h = _box_rows(x, per_bary, buffer), x.max() / 2 - x.min() / 2
-        j = int(np.argmin(cost(np.array([x.size]), np.array([h])))) if mid.size > 2 else 0
-        g = [0, *(groups[j] if x.all() else mid).tolist(), al.size]  # from t = 0 box by box
+        g = [0, *groups[int(np.argmin(cost(np.array([x.size]), np.array([h]))))].tolist(), al.size]
         u = sum(rows(z[c0:c1])(wk[c0:c1]) for c0, c1 in zip(g[:-1], g[1:]) if c1 > c0)
         return u.reshape(2, x.size, len(ks))
 

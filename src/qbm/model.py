@@ -60,8 +60,8 @@ class ModelParams:
             raise InvalidValue(f"n_bath must be a positive integer numpy can size, got {self.n_bath}")
         if not (self.step > 0.0):
             raise InvalidValue(f"step must be positive, got {self.step}")
-        if not (self.omega0 > 0.0):
-            raise InvalidValue(f"omega0 must be positive, got {self.omega0}")
+        if not (self.omega0 > 0.0 and math.isfinite(2.0 * math.pi / self.omega0)):
+            raise InvalidValue(f"omega0 must be positive, with 2*pi/omega0 finite, got {self.omega0}")
         if not (self.beta > 0.0):
             raise InvalidValue(f"beta must be positive, got {self.beta}")
         if self.coupling not in COUPLING_RULES:

@@ -255,18 +255,18 @@ def _box_rows(x, bary=0.0, scratch=np.empty):
     their frequencies less the band centre z (ascending), times y.  A box
     of half-width d meets the x, within h of tc, through P = _nodes(h d)
     proxy frequencies zp (one butterfly level: Candes, Demanet & Ying,
-    Multiscale Model. Simul. 7, 2009) as
-    [[C, -S], [S, C]] [L^T cos(tc z); L^T sin(tc z)], C and S the cos and
-    sin of (x - tc) zp, L its barycentric matrix to zp; where P (K + bary B)
-    >= K B (P = 0 for no roots), or with a time at 0, whose sin rows must
-    vanish exactly, through its own (_phase_rows); both in rows.cells(z)
-    of scratch, or rows(z, scratch), for callers done with each box."""
+    Multiscale Model. Simul. 7, 2009) as [[C, -S], [S, C]] [L^T cos(tc z);
+    L^T sin(tc z)], C and S the cos and sin of (x - tc) zp, L its
+    barycentric matrix to zp, tc the x's centre or, with a time at 0, 0 (so
+    the sin rows vanish there exactly); where P (K + bary B) >= K B (P = 0
+    for no roots) through its own (_phase_rows); both in rows.cells(z) of
+    scratch, or rows(z, scratch), for callers done with each box."""
     lo, hi, k = x.min(), x.max(), x.size
-    tc, h, own = lo / 2 + hi / 2, hi / 2 - lo / 2, not x.all()
+    tc, h = (lo / 2 + hi / 2, hi / 2 - lo / 2) if x.all() else (0.0, max(hi, -lo))
 
     def proxies(z):  # P, or 0 where the box takes its own rows
         p = int(_nodes(h * (z[-1] - z[0]) / 2)) if z.size else 0
-        return 0 if own or p * (k + bary * z.size) >= k * z.size else p
+        return 0 if p * (k + bary * z.size) >= k * z.size else p
 
     def rows(z, scratch=scratch):
         if not (p := proxies(z)):
@@ -340,9 +340,9 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
     g_o^2/tau^2) come from the pass at a root's fixed point, where its step
     rounds back onto the tau just evaluated, or else from a closing pass
     over the roots that stopped off one.  A non-finite or non-positive
-    omega0 raises InvalidValue."""
-    if not 0.0 < omega0 < np.inf:
-        raise InvalidValue(f"omega0 must be finite and > 0, got {omega0}")
+    omega0, or one whose period 2 pi/omega0 overflows, raises InvalidValue."""
+    if not (0.0 < omega0 < np.inf and 2.0 * np.pi / float(omega0) < np.inf):
+        raise InvalidValue(f"omega0 must be finite and > 0, with 2*pi/omega0 finite, got {omega0}")
     om, g = bath.omegas, bath.couplings
     g2 = g * g
     n = bath.n
@@ -370,7 +370,9 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
     cm, _, _, px, pw = boxes
     anterp = (g2[m0:m1] @ _barycentric(om[m0:m1], p, pw) for m0, m1, p in zip(cm[1:], cm[2:], px))
     g2_px = np.stack(list(anterp))[:, None]
-    far = _far(_m2l(levels), g2_px), _far(_m2l(levels), g2_px, square=True)
+    tree = _m2l(levels)  # one set of m2l blocks for both sweeps, freed after them
+    far = _far(tree, g2_px), _far(tree, g2_px, square=True)
+    del tree
     h, hp = _secular_parts(om, g2, omega0, origin, tau, act, boxes, far)
 
     # interior roots with F(mid) < 0 lie in the upper half: rebase them on

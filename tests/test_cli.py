@@ -1,12 +1,18 @@
+import contextlib
+import io
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qbm
 from conftest import traced_peak
@@ -235,14 +241,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("out_name", ["f", "f/x"], ids=["file", "under-file"])
     def test_unwritable_out_dir_is_config_error(self, tmp_path, capsys, out_name):
-        # --out names an existing file (FileExistsError) or a path under one
-        # (NotADirectoryError): one line naming the file, exit 2
+        # --out names an existing file or a path under one: one line naming
+        # the first file and that file, exit 2, before the solve (which
+        # would fail here) and with nothing made
         (tmp_path / "f").write_text("")
-        code, out = run_cli(tmp_path, "N = 5\nn_steps = 5\noutputs = spectrum\n", out_name)
+        with mock.patch("qbm.cli.solve_spectrum", side_effect=AssertionError("solved")) as solve:
+            code, out = run_cli(tmp_path, "N = 5\nn_steps = 5\noutputs = spectrum\n", out_name)
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"ConfigError: cannot write {out / 'spectrum.csv'}: ")
-        assert err.count("\n") == 1
+        assert err == f"ConfigError: cannot write {out / 'spectrum.csv'}: {tmp_path / 'f'} is not a directory\n"
+        solve.assert_not_called()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f", "run.cfg"]
 
     def test_numerical_error(self, tmp_path, capsys):
         # negative frequency passes parsing but cannot be thermally occupied
@@ -300,11 +309,13 @@ class TestExitCodes:
             # beta * omega rounds to 0, or to a denormal: 1 / expm1 is not finite
             ("beta = 5e-324\noutputs = population\n", 2, "InvalidValue: beta "),
             ("beta = 1e-310\noutputs = population\n", 2, "InvalidValue: beta "),
+            # 2 pi / Omega overflows: tau_oscillator would read inf
+            ("N = 3\nn_steps = 2\nOmega = 5e-324\n", 2, "InvalidValue: line "),
         ],
         ids=[
             "last-time", "bath-span", "bath-g2", "phase", "phase-bits", "lorentzian-width", "grid-size",
             "outer-root-on-pole", "outer-root-on-pole-omega-2", "half-width-n4", "half-width-n100",
-            "position-mass", "position-span", "tiny-beta", "denormal-beta",
+            "position-mass", "position-span", "tiny-beta", "denormal-beta", "omega-period",
         ],
     )
     def test_overflowing_input_is_config_error(self, tmp_path, text, code, prefix):
@@ -525,6 +536,68 @@ class TestRecurrencePreset:
         assert code == 2
         assert "InvalidValue" in capsys.readouterr().err
         assert not out.exists()
+
+
+FUZZ_KEYS = ("A", "Omega", "beta", "N_Omega0", "X0", "P0", "M", "t_start", "t_step")
+FUZZ_VALUES = (0.0, -1.0, 5e-324, 1e-300, 1e-30, 1e-8, 0.5, 1.0, 3.0, 1e8, 1e30, 1e300, 1.7e308, math.inf, math.nan)
+# report lines documented to read nan: a failed fit, N = 1's golden rule, an empty plateau window
+NAN_LINES = ("gamma_fit", "gamma_fit_rms_residual", "gamma_golden_rule", "plateau_mean")
+
+fuzz_configs = st.builds(
+    lambda n, steps, recurrence, values: "".join(
+        [f"N = {n}\nn_steps = {steps}\n", "grid = recurrence\n" * recurrence]
+        + [f"{key} = {value!r}\n" for key, value in values.items()]
+        + ["outputs = spectrum, population, survival, position, coefficients, report\n"]
+    ),
+    st.sampled_from([1, 2, 3, 7, 40]),
+    st.sampled_from([2, 17]),
+    st.integers(0, 4).map(lambda i: i == 0),  # one draw in five
+    st.dictionaries(
+        st.sampled_from(FUZZ_KEYS),
+        st.builds(lambda v, f: v * f, st.sampled_from(FUZZ_VALUES), st.sampled_from([1.0, 1.37])),
+        min_size=1,
+        max_size=3,
+    ),
+)
+
+
+def check_clean_or_typed(text):
+    """qbm run and qbm report on the config text, in a temporary directory:
+    each exits 0 with finite outputs (nan only in NAN_LINES of the report;
+    a flagged coefficient row holds empty fields), or exits 2 or 3 with one
+    line on stderr.  A warning fails the check (warnings are errors)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "fuzz.cfg", Path(tmp) / "out"
+        cfg.write_text(text)
+        for args in (["run", "--out", str(out)], ["report"]):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([*args, "--config", str(cfg)])
+            if code:
+                assert code in (2, 3) and stderr.getvalue().count("\n") == 1, (text, stderr.getvalue())
+                continue
+            assert stderr.getvalue() == "", text
+            report = stdout.getvalue()
+            if args[0] == "run":
+                for csv in out.glob("*.csv"):
+                    for row in csv.read_text().splitlines()[1:]:
+                        fields = row.split(",")
+                        if fields[-1] == "0" and not any(fields[1:-1]):  # a flagged coefficient row
+                            fields = fields[:1]
+                        assert all(math.isfinite(float(f)) for f in fields), (text, csv.name, row)
+                report = (out / "report.txt").read_text()
+            for line in report.splitlines():
+                key, value = line.split(" = ")
+                values = [float(v) for v in value.strip("[]").split(", ")]
+                assert all(math.isfinite(v) or key in NAN_LINES and math.isnan(v) for v in values), (text, line)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(fuzz_configs)
+def test_every_config_runs_clean_or_exits_typed(text):
+    # the ends of the float range in one to three of the config's numbers, on
+    # baths of 1 to 40 modes, the default grid or the recurrence one
+    check_clean_or_typed(text)
 
 
 class TestPlotScript:

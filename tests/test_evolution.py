@@ -28,9 +28,9 @@ from qbm import (
 
 
 def rows_counted(spec, formed):
-    """A spy for _phase_rows, as evolution (the outer roots) and spectrum
-    (_box_rows) look it up, that counts, per run (its nodes x), how often
-    each root's own rows are formed: formed[x] over the roots."""
+    """A spy for _phase_rows, as _box_rows looks it up, that counts, per run
+    (its nodes x), how often each root's own rows are formed: formed[x]
+    over the roots."""
     al, phase_rows = spec.alphas, spectrum._phase_rows
     z = al - (al[0] / 2 + al[-1] / 2)
 
@@ -389,7 +389,6 @@ class TestRow0KernelAccuracy:
         spy = rows_counted(spec, formed)
         with (
             mock.patch.object(evolution, "_PHASE_CELLS", cells),
-            mock.patch.object(evolution, "_phase_rows", spy),
             mock.patch.object(spectrum, "_phase_rows", spy),
         ):
             assert all(2 * x.size * n > cells for *_, x, _ in row0_runs(spec, ts))
@@ -492,12 +491,12 @@ class TestRow0KernelAccuracy:
     @pytest.mark.parametrize("probe", ["plateau", "groups-of-3"])
     def test_each_root_formed_once_per_pass(self, plateau_probe, probe, streamed):
         # a run whose cos and sin rows fit _PHASE_CELLS makes one pass: it
-        # forms each root box's factor (_box_rows) exactly once, and no
-        # root's own rows (_phase_rows) twice; past it (a cap of
-        # 173 levels per node) only the outer roots alpha_0 and alpha_N have
-        # their rows formed, and every inner root goes through its box's
-        # frequency proxies, also where the wide-box bath's box 4 wide is
-        # near every box
+        # forms each root box's factor (_box_rows) exactly once, alpha_0
+        # and alpha_N in one of their own, and no root's own rows
+        # (_phase_rows) twice; past it (a cap of 173 levels per node) only
+        # the outer roots alpha_0 and alpha_N have their rows formed, and
+        # every inner root goes through its box's frequency proxies, also
+        # where the wide-box bath's box 4 wide is near every box
         if probe == "plateau":
             (spec, occ), ts = plateau_probe, self.MIXED
         else:
@@ -508,7 +507,6 @@ class TestRow0KernelAccuracy:
         spy = rows_counted(spec, formed)
         with (
             mock.patch.object(evolution, "_PHASE_CELLS", cells),
-            mock.patch.object(evolution, "_phase_rows", spy),
             mock.patch.object(spectrum, "_phase_rows", spy),
             mock.patch.object(evolution, "_box_rows", factors_counted(spec, factors)),
         ):
@@ -524,7 +522,7 @@ class TestRow0KernelAccuracy:
             else:
                 assert counts.max() == 1
                 np.testing.assert_array_equal(each[cr[1:-2]], 1)  # each middle box, by its first root
-                assert each.sum() == len(cr) - 3
+                assert each[0] == 1 and each.sum() == len(cr) - 2  # and the outer roots' one factor
         idx = np.linspace(0, ts.size - 1, 8).astype(int)
         np.testing.assert_allclose(total[idx], row0_population(spec, occ, ts[idx]), rtol=0.0, atol=1e-13)
 

@@ -81,8 +81,9 @@ class TestMomentSignals:
 
     def test_runs_form_one_box_of_rows_at_most(self, recurrence_probe):
         # a run meets the outer roots and each root box of spec.boxes, on
-        # proxy frequencies or, as from t = 0, on the box's own phase rows,
-        # which spectrum._phase_rows forms for the roots it is given
+        # proxy frequencies or, where those cost no less (always for the
+        # outer roots), on the box's own phase rows, which
+        # spectrum._phase_rows forms for the roots it is given
         spec, phase_rows, widths = recurrence_probe, spectrum._phase_rows, []
 
         def spy(x, z, *args):
@@ -214,6 +215,26 @@ class TestCoefficients:
         assert coefficient_series(ref_spectrum, ts)[1][0] == 0.0
         for k in (0, 1, 2):
             assert moment_signal(ref_spectrum, k, ts)[0].imag == 0.0
+
+    @pytest.mark.parametrize("probe", ["plateau", "recurrence"])
+    def test_origin_exact_on_many_boxes(self, probe, plateau_probe, recurrence_probe):
+        # on baths of 8 and 79 middle boxes the first 400 default-grid times
+        # make a run that holds t = 0: it turns each box's proxies about
+        # tc = 0, so Gamma(0) and Im S_k(0) are exact, and it forms no inner
+        # root's own rows (spectrum._phase_rows), only the outer roots'
+        spec = plateau_probe[0] if probe == "plateau" else recurrence_probe
+        ts, al, phase_rows, formed = TimeGrid().times()[:400], spec.alphas, spectrum._phase_rows, []
+
+        def spy(x, z, *args):
+            if not x.all():
+                formed.extend(np.searchsorted(al - (al[0] / 2 + al[-1] / 2), z).tolist())
+            return phase_rows(x, z, *args)
+
+        with mock.patch.object(spectrum, "_phase_rows", spy):
+            assert coefficient_series(spec, ts)[1][0] == 0.0
+            for k in (0, 1, 2):
+                assert moment_signal(spec, k, ts)[0].imag == 0.0
+        assert sorted(set(formed)) == [0, spec.n_levels - 1]
 
     @pytest.mark.parametrize("omega0", OMEGAS)
     def test_gamma_zero_at_origin(self, omega0):

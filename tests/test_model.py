@@ -268,6 +268,7 @@ def _two_level():
         lambda: ModelParams(step=1e300),
         lambda: ModelParams(step=-0.1),
         lambda: ModelParams(omega0=0.0),
+        lambda: ModelParams(omega0=5e-324),  # its period 2 pi / omega0 overflows
         lambda: ModelParams(beta=-1.0),
         lambda: ModelParams(coupling="gaussian"),
         lambda: ModelParams(n_bath=3, omegas=(1.0, 2.0, 3.0)),
@@ -308,8 +309,8 @@ def _two_level():
         lambda: transition_probabilities(_two_level(), "a"),
     ],
     ids=[
-        "n_bath", "n_bath-huge", "step-huge", "step", "omega0", "beta", "coupling", "lorentzian-lists",
-        "explicit-no-lists", "explicit-lengths", "bath-shapes", "bath-empty",
+        "n_bath", "n_bath-huge", "step-huge", "step", "omega0", "omega0-period", "beta", "coupling",
+        "lorentzian-lists", "explicit-no-lists", "explicit-lengths", "bath-shapes", "bath-empty",
         "n_omega0", "bath-occupation", "t_step", "t_start", "n_steps", "n_steps-huge", "mass",
         "no-outputs", "unknown-product", "preset", "preset-grid", "run-n_omega0",
         "thermal-beta", "moment-order", "lorentzian-n_bath", "bath-order",

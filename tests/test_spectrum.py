@@ -43,7 +43,8 @@ def fresh_weights(spec):
     cm, _, _, px, pw = boxes
     anterp = [g2[m0:m1] @ spectrum._barycentric(om[m0:m1], p, pw) for m0, m1, p in zip(cm[1:], cm[2:], px)]
     q = np.stack(anterp)[:, None]
-    far = spectrum._far(spectrum._m2l(levels), q), spectrum._far(spectrum._m2l(levels), q, square=True)
+    tree = spectrum._m2l(levels)
+    far = spectrum._far(tree, q), spectrum._far(tree, q, square=True)
     below, above = np.append(0, np.arange(om.size)), np.append(np.arange(om.size), om.size - 1)
     o = np.where(al - om[below] > om[above] - al, above, below)
     tau = al - om[o]
@@ -206,7 +207,8 @@ class TestSpectrumValidation:
                 bath=two_level.bath,
             )
 
-    @pytest.mark.parametrize("omega0", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    # the last two have no finite period 2 pi / omega0 (the last a numpy scalar)
+    @pytest.mark.parametrize("omega0", [np.nan, np.inf, -np.inf, 0.0, -1.0, 5e-324, np.float64(1e-308)])
     def test_bad_omega0_rejected(self, two_level, omega0):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -437,7 +439,7 @@ def test_root_off_a_fixed_point_takes_the_closing_pass(bath, omega0, box):
 
 def test_recurrence_probe_solve_memory(recurrence_probe):
     # the boxed sums keep every work array near one box's near block, and
-    # each far field's m2l blocks live only through its sweep
+    # the m2l blocks live only through the two far-field sweeps
     assert traced_peak(solve_spectrum, recurrence_probe.bath, 1.0) < 5e6
 
 
