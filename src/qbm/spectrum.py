@@ -253,16 +253,16 @@ def _phase_rows(x, z, scratch=np.empty):
 def _box_rows(x, bary=0.0, scratch=np.empty):
     """rows(z): y -> the cos and sin rows at the K times x of a box of roots,
     their frequencies less the band centre z (ascending), times y.  A box
-    of half-width d meets the x, within h of tc, through P = _nodes(h d)
-    proxy frequencies zp (one butterfly level: Candes, Demanet & Ying,
-    Multiscale Model. Simul. 7, 2009) as [[C, -S], [S, C]] [L^T cos(tc z);
-    L^T sin(tc z)], C and S the cos and sin of (x - tc) zp, L its
-    barycentric matrix to zp, tc the x's centre or, with a time at 0, 0 (so
-    the sin rows vanish there exactly); where P (K + bary B) >= K B (P = 0
-    for no roots) through its own (_phase_rows); both in rows.cells(z) of
-    scratch, or rows(z, scratch), for callers done with each box."""
+    of half-width d meets the x, within h of their centre tc, through
+    P = _nodes(h d) proxy frequencies zp (one butterfly level: Candes,
+    Demanet & Ying, Multiscale Model. Simul. 7, 2009) as [[C, -S], [S, C]]
+    [L^T cos(tc z); L^T sin(tc z)], C and S the cos and sin of (x - tc) zp,
+    L its barycentric matrix to zp, the sin rows at x = 0 zeroed (exact);
+    where P (K + bary B) >= K B (P = 0 for no roots) through its own
+    (_phase_rows); both in rows.cells(z) of scratch, or rows(z, scratch),
+    for callers done with each box."""
     lo, hi, k = x.min(), x.max(), x.size
-    tc, h = (lo / 2 + hi / 2, hi / 2 - lo / 2) if x.all() else (0.0, max(hi, -lo))
+    tc, h = lo / 2 + hi / 2, hi / 2 - lo / 2
 
     def proxies(z):  # P, or 0 where the box takes its own rows
         p = int(_nodes(h * (z[-1] - z[0]) / 2)) if z.size else 0
@@ -277,6 +277,7 @@ def _box_rows(x, bary=0.0, scratch=np.empty):
         c, s = np.cos(a := np.multiply.outer(x - tc, zp)), np.sin(a)
         ep = scratch(4 * k * p).reshape(2 * k, -1)
         ep[:k, :p], ep[:k, p:], ep[k:, :p], ep[k:, p:] = c, -s, s, c
+        ep[k:][x == 0.0] = 0.0  # their exact value, sin(0 z) = 0: Gamma(0) and Im S_k(0) exact
         return lambda y: ep @ (rp @ y)
 
     rows.cells = lambda z: 4 * k * p if (p := proxies(z)) else 2 * k * z.size  # of scratch

@@ -7,6 +7,7 @@ import ast
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,20 @@ def test_times_in_arrays_out(two_level, route, times, n):
     for part in out if isinstance(out, tuple) else (out,):
         assert isinstance(part, np.ndarray)
         assert part.shape[-1] == n
+
+
+@pytest.mark.parametrize(
+    "route", [*ROUTES.values(), lambda spec, t: evolution.transition_probabilities(spec, t[-1])],
+    ids=[*ROUTES.keys(), "transition_probabilities"],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_times_are_named(two_level, route, bad):
+    # a time that is nan or infinite is refused as such, not as a phase
+    # that keeps no fractional bits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.InvalidValue, match=f"times must be finite, got {bad}$"):
+            route(two_level, [0.0, bad])
 
 
 @pytest.mark.parametrize(

@@ -179,6 +179,40 @@ class TestRunPlans:
         ]
         assert sum(priced) <= 2 * ts.size
 
+    def test_run_at_origin_formed_at_its_priced_width(self, recurrence_probe, monkeypatch):
+        # the first moment run of the N = 10^4 probe's recurrence grid holds
+        # t = 0 and turns about its own centre: each group of root boxes
+        # meets it through P = _nodes(h d) proxies (spectrum._chebyshev), h
+        # the run's half-width, which _node_runs priced, d the group's
+        spec, step = recurrence_probe, recurrence_probe.tau_omega / 8.0
+        ts = TimeGrid(t_step=step, n_steps=int(np.ceil(1.2 * recurrence_time(spec) / step)) + 1).times()
+        runs, proxies, box_rows, chebyshev = [], [], langevin._box_rows, spectrum._chebyshev
+
+        class FirstRunDone(Exception):
+            pass
+
+        def rows_spy(x, *args):  # one worker: runs come in order
+            if runs:
+                raise FirstRunDone
+            runs.append(x)
+            return box_rows(x, *args)
+
+        def chebyshev_spy(lo, hi, p):
+            proxies.append((hi - lo, p))
+            return chebyshev(lo, hi, p)
+
+        monkeypatch.delenv("QBM_THREADS", raising=False)
+        with (
+            mock.patch.object(langevin, "_box_rows", rows_spy),
+            mock.patch.object(spectrum, "_chebyshev", chebyshev_spy),
+            pytest.raises(FirstRunDone),
+        ):
+            moment_signal(spec, 0, ts)
+        (x,) = runs
+        h = x.max() / 2 - x.min() / 2
+        assert x.min() == 0.0 and proxies
+        assert [p for _, p in proxies] == [spectrum._nodes(h * d / 2) for d, _ in proxies]
+
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(st.data())
     def test_runs_partition_the_times(self, data):
@@ -216,14 +250,21 @@ class TestCoefficients:
         for k in (0, 1, 2):
             assert moment_signal(ref_spectrum, k, ts)[0].imag == 0.0
 
-    @pytest.mark.parametrize("probe", ["plateau", "recurrence"])
-    def test_origin_exact_on_many_boxes(self, probe, plateau_probe, recurrence_probe):
+    @pytest.mark.parametrize(
+        "probe, grid",
+        [("plateau", "default"), ("recurrence", "default"), ("plateau", "ends-at-0"), ("recurrence", "ends-at-0")],
+        ids=["plateau", "recurrence", "plateau-ends-at-0", "recurrence-ends-at-0"],
+    )
+    def test_origin_exact_on_many_boxes(self, probe, grid, plateau_probe, recurrence_probe):
         # on baths of 8 and 79 middle boxes the first 400 default-grid times
-        # make a run that holds t = 0: it turns each box's proxies about
-        # tc = 0, so Gamma(0) and Im S_k(0) are exact, and it forms no inner
+        # make a run whose lowest node is t = 0, and 2001 times from 0 down
+        # to -100 one whose highest is: each box's proxies turn about the
+        # run's centre and the sin rows at the node t = 0 are zeroed, so
+        # Gamma(0) and Im S_k(0) are exact, and the run forms no inner
         # root's own rows (spectrum._phase_rows), only the outer roots'
         spec = plateau_probe[0] if probe == "plateau" else recurrence_probe
-        ts, al, phase_rows, formed = TimeGrid().times()[:400], spec.alphas, spectrum._phase_rows, []
+        ts = TimeGrid().times()[:400] if grid == "default" else np.linspace(0.0, -100.0, 2001)
+        al, phase_rows, formed = spec.alphas, spectrum._phase_rows, []
 
         def spy(x, z, *args):
             if not x.all():
