@@ -37,10 +37,12 @@ times takes a quadratic form in its barycentric row, O(K^2 T).  A run whose
 when its factor, in a slot of the worker's buffer, is formed, and each box
 with a far field keeps X = s vg b and M = b^T vg b, (2 K, p) and (p, p),
 until the sweep gives phi.  A larger run takes two passes and holds no X:
-the root boxes are anterpolated and swept first and met again in a window
-that slides past the target boxes, phi b^T added to each s.  The survival
-amplitude, from the moments on the same node-time kernel, is the (0,0)
-element
+each root box's charges are summed onto its parent's and swept from the
+tree's level 1 up, then formed again in a window that slides past the
+target boxes; a box's phi is its parent's, carried down, plus its leaf far
+pairs' (the leaves' m2l) q / (x - y), and phi b^T is added to its s.  The
+survival amplitude, from the moments on the same node-time kernel, is the
+(0,0) element
 
     A(t) = sum_nu w_nu exp(-i alpha_nu t),
 
@@ -119,27 +121,37 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
     n, p, boxed, far = len(px), pw.size, near[1:-1, 1:-1], ~near[1:-1].all(axis=1)
     abar, roots, n_far = al[0] / 2 + al[-1] / 2, np.diff(cr[1:-1]), int(np.count_nonzero(far))
     z = lambda j: al[cr[j + 1] : cr[j + 2]] - abar  # root box j's frequencies less abar
-    # a root box's factor is formed at its first target box and freed after its last
-    first, last = boxed.argmax(axis=0), n - 1 - boxed[::-1].argmax(axis=0)
-    made, done = first * n + np.arange(n), last * n + np.arange(n)  # in (target, box) order
+    # a root box's factor is formed at its first target box and freed after its last:
+    # those near it, and on a windowed run those it forms a leaf far pair with
+    wide, box = boxed.copy(), np.arange(n)
+    for tb, sb in levels[0][2] if levels else ():
+        wide[box[tb], box[sb]] = True
+    spans = [(m, m.argmax(axis=0), n - 1 - m[::-1].argmax(axis=0)) for m in (wide, boxed)]  # by keep
+    _, first, last = spans[True]
+    made, done = first * n + box, last * n + box  # in (target, box) order
     at_once = max(np.searchsorted(np.sort(made), made, "right") - np.searchsorted(np.sort(done), made))
 
     def contract(buffer, x, on_nodes):
         k, keep, box_rows = x.size, 2 * x.size * spec.n_levels <= _PHASE_CELLS, _box_rows(x)
+        window, first, last = spans[keep]
         g, ms = np.zeros((2, k, k) if on_nodes else (2, k)), []
         xs = np.empty((2, k, n_far, p)) if keep else None  # X per box with a far field
         outer = box_rows(al[[0, -1]] - abar)  # alpha_0's and alpha_N's own rows
         total = outer(w[[0, -1]])
         sweeps = max(2, -(-2 * k // max(1, _SWEEP_CELLS // (n * p))))
         cuts, c = [2 * k * i // sweeps for i in range(sweeps + 1)], -(-2 * k // sweeps)
-        pq = np.empty((n, 2 * k + c, p))  # [phi; q cos; q sin]
+        # [phi; q cos; q sin] per box; a windowed run's per parent box, zeroed for its children's sums
+        pq = np.empty((n, 2 * k + c, p)) if keep else np.zeros((-(-n // 2), 2 * k + c, p))
 
-        def anterpolate(j, f):  # root box j's rows f onto its proxies, and into column 0
+        def charges(j, f):  # root box j's rows f on its proxies
             b = _barycentric(al[(r0 := cr[j + 1]) : (r1 := cr[j + 2])], px[j], pw)
-            pq[j, c:] = f(np.multiply(b, w[r0:r1, None], out=b))
-            total[:] += f(w[r0:r1])
+            return f(np.multiply(b, w[r0:r1, None], out=b))
 
-        def sweep():  # the potentials phi at every box's proxies, in even chunks of the rows
+        def anterpolate(j, f):  # root box j's charges, and its rows into column 0
+            pq[j, c:] = charges(j, f)
+            total[:] += f(w[cr[j + 1] : cr[j + 2]])
+
+        def sweep(levels):  # the potentials phi at the levels' boxes' proxies, in even chunks of the rows
             tree = _m2l(levels)  # held through the sweeps only
             for r0, r1 in zip(cuts, cuts[1:]):
                 _far(tree, pq[:, c + r0 : c + r1], out=pq[:, r0:r1])
@@ -154,25 +166,37 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
                 g[:] += np.square(s3, out=s3) @ vs
 
         cells, held = max(box_rows.cells(z(j)) for j in range(n)) if keep else 0, {}
-        if not keep:  # two passes: every root box anterpolated first
+        if not keep:  # two passes: every root box's charges summed onto its parent's first
             for j in range(n):
-                anterpolate(j, box_rows(z(j)))
-            sweep()
+                f = box_rows(z(j))
+                total[:] += f(w[cr[j + 1] : cr[j + 2]])
+                if levels:
+                    pq[j // 2, c:] += charges(j, f) @ levels[0][0][j]
+            sweep(levels[1:])
         area = buffer(cells * at_once + int(np.diff(cm[1:-1]).max() * roots.max()))
         *free, block = np.split(area, cells * np.arange(1, at_once + 1))  # the slots, the near block
         for i, (m0, m1) in enumerate(zip(cm[1:-2].tolist(), cm[2:-1].tolist())):
             s = outer((w[[0, -1]] / np.subtract.outer(om[m0:m1], al[[0, -1]])).T)  # their near block
-            for j in np.flatnonzero(boxed[i]).tolist():  # each near root box's block
-                if first[j] == i:  # on one pass, in a slot and anterpolated
-                    e = free.pop()
-                    held[j] = e, box_rows(z(j), (lambda cells: e[:cells]) if keep else np.empty)
+            if far[i] and not keep:  # phi_i: its parent's, then its leaf far pairs' q_j 1/(x_i - y_j)
+                phi = pq[i // 2, : 2 * k] @ levels[0][0][i].T if levels[1:] else 0.0  # none above the top
+            for j in np.flatnonzero(window[i]).tolist():  # each root box near it or in a leaf far pair
+                if first[j] == i:  # on one pass in a slot and anterpolated, on two with its charges
                     if keep:
+                        e = free.pop()
+                        held[j] = e, box_rows(z(j), lambda cells: e[:cells])
                         anterpolate(j, held[j][1])
+                    else:
+                        held[j] = charges(j, f := box_rows(z(j))), f
                 r0, r1 = cr[j + 1], cr[j + 2]
-                d = block[: (m1 - m0) * (r1 - r0)].reshape(m1 - m0, -1)
-                s += held[j][1](np.divide(w[r0:r1], np.subtract.outer(om[m0:m1], al[r0:r1], out=d), out=d).T)
+                if boxed[i, j]:
+                    d = block[: (m1 - m0) * (r1 - r0)].reshape(m1 - m0, -1)
+                    s += held[j][1](np.divide(w[r0:r1], np.subtract.outer(om[m0:m1], al[r0:r1], out=d), out=d).T)
+                else:  # in ascending j, the order of _far's m2l groups: its bytes
+                    phi += held[j][0] @ (1.0 / (px[i] - px[j][:, None]))
                 if last[j] == i:
-                    free.append(held.pop(j)[0])
+                    e = held.pop(j)[0]
+                    if keep:
+                        free.append(e)
             if far[i]:  # phi_i b^T, b the box's barycentric matrix from its proxies
                 b = _barycentric(om[m0:m1], px[i], pw)
                 if keep:  # X = s vg b and M = b^T vg b, for phi after the sweep
@@ -180,11 +204,11 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
                     xs[:, :, len(ms)] = s.reshape(2, k, -1) @ u
                     ms.append(b.T @ u)
                 else:
-                    s += pq[i, : 2 * k] @ b.T
+                    s += phi @ b.T
             gram(s, vg[m0 + 1 : m1 + 1])
         gram(total, vg[:1])
         if ms:  # a kept run's far field
-            sweep()
+            sweep(levels)
             phi = np.stack([pq[i, : 2 * k].reshape(2, k, -1) for i in np.flatnonzero(far)], 2).reshape(2, k, -1)
             del pq  # as phi is stacked, not on the far field's peak
             for q, mb in enumerate(ms):  # Z = X + phi M / 2, box by box

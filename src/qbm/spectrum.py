@@ -142,11 +142,13 @@ def _barycentric(t, x, w):
     a point equal to a node takes its value.  Leading axes of t and x are
     a stack of such matrices."""
     d = t[..., :, None] - x[..., None, :]
-    hit = d == 0.0
-    d[hit] = 1.0
-    b = np.divide(w, d, out=d)
-    on_node = hit.any(axis=-1)
-    b[on_node] = hit[on_node]
+    if (hit := d == 0.0).any():
+        d[hit] = 1.0
+        b = np.divide(w, d, out=d)
+        on_node = hit.any(axis=-1)
+        b[on_node] = hit[on_node]
+    else:
+        b = np.divide(w, d, out=d)
     b /= b.sum(axis=-1, keepdims=True)
     return b
 

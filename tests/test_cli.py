@@ -449,9 +449,10 @@ class TestReport:
     def test_recurrence_probe_report_memory(self):
         # from before the solve through the plateau window on the N = 10^4
         # bath: the solve's boxed sums, the fit window's moment slices, then
-        # the window's row-0 kernel, whose tree sweeps are its peak (8.2 MB)
+        # the window's row-0 kernel, whose window is its peak (5.6 MB; 7.9 MB
+        # when the kernel held every leaf box's charges for its tree sweeps)
         config = parse_config("N = 10000\nA = 0.00018\n")
-        assert traced_peak(build_report, config) < 9.5e6
+        assert traced_peak(build_report, config) < 6.5e6
 
     def test_sum_rules_do_not_depend_on_blas_threads(self, tmp_path, recurrence_probe):
         spec = recurrence_probe
@@ -492,6 +493,21 @@ class TestReport:
         )
         env = {**os.environ, "PYTHONPATH": path}
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    def test_fit_does_not_reach_lapack(self, tmp_path):
+        # the decay rate is a line fitted in closed form, so neither qbm run
+        # on the default config nor the report calls least squares (np.polyfit
+        # and np.linalg.lstsq, the package's only LAPACK, whose library pages
+        # a fresh process would load)
+        def refused(*args, **kwargs):
+            raise AssertionError("least squares called")
+
+        with mock.patch.object(np, "polyfit", refused), mock.patch.object(np.linalg, "lstsq", refused):
+            code, out = run_cli(tmp_path, "")
+            report = build_report(parse_config(""))
+        assert code == 0 and report == (out / "report.txt").read_text()
+        fields = dict(line.split(" = ", 1) for line in report.splitlines() if " = " in line)
+        assert np.isfinite(float(fields["gamma_fit"]))
 
 
 class TestRecurrencePreset:

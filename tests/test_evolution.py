@@ -288,6 +288,20 @@ class TestRow0KernelAccuracy:
         want = row0_population(spec, occ, window[idx])
         np.testing.assert_allclose(got["rows-3"][idx], want, rtol=0.0, atol=1e-13)
 
+    def test_report_window_swept_from_level_one(self, recurrence_probe):
+        # the report window's run is windowed, its 2 K (N+1) rows past
+        # _PHASE_CELLS: each root box's charges go straight onto its parent,
+        # so each of the 8 sweeps takes the 40 boxes of level 1 on the five
+        # levels above the leaves, not the 79 leaves on all six
+        spec = recurrence_probe
+        occ = thermal_occupations(spec.bath, 1.0, 1.0)
+        ts = TimeGrid().times()
+        window = ts[(ts >= 100.0) & (ts <= 300.0)]
+        with mock.patch.object(evolution, "_far", wraps=spectrum._far) as far:
+            oscillator_population(spec, occ, window)
+        assert [call.args[1].shape[:2] for call in far.call_args_list] == [(40, 37)] * 8
+        assert all(len(call.args[0]) == len(spec.boxes[5]) - 1 == 5 for call in far.call_args_list)
+
     @pytest.mark.parametrize(
         "t_step, sizes",
         [(np.pi / 20.0, (2, 9, 64, 300, 1273, 12733)), (1.0, (64, 300, 1273))],
@@ -318,6 +332,24 @@ class TestRow0KernelAccuracy:
         idx = np.linspace(0, ts.size - 1, 8).astype(int)
         want = row0_population(spec, occ, ts[idx])
         np.testing.assert_allclose(got[idx], want, rtol=0.0, atol=1e-13)
+
+    @UNEVEN_BATHS
+    def test_windowed_runs_match_kept_ones(self, omegas, omega0):
+        # every run past _PHASE_CELLS, set to K (N+1) of the largest run so
+        # that the runs stay as they are: a windowed run takes each box's
+        # potentials from its parent's and its leaf far pairs', which on
+        # these baths are not the even bath's boxes 2 and 3 apart (or, on a
+        # tree of one level, every far pair), and agrees with the kept run
+        bath = build_bath(ModelParams.explicit(omegas, np.full(omegas.size, 0.002)))
+        spec = solve_spectrum(bath, omega0)
+        occ = thermal_occupations(bath, 1.0, 1.0)
+        for ts in (50.0 + 0.1 * np.arange(400), 50.0 + 10.0 * np.arange(40)):
+            cells = spec.n_levels * max(x.size for *_, x, _ in row0_runs(spec, ts))
+            kept = population_decomposition(spec, occ, ts)
+            with mock.patch.object(evolution, "_PHASE_CELLS", cells):
+                assert all(2 * x.size * spec.n_levels > cells for *_, x, _ in row0_runs(spec, ts))
+                windowed = population_decomposition(spec, occ, ts)
+            np.testing.assert_allclose(windowed, kept, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("per_level", [False, True], ids=["one-group", "groups-of-3"])
     def test_wide_box_among_narrow_ones(self, per_level):
@@ -659,16 +691,19 @@ def test_population_memory_on_plateau_grid(plateau_probe, monkeypatch):
 def test_population_memory_on_report_window(recurrence_probe):
     # the N = 10^4 report window on 148 node times: no inner root's phase
     # rows (24 MB for all) are formed.  Each root box is met through its
-    # 18 frequency proxies, (296, 36) and (36, 128) factors at 0.1 MB a box,
-    # held for the 3 boxes near one target box at a time.  What the kernel
-    # holds scales with K (N+1) / B: the cos and sin charges and the
-    # potentials that replace them, (79, 2 x 148 + 37, 20) at 4.2 MB.  The
-    # tree sweeps them 37 rows at a time, with 0.7 MB of level stacks and
-    # its m2l blocks (1.4 MB), formed for the sweeps and freed after them;
-    # 7.2 MB at the peak.  Then the 148 x 148 Gram matrices and the one
-    # (1273, 148) carry block
+    # 18 frequency proxies, (296, 36) and (36, 128) factors at 0.1 MB a box.
+    # The run is windowed, and what it holds scales with K (N+1) / B: each
+    # root box's cos and sin charges summed onto its parent's, and the
+    # potentials that replace them, (40, 2 x 148 + 37, 20) at 2.1 MB.  The
+    # tree sweeps them 37 rows at a time from level 1 up, with its m2l
+    # blocks there (0.65 MB), formed for the sweeps and freed after them.
+    # Then the window holds a root box's factor and charges from the first
+    # target box near it or in a leaf far pair with it to the last (6 boxes
+    # at a time on this even bath), and forms those pairs' m2l blocks one
+    # at a time; 4.6 MB at the peak.  Then the 148 x 148 Gram matrices and
+    # the one (1273, 148) carry block
     spec = recurrence_probe
     occ = thermal_occupations(spec.bath, 1.0, 1.0)
     ts = TimeGrid().times()
     window = ts[(ts >= 100.0) & (ts <= 300.0)]
-    assert traced_peak(oscillator_population, spec, occ, window) < 8.5e6
+    assert traced_peak(oscillator_population, spec, occ, window) < 5.2e6

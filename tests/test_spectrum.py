@@ -1,3 +1,4 @@
+import operator
 import warnings
 from unittest import mock
 
@@ -495,11 +496,24 @@ def test_chunked_sweeps_match_one_sweep(recurrence_probe, probe, square):
     )
 
 
+def test_barycentric_point_on_a_node_takes_its_value():
+    # a point equal to a node takes that node's value, its row a unit
+    # vector; a point off every node takes the second form, the same row
+    # whether or not another point hits a node
+    x, w = spectrum._chebyshev(-1.0, 2.0, 9)
+    t = np.array([x[3], 0.123, x[0], x[-1]])
+    b = spectrum._barycentric(t, x, w)
+    np.testing.assert_array_equal(b[[0, 2, 3]], np.eye(9)[[3, 0, 8]])
+    np.testing.assert_array_equal(spectrum._barycentric(t[1:2], x, w), b[1:2])
+    np.testing.assert_allclose(b[1] @ np.cos(x), np.cos(0.123), rtol=0.0, atol=1e-6)
+
+
 def test_solve_and_kernel_share_one_tree(recurrence_probe):
     # both boxed sums take their boxes, near relation and tree from the bath
     # alone: 79 middle boxes of modes at N = 10^4, none of zero width, with
     # the outer roots near every box and in no tree.  The solve's geometry
-    # is the spectrum's, and the kernel sweeps that very one.  A level
+    # is the spectrum's, and the kernel sweeps that very one: a kept run
+    # all its levels, a windowed one those above the leaves.  A level
     # keeps its proxies and far pairs, which the m2l blocks are formed
     # from where they are used, so equal proxies and pairs mean equal blocks
     built, boxes = [], spectrum._boxes
@@ -517,7 +531,9 @@ def test_solve_and_kernel_share_one_tree(recurrence_probe):
         population_decomposition(spec, occ, 100.0 + 5.0 * np.arange(300))
     assert len(built) == 1 and spec.boxes is built[0]
     assert m2l.call_count == 2  # one sweep per run: 209 times windowed, 91 kept
-    assert all(call.args[0] is built[0][5] for call in m2l.call_args_list)
+    windowed, kept = sorted((call.args[0] for call in m2l.call_args_list), key=len)
+    assert kept is built[0][5]
+    assert len(windowed) == len(kept) - 1 and all(map(operator.is_, windowed, kept[1:]))
     _, _, near, px, _, levels = spec.boxes
     assert px.shape[0] == 79
     assert np.all(px[:, 0] > px[:, -1])
