@@ -22,27 +22,31 @@ occupations, and a column's sign and the band-centre phase drop out of
 cos and sin rows of alpha - abar against 1/(omega_m - alpha_nu) is taken at
 a run's K node times, not its T times, O(K N (n_near + p)), box by box on
 the boxes and tree the spectrum keeps (spectrum).  Near pairs are summed
-exactly, a root box's factor (spectrum._box_rows) formed at its first
-target box and freed after its last; alpha_0 and alpha_N, near every box,
-share one factor a run (their own rows).  The far field goes through the
-p proxies of each box: the root boxes are anterpolated onto theirs, _far
-takes the potentials phi to every box's on the tree, in even chunks of the
-2 K rows of at most _SWEEP_CELLS charges (two at fewest), and a box's
-(B, p) barycentric matrix b carries them to its modes.  The product
-is never held: each box's columns s, weighted by the occupations, are
-folded into a K x K Gram matrix per half of the rows, O(N K^2) (on a run of
-its own times, their squares into one value a time), and each of the T
-times takes a quadratic form in its barycentric row, O(K^2 T).  A run whose
-2 K (N+1) rows fit _PHASE_CELLS makes one pass: a root box is anterpolated
-when its factor, in a slot of the worker's buffer, is formed, and each box
-with a far field keeps X = s vg b and M = b^T vg b, (2 K, p) and (p, p),
-until the sweep gives phi.  A larger run takes two passes and holds no X:
-each root box's charges are summed onto its parent's and swept from the
-tree's level 1 up, then formed again in a window that slides past the
-target boxes; a box's phi is its parent's, carried down, plus its leaf far
-pairs' (the leaves' m2l) q / (x - y), and phi b^T is added to its s.  The
-survival amplitude, from the moments on the same node-time kernel, is the
-(0,0) element
+exactly, a root box's factor (spectrum._box_rows) held over each run of
+consecutive target boxes that use it, from the first that needs it to the
+last, and formed again after a gap; alpha_0 and alpha_N, near every box,
+share one factor a run (their own rows).  The far field goes through the p
+proxies of each box: the root boxes are anterpolated onto theirs, _far
+takes the potentials phi to every box's on the tree, each chunk's over its
+charges, in even chunks of the 2 K rows of at most _SWEEP_CELLS charges
+(two at fewest), and a box's (B, p) barycentric matrix b carries them to
+its modes.  The product is never held: each box's columns s, weighted by
+the occupations, are folded into a K x K Gram matrix per half of the rows,
+O(N K^2) (on a run of its own times, their squares into one value a time),
+and each of the T times takes a quadratic form in its barycentric row,
+O(K^2 T).  A run whose 2 K (N+1) rows fit _PHASE_CELLS makes one pass: the
+target boxes near a root box use it and need its factor, formed in a slot
+of the worker's buffer and anterpolated the first time, and each box with a
+far field keeps X = s vg b and M = b^T vg b, (2 K, p) and (p, p), until the
+sweep gives phi.  A larger run takes two passes and holds no X: each root
+box's charges are summed onto its parent's and swept from the tree's
+level 1 up, then formed again in a window that slides past the target
+boxes, held from the box's first use to its last; there those in a leaf
+far pair with it (the leaves' m2l) use it too, and its first use needs
+its factor.  A box's phi is its parent's, carried down, plus its leaf far
+pairs' q / (x - y), and phi b^T is added to its s.  The survival
+amplitude, from the moments on the same node-time kernel, is the (0,0)
+element
 
     A(t) = sum_nu w_nu exp(-i alpha_nu t),
 
@@ -121,40 +125,52 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
     n, p, boxed, far = len(px), pw.size, near[1:-1, 1:-1], ~near[1:-1].all(axis=1)
     abar, roots, n_far = al[0] / 2 + al[-1] / 2, np.diff(cr[1:-1]), int(np.count_nonzero(far))
     z = lambda j: al[cr[j + 1] : cr[j + 2]] - abar  # root box j's frequencies less abar
-    # a root box's factor is formed at its first target box and freed after its last:
-    # those near it, and on a windowed run those it forms a leaf far pair with
-    wide, box = boxed.copy(), np.arange(n)
+    # by keep, the target boxes (rows) that use root box j: those near it, and on a windowed run those
+    # it forms a leaf far pair with; its factor is held over each run of consecutive ones, from the
+    # first that needs it, near it or a windowed run's first use (its charges), to the last
+    use, box = np.stack((boxed, boxed)), np.arange(n)
     for tb, sb in levels[0][2] if levels else ():
-        wide[box[tb], box[sb]] = True
-    spans = [(m, m.argmax(axis=0), n - 1 - m[::-1].argmax(axis=0)) for m in (wide, boxed)]  # by keep
-    _, first, last = spans[True]
-    made, done = first * n + box, last * n + box  # in (target, box) order
-    at_once = max(np.searchsorted(np.sort(made), made, "right") - np.searchsorted(np.sort(done), made))
+        use[0, box[tb], box[sb]] = True
+    first, last = use.argmax(axis=1), n - 1 - use[:, ::-1].argmax(axis=1)
+    need = use & boxed
+    need[0, first[0], box] = True
+    seen, ahead = need.copy(), need.copy()  # a use since, or up to, one that needs it, in one run
+    for i in range(1, n):
+        seen[:, i] |= seen[:, i - 1] & use[:, i]
+        ahead[:, ~i] |= ahead[:, -i] & use[:, ~i]
+    form, drop = need.copy(), need  # where the factor is formed, and where freed after
+    form[:, 1:] &= ~seen[:, :-1]
+    drop[:, :-1] &= ~ahead[:, 1:]
+    del seen, ahead
+    plans = list(zip(use, first, last, form, drop))  # by keep
+    made, done = np.flatnonzero(form[1]), np.flatnonzero(drop[1])  # a kept run's, in (target, box) order
+    at_once = max(np.searchsorted(made, made, "right") - np.searchsorted(done, made))
 
     def contract(buffer, x, on_nodes):
         k, keep, box_rows = x.size, 2 * x.size * spec.n_levels <= _PHASE_CELLS, _box_rows(x)
-        window, first, last = spans[keep]
+        window, first, last, form, drop = plans[keep]
         g, ms = np.zeros((2, k, k) if on_nodes else (2, k)), []
         xs = np.empty((2, k, n_far, p)) if keep else None  # X per box with a far field
         outer = box_rows(al[[0, -1]] - abar)  # alpha_0's and alpha_N's own rows
         total = outer(w[[0, -1]])
         sweeps = max(2, -(-2 * k // max(1, _SWEEP_CELLS // (n * p))))
-        cuts, c = [2 * k * i // sweeps for i in range(sweeps + 1)], -(-2 * k // sweeps)
-        # [phi; q cos; q sin] per box; a windowed run's per parent box, zeroed for its children's sums
-        pq = np.empty((n, 2 * k + c, p)) if keep else np.zeros((-(-n // 2), 2 * k + c, p))
+        cuts = [2 * k * i // sweeps for i in range(sweeps + 1)]
+        # [q cos; q sin] per box, the sweep's phi in their place; a windowed run's per parent box, zeroed for
+        # its children's sums
+        pq = np.empty((n, 2 * k, p)) if keep else np.zeros((-(-n // 2), 2 * k, p))
 
         def charges(j, f):  # root box j's rows f on its proxies
             b = _barycentric(al[(r0 := cr[j + 1]) : (r1 := cr[j + 2])], px[j], pw)
             return f(np.multiply(b, w[r0:r1, None], out=b))
 
         def anterpolate(j, f):  # root box j's charges, and its rows into column 0
-            pq[j, c:] = charges(j, f)
+            pq[j] = charges(j, f)
             total[:] += f(w[cr[j + 1] : cr[j + 2]])
 
         def sweep(levels):  # the potentials phi at the levels' boxes' proxies, in even chunks of the rows
             tree = _m2l(levels)  # held through the sweeps only
             for r0, r1 in zip(cuts, cuts[1:]):
-                _far(tree, pq[:, c + r0 : c + r1], out=pq[:, r0:r1])
+                pq[:, r0:r1] = _far(tree, pq[:, r0:r1])
 
         def gram(s, vs):  # the columns s, weighted by vs, into each half's Gram matrix
             s3 = s.reshape(2, k, -1)
@@ -165,38 +181,40 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
             else:  # |U_0m|^2 = cos part^2 + sin part^2, squared in place
                 g[:] += np.square(s3, out=s3) @ vs
 
-        cells, held = max(box_rows.cells(z(j)) for j in range(n)) if keep else 0, {}
+        cells, held, qs = max(box_rows.cells(z(j)) for j in range(n)) if keep else 0, {}, {}
         if not keep:  # two passes: every root box's charges summed onto its parent's first
             for j in range(n):
                 f = box_rows(z(j))
                 total[:] += f(w[cr[j + 1] : cr[j + 2]])
                 if levels:
-                    pq[j // 2, c:] += charges(j, f) @ levels[0][0][j]
-            sweep(levels[1:])
+                    pq[j // 2] += charges(j, f) @ levels[0][0][j]
+            if levels[1:]:
+                sweep(levels[1:])
         area = buffer(cells * at_once + int(np.diff(cm[1:-1]).max() * roots.max()))
         *free, block = np.split(area, cells * np.arange(1, at_once + 1))  # the slots, the near block
         for i, (m0, m1) in enumerate(zip(cm[1:-2].tolist(), cm[2:-1].tolist())):
             s = outer((w[[0, -1]] / np.subtract.outer(om[m0:m1], al[[0, -1]])).T)  # their near block
             if far[i] and not keep:  # phi_i: its parent's, then its leaf far pairs' q_j 1/(x_i - y_j)
-                phi = pq[i // 2, : 2 * k] @ levels[0][0][i].T if levels[1:] else 0.0  # none above the top
-            for j in np.flatnonzero(window[i]).tolist():  # each root box near it or in a leaf far pair
-                if first[j] == i:  # on one pass in a slot and anterpolated, on two with its charges
+                phi = pq[i // 2] @ levels[0][0][i].T if levels[1:] else 0.0  # none above the top
+            for j in np.flatnonzero(window[i]).tolist():  # each root box that it uses
+                if form[i, j]:  # root box j's factor, on one pass in a slot
+                    e = free.pop() if keep else None
+                    held[j] = e, box_rows(z(j), (lambda cells: e[:cells]) if keep else np.empty)
+                if first[j] == i:  # on one pass anterpolated, on two its charges, held to its last use
                     if keep:
-                        e = free.pop()
-                        held[j] = e, box_rows(z(j), lambda cells: e[:cells])
                         anterpolate(j, held[j][1])
                     else:
-                        held[j] = charges(j, f := box_rows(z(j))), f
+                        qs[j] = charges(j, held[j][1])
                 r0, r1 = cr[j + 1], cr[j + 2]
                 if boxed[i, j]:
                     d = block[: (m1 - m0) * (r1 - r0)].reshape(m1 - m0, -1)
                     s += held[j][1](np.divide(w[r0:r1], np.subtract.outer(om[m0:m1], al[r0:r1], out=d), out=d).T)
                 else:  # in ascending j, the order of _far's m2l groups: its bytes
-                    phi += held[j][0] @ (1.0 / (px[i] - px[j][:, None]))
+                    phi += qs[j] @ (1.0 / (px[i] - px[j][:, None]))
+                if drop[i, j] and (e := held.pop(j)[0]) is not None:
+                    free.append(e)
                 if last[j] == i:
-                    e = held.pop(j)[0]
-                    if keep:
-                        free.append(e)
+                    qs.pop(j, None)
             if far[i]:  # phi_i b^T, b the box's barycentric matrix from its proxies
                 b = _barycentric(om[m0:m1], px[i], pw)
                 if keep:  # X = s vg b and M = b^T vg b, for phi after the sweep
@@ -209,7 +227,7 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
         gram(total, vg[:1])
         if ms:  # a kept run's far field
             sweep(levels)
-            phi = np.stack([pq[i, : 2 * k].reshape(2, k, -1) for i in np.flatnonzero(far)], 2).reshape(2, k, -1)
+            phi = np.stack([pq[i].reshape(2, k, -1) for i in np.flatnonzero(far)], 2).reshape(2, k, -1)
             del pq  # as phi is stacked, not on the far field's peak
             for q, mb in enumerate(ms):  # Z = X + phi M / 2, box by box
                 xs[:, :, q] += phi[..., q * p : (q + 1) * p] @ mb / 2

@@ -215,12 +215,12 @@ def _m2l(levels):
     ]
 
 
-def _far(levels, q, square=False, out=None):
+def _far(levels, q, square=False):
     """Far-field potentials sum' q/(x - y), or sum' q/(x - y)^2 with square,
     at the leaves' proxies x from the charges q at their proxies y, both
-    (leaves, rows, p), on _m2l's levels (None without levels), into out if
-    given: the charges go up the tree, meet through each level's m2l blocks,
-    and come back down as potentials, each level one (boxes, rows, p) batch."""
+    (leaves, rows, p), on _m2l's levels (None without levels): the charges
+    go up the tree, meet through each level's m2l blocks, and come back
+    down as potentials, each level one (boxes, rows, p) batch."""
     qs = [q]
     for a, _ in levels[:-1]:
         q = qs[-1]
@@ -230,7 +230,7 @@ def _far(levels, q, square=False, out=None):
     phi = None
     for a, m2l in levels[::-1]:
         q = qs.pop()
-        f = np.empty_like(q) if qs or out is None else out
+        f = np.empty_like(q)
         if phi is None:
             f[:] = 0.0
         else:  # the parent's potentials to its children's proxies

@@ -449,10 +449,12 @@ class TestReport:
     def test_recurrence_probe_report_memory(self):
         # from before the solve through the plateau window on the N = 10^4
         # bath: the solve's boxed sums, the fit window's moment slices, then
-        # the window's row-0 kernel, whose window is its peak (5.6 MB; 7.9 MB
-        # when the kernel held every leaf box's charges for its tree sweeps)
+        # the window's row-0 kernel, whose window is its peak (5.1 MB; 5.6 MB
+        # when it held each root box's factor from its first use to its
+        # last and swept the far field into a spare chunk of rows, 7.9 MB
+        # when it held every leaf box's charges for its tree sweeps)
         config = parse_config("N = 10000\nA = 0.00018\n")
-        assert traced_peak(build_report, config) < 6.5e6
+        assert traced_peak(build_report, config) < 5.3e6
 
     def test_sum_rules_do_not_depend_on_blas_threads(self, tmp_path, recurrence_probe):
         spec = recurrence_probe

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import UNEVEN_BATHS, explicit_spectrum, make_random_bath, row0_runs, traced_peak
 from oracles import direct_moments, naive_transition_probabilities, row0_population
 from qbm import evolution, langevin, spectrum
+from qbm.cli import _setup
 from qbm.errors import InvalidValue
 from qbm import (
     ModelParams,
@@ -18,6 +19,7 @@ from qbm import (
     coefficient_series,
     moment_signal,
     oscillator_population,
+    parse_config,
     population_decomposition,
     population_series,
     solve_spectrum,
@@ -72,6 +74,22 @@ def wide_box_bath():
         [0.5 + narrow, 0.628 + narrow, 0.756 + narrow, np.linspace(1.0, 5.0, 128), 5.001 + narrow]
     )
     return build_bath(ModelParams.explicit(omegas, np.full(omegas.size, 0.002)))
+
+
+@pytest.fixture(scope="module")
+def report_window(recurrence_probe):
+    """The N = 10^4 recurrence probe and its report's plateau window, the
+    default grid's 1273 times in [100, 300]."""
+    ts = TimeGrid().times()
+    return recurrence_probe, ts[(ts >= 100.0) & (ts <= 300.0)]
+
+
+@pytest.fixture(scope="module")
+def recurrence_grid():
+    """Spectrum and times of `grid = recurrence` on the N = 2000, A = 0.0009
+    bath, as `qbm run` sets them up: 11,736 times to 1.2 t_r."""
+    spec, grid = _setup(parse_config("N = 2000\nA = 0.0009\ngrid = recurrence\n"))
+    return spec, grid.times()
 
 
 @pytest.fixture(scope="module")
@@ -535,8 +553,10 @@ class TestRow0KernelAccuracy:
     @pytest.mark.parametrize("probe", ["plateau", "groups-of-3"])
     def test_each_root_formed_once_per_pass(self, plateau_probe, probe, streamed):
         # a run whose cos and sin rows fit _PHASE_CELLS makes one pass: it
-        # forms each root box's factor (_box_rows) exactly once, alpha_0
-        # and alpha_N in one of their own, and no root's own rows
+        # forms each middle root box's factor (_box_rows) once per run of
+        # consecutive target boxes near it (once on the even plateau bath;
+        # twice for the wide-box bath's box 0, near targets 0, 1 and 3),
+        # alpha_0 and alpha_N in one of their own, and no root's own rows
         # (_phase_rows) twice; past it (a cap of 173 levels per node) only
         # the outer roots alpha_0 and alpha_N have their rows formed, and
         # every inner root goes through its box's frequency proxies, also
@@ -558,15 +578,17 @@ class TestRow0KernelAccuracy:
             total = oscillator_population(spec, occ, ts)
         assert all((2 * k * spec.n_levels > cells) == streamed for k in sizes)
         assert len(formed) == len(factors) == len(sizes)
-        cr = spec.boxes[1]
+        cr, near = spec.boxes[1], spec.boxes[2][1:-1, 1:-1]
+        runs = near[0] + np.count_nonzero(near[1:] & ~near[:-1], axis=0)  # of near targets, per box
+        assert runs.max() == (1 if probe == "plateau" else 2)
         for counts, each in zip(formed.values(), factors.values()):
             assert counts[0] == counts[-1] == 1
             if streamed:
                 assert not counts[1:-1].any()
             else:
                 assert counts.max() == 1
-                np.testing.assert_array_equal(each[cr[1:-2]], 1)  # each middle box, by its first root
-                assert each[0] == 1 and each.sum() == len(cr) - 2  # and the outer roots' one factor
+                np.testing.assert_array_equal(each[cr[1:-2]], runs)  # each middle box, by its first root
+                assert each[0] == 1 and each.sum() == runs.sum() + 1  # and the outer roots' one factor
         idx = np.linspace(0, ts.size - 1, 8).astype(int)
         np.testing.assert_allclose(total[idx], row0_population(spec, occ, ts[idx]), rtol=0.0, atol=1e-13)
 
@@ -613,6 +635,32 @@ class TestRow0KernelAccuracy:
         got = oscillator_population(ref_spectrum, ref_occupations, ts)
         want = row0_population(ref_spectrum, ref_occupations, ts)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+class TestUnitarity:
+    """Two identities that need no oracle, on the public routes, on the
+    N = 10^4 report window and the N = 2000 recurrence grid, where no
+    dense oracle reaches every time."""
+
+    @pytest.mark.parametrize(
+        "grid, gate", [("report_window", 1e-12), ("recurrence_grid", 4e-13)], ids=["report-window", "recurrence-grid"]
+    )
+    def test_unit_occupations_stay_one(self, request, grid, gate):
+        # P is doubly stochastic: with every occupation 1, <N_Omega(t)> =
+        # sum_m P_Omega,m(t) = 1.  The residual reads 6.7e-13 and 2.0e-13,
+        # at t = 0 set by the weights, 2 (sum w - 1), later by the kernel
+        spec, ts = request.getfixturevalue(grid)
+        got = oscillator_population(spec, InitialOccupations(1.0, np.ones(spec.bath.n)), ts)
+        np.testing.assert_allclose(got, 1.0, rtol=0.0, atol=gate)
+
+    @pytest.mark.parametrize("grid", ["report_window", "recurrence_grid"], ids=["report-window", "recurrence-grid"])
+    def test_oscillator_alone_is_its_survival(self, request, grid):
+        # one quantum on the oscillator and none in the bath: <N_Omega(t)> =
+        # |A(t)|^2, which the moments reach through other runs and rows
+        # (2.1e-15 and 1.8e-15 apart)
+        spec, ts = request.getfixturevalue(grid)
+        got = oscillator_population(spec, InitialOccupations(1.0, np.zeros(spec.bath.n)), ts)
+        np.testing.assert_allclose(got, survival_probability(spec, ts), rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -691,19 +739,41 @@ def test_population_memory_on_plateau_grid(plateau_probe, monkeypatch):
 def test_population_memory_on_report_window(recurrence_probe):
     # the N = 10^4 report window on 148 node times: no inner root's phase
     # rows (24 MB for all) are formed.  Each root box is met through its
-    # 18 frequency proxies, (296, 36) and (36, 128) factors at 0.1 MB a box.
-    # The run is windowed, and what it holds scales with K (N+1) / B: each
-    # root box's cos and sin charges summed onto its parent's, and the
-    # potentials that replace them, (40, 2 x 148 + 37, 20) at 2.1 MB.  The
-    # tree sweeps them 37 rows at a time from level 1 up, with its m2l
-    # blocks there (0.65 MB), formed for the sweeps and freed after them.
-    # Then the window holds a root box's factor and charges from the first
-    # target box near it or in a leaf far pair with it to the last (6 boxes
-    # at a time on this even bath), and forms those pairs' m2l blocks one
-    # at a time; 4.6 MB at the peak.  Then the 148 x 148 Gram matrices and
-    # the one (1273, 148) carry block
+    # 18 frequency proxies, (296, 36) and (36, 128) factors at 0.12 MB a
+    # box.  The run is windowed, and what it holds scales with K (N+1) / B:
+    # each root box's cos and sin charges summed onto its parent's,
+    # (40, 2 x 148, 20) at 1.9 MB, which the tree sweeps 37 rows at a time
+    # from level 1 up, each chunk's potentials written over its charges,
+    # with its m2l blocks there (0.65 MB), formed for the sweeps and freed
+    # after them.  Then the window holds a root box's charges from its
+    # first use (a target box near it or in a leaf far pair with it) to
+    # its last, and its factor only from its first use to its last near
+    # target box (at most 4 boxes at a time on this even bath), and forms
+    # the leaf pairs' m2l blocks one at a time; 4.1 MB at the peak.  Then
+    # the 148 x 148 Gram matrices and the one (1273, 148) carry block
     spec = recurrence_probe
     occ = thermal_occupations(spec.bath, 1.0, 1.0)
     ts = TimeGrid().times()
     window = ts[(ts >= 100.0) & (ts <= 300.0)]
-    assert traced_peak(oscillator_population, spec, occ, window) < 5.2e6
+    assert traced_peak(oscillator_population, spec, occ, window) < 4.4e6
+
+
+def test_population_memory_on_uneven_windowed_run():
+    # 20 boxes of 128 narrow modes, one box 30 times wider, then 20 more:
+    # the wide box's sibling forms leaf far pairs with nearly every box, so
+    # a windowed run (K = 200 past _PHASE_CELLS) uses each root box at
+    # target boxes far apart.  A factor is held only across each run of
+    # consecutive target boxes that use it, up to the last that needs it,
+    # and formed again after a gap; each box's charges are held from its
+    # first use to its last (14.1 MB when every factor was held as long)
+    a = 0.0015
+    omegas = 0.2 + np.cumsum(np.concatenate([[0.0], np.full(2560, a), np.full(128, 30 * a), np.full(2559, a)]))
+    bath = build_bath(ModelParams.explicit(omegas, np.full(omegas.size, 0.002)))
+    spec, occ = solve_spectrum(bath, float(np.median(omegas))), thermal_occupations(bath, 1.0, 1.0)
+    ts = 50.0 + 0.1 * np.arange(400)
+    assert [x.size for *_, x, _ in row0_runs(spec, ts)] == [200]
+    assert 2 * 200 * spec.n_levels > evolution._PHASE_CELLS
+    assert traced_peak(oscillator_population, spec, occ, ts) < 9e6
+    got = oscillator_population(spec, occ, ts)
+    idx = np.linspace(0, ts.size - 1, 8).astype(int)
+    np.testing.assert_allclose(got[idx], row0_population(spec, occ, ts[idx]), rtol=0.0, atol=1e-13)
