@@ -34,17 +34,19 @@ its modes.  The product is never held: each box's columns s, weighted by
 the occupations, are folded into a K x K Gram matrix per half of the rows,
 O(N K^2) (on a run of its own times, their squares into one value a time),
 and each of the T times takes a quadratic form in its barycentric row,
-O(K^2 T).  A run whose 2 K (N+1) rows fit _PHASE_CELLS makes one pass: the
-target boxes near a root box use it and need its factor, formed in a slot
-of the worker's buffer and anterpolated the first time, and each box with a
-far field keeps X = s vg b and M = b^T vg b, (2 K, p) and (p, p), until the
-sweep gives phi.  A larger run takes two passes and holds no X: each root
-box's charges are summed onto its parent's and swept from the tree's
-level 1 up, then formed again in a window that slides past the target
-boxes, held from the box's first use to its last; there those in a leaf
-far pair with it (the leaves' m2l) use it too, and its first use needs
-its factor.  A box's phi is its parent's, carried down, plus its leaf far
-pairs' q / (x - y), and phi b^T is added to its s.  The survival
+O(K^2 T).  At a root box's first use its rows go into column 0 and its
+charges are formed, on either pass.  A run whose 2 K (N+1) rows fit
+_PHASE_CELLS makes one pass: the target boxes near a root box use it and
+need its factor, formed in a slot of the worker's buffer, its charges wait
+for the sweep, and each box with a far field keeps X = s vg b and
+M = b^T vg b, (2 K, p) and (p, p), until the sweep gives phi.  A larger
+run takes two passes and holds no X: the first only sums each root box's
+charges onto its parent's and sweeps them from the tree's level 1 up; the
+second slides a window past the target boxes and holds a box's charges
+from its first use to its last, where those in a leaf far pair with it
+(the leaves' m2l) use it too and its first use needs its factor.  A box's
+phi is its parent's, carried down, plus its leaf far pairs' q / (x - y),
+and phi b^T is added to its s.  The survival
 amplitude, from the moments on the same node-time kernel, is the (0,0)
 element
 
@@ -163,10 +165,6 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
             b = _barycentric(al[(r0 := cr[j + 1]) : (r1 := cr[j + 2])], px[j], pw)
             return f(np.multiply(b, w[r0:r1, None], out=b))
 
-        def anterpolate(j, f):  # root box j's charges, and its rows into column 0
-            pq[j] = charges(j, f)
-            total[:] += f(w[cr[j + 1] : cr[j + 2]])
-
         def sweep(levels):  # the potentials phi at the levels' boxes' proxies, in even chunks of the rows
             tree = _m2l(levels)  # held through the sweeps only
             for r0, r1 in zip(cuts, cuts[1:]):
@@ -182,12 +180,9 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
                 g[:] += np.square(s3, out=s3) @ vs
 
         cells, held, qs = max(box_rows.cells(z(j)) for j in range(n)) if keep else 0, {}, {}
-        if not keep:  # two passes: every root box's charges summed onto its parent's first
+        if not keep and levels:  # two passes: every root box's charges summed onto its parent's first
             for j in range(n):
-                f = box_rows(z(j))
-                total[:] += f(w[cr[j + 1] : cr[j + 2]])
-                if levels:
-                    pq[j // 2] += charges(j, f) @ levels[0][0][j]
+                pq[j // 2] += charges(j, box_rows(z(j))) @ levels[0][0][j]
             if levels[1:]:
                 sweep(levels[1:])
         area = buffer(cells * at_once + int(np.diff(cm[1:-1]).max() * roots.max()))
@@ -200,11 +195,9 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
                 if form[i, j]:  # root box j's factor, on one pass in a slot
                     e = free.pop() if keep else None
                     held[j] = e, box_rows(z(j), (lambda cells: e[:cells]) if keep else np.empty)
-                if first[j] == i:  # on one pass anterpolated, on two its charges, held to its last use
-                    if keep:
-                        anterpolate(j, held[j][1])
-                    else:
-                        qs[j] = charges(j, held[j][1])
+                if first[j] == i:  # its rows into column 0; its charges, on two passes held to its last use
+                    total[:] += held[j][1](w[cr[j + 1] : cr[j + 2]])
+                    (pq if keep else qs)[j] = charges(j, held[j][1])
                 r0, r1 = cr[j + 1], cr[j + 2]
                 if boxed[i, j]:
                     d = block[: (m1 - m0) * (r1 - r0)].reshape(m1 - m0, -1)

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmplitudeVanishes, InvalidValue
-from .model import DiscretizedBath
+from .model import DiscretizedBath, _reals
 from .spectrum import Spectrum, _barycentric, _box_rows, _chebyshev, _nodes
 
 _DENOM_RTOL = 1e-12
@@ -104,17 +104,10 @@ def _check_phases(ts: np.ndarray, alphas: np.ndarray) -> None:
 def _times(t) -> np.ndarray:
     """Times as a 1-d float array; a scalar counts as one time.  Anything
     but finite real numbers (strings, complex values, None, nan, inf) is InvalidValue."""
-    try:
-        ts = np.atleast_1d(np.asarray(t))
-    except ValueError as exc:  # ragged nesting
-        raise InvalidValue(f"times must be a scalar or a 1-d array: {exc}") from None
-    if ts.dtype.kind not in "biuf":
-        raise InvalidValue(f"times must be real numbers, got {ts.dtype} values")
-    if ts.ndim != 1:
-        raise InvalidValue(f"times must be a scalar or a 1-d array, got shape {ts.shape}")
+    ts = _reals(t, "times")
     if (bad := ts[~np.isfinite(ts)]).size:
         raise InvalidValue(f"times must be finite, got {bad[0]}")
-    return ts.astype(float, copy=False)
+    return ts
 
 
 def _node_runs(ts, r, price):
@@ -366,7 +359,9 @@ def golden_rule_rate(bath: DiscretizedBath, omega0: float) -> float:
     """Golden-rule surrogate gamma_GR = 2 pi g(Omega)^2 / spacing, with
     g(Omega) the coupling of the bath mode closest to resonance and the
     spacing taken as the median frequency step.  NaN for N < 2 (no
-    spacing is defined)."""
+    spacing is defined).  A non-finite or non-positive omega0 is InvalidValue."""
+    if not 0.0 < omega0 < math.inf:
+        raise InvalidValue(f"omega0 must be finite and > 0, got {omega0}")
     if bath.n < 2:
         return math.nan
     g_res = bath.couplings[int(np.argmin(np.abs(bath.omegas - omega0)))]
@@ -386,7 +381,10 @@ def estimate_gamma(spec: Spectrum, fit_window: tuple[float, float]) -> GammaEsti
     leaves a large residual).  A window that is empty (t1 <= t0) or not
     finite in its ends or width is InvalidValue.
     """
-    t0, t1 = float(fit_window[0]), float(fit_window[1])
+    try:
+        t0, t1 = map(float, fit_window)
+    except (TypeError, ValueError):
+        raise InvalidValue(f"fit window must be two numbers, got {fit_window!r}") from None
     if not all(map(math.isfinite, (t0, t1, t1 - t0))):
         raise InvalidValue(f"fit window [{t0}, {t1}] and its width must be finite")
     if not t1 > t0:

@@ -34,6 +34,28 @@ COUPLING_RULES = ("lorentzian", "explicit")
 _MAX_OCCUPATION = 1e290  # 2^60 of it, as many times as a TimeGrid holds, sum to a finite float
 
 
+def _whole(n) -> bool:
+    """Whether n equals an integer; False, not an error, for inf, nan or a non-number."""
+    try:
+        return int(n) == n
+    except (OverflowError, TypeError, ValueError):
+        return False
+
+
+def _reals(x, name: str) -> np.ndarray:
+    """x as a 1-d float array (a scalar is one value); InvalidValue unless it
+    holds real numbers (no text, complex values or None) on one axis."""
+    try:
+        a = np.atleast_1d(np.asarray(x))
+    except ValueError as exc:  # ragged nesting
+        raise InvalidValue(f"{name} must be a scalar or a 1-d array: {exc}") from None
+    if a.dtype.kind not in "biuf":
+        raise InvalidValue(f"{name} must be real numbers, got {a.dtype} values")
+    if a.ndim != 1:
+        raise InvalidValue(f"{name} must be a scalar or a 1-d array, got shape {a.shape}")
+    return a.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters selecting a bath discretization.
@@ -56,7 +78,7 @@ class ModelParams:
         if not all(map(math.isfinite, (self.step, self.omega0, self.beta) + lists)):
             raise InvalidValue("model parameters must be finite (no nan or inf)")
         # past max_intp // 8 modes numpy cannot size the bath arrays
-        if int(self.n_bath) != self.n_bath or not 1 <= self.n_bath <= np.iinfo(np.intp).max // 8:
+        if not _whole(self.n_bath) or not 1 <= self.n_bath <= np.iinfo(np.intp).max // 8:
             raise InvalidValue(f"n_bath must be a positive integer numpy can size, got {self.n_bath}")
         if not (self.step > 0.0):
             raise InvalidValue(f"step must be positive, got {self.step}")
@@ -119,9 +141,8 @@ class DiscretizedBath:
     couplings: np.ndarray
 
     def __post_init__(self) -> None:
-        om = np.atleast_1d(np.asarray(self.omegas, dtype=float)).copy()
-        g = np.atleast_1d(np.asarray(self.couplings, dtype=float)).copy()
-        if om.ndim != 1 or g.shape != om.shape:
+        om, g = _reals(self.omegas, "bath frequencies").copy(), _reals(self.couplings, "bath couplings").copy()
+        if g.shape != om.shape:
             raise InvalidValue("omegas and couplings must be 1-d arrays of equal length")
         if om.size < 1:
             raise InvalidValue("bath needs at least one mode")
@@ -154,7 +175,7 @@ class InitialOccupations:
     n_bath_modes: np.ndarray
 
     def __post_init__(self) -> None:
-        nb = np.atleast_1d(np.asarray(self.n_bath_modes, dtype=float)).copy()
+        nb = _reals(self.n_bath_modes, "bath occupations").copy()
         if not np.isfinite(self.n_omega0) or self.n_omega0 < 0.0:
             raise InvalidValue(f"n_omega0 must be finite and >= 0, got {self.n_omega0}")
         if not np.all(np.isfinite(nb)) or np.any(nb < 0.0):

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidValue
+from .model import _whole
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,7 @@ class TimeGrid:
             raise InvalidValue(f"t_step must be positive, got {self.t_step}")
         if self.t_start < 0.0:
             raise InvalidValue(f"t_start must be >= 0, got {self.t_start}")
-        if int(self.n_steps) != self.n_steps or self.n_steps < 1:
+        if not _whole(self.n_steps) or self.n_steps < 1:
             raise InvalidValue(f"n_steps must be a positive integer, got {self.n_steps}")
         try:  # in Python floats: an overflow gives inf, not a numpy warning
             last = float(self.t_start) + float(self.t_step) * (int(self.n_steps) - 1)

@@ -57,7 +57,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidValue, RootNotBracketed, ToleranceNotReached
-from .model import DiscretizedBath
+from .model import DiscretizedBath, _reals
 
 _EPS = float(np.finfo(float).eps)
 
@@ -86,9 +86,8 @@ class Spectrum:
     bath: DiscretizedBath
 
     def __post_init__(self) -> None:
-        al = np.asarray(self.alphas, dtype=float).copy()
-        w = np.asarray(self.weights, dtype=float).copy()
-        if al.ndim != 1 or w.shape != al.shape:
+        al, w = _reals(self.alphas, "eigenvalues").copy(), _reals(self.weights, "weights").copy()
+        if w.shape != al.shape:
             raise InvalidValue("alphas and weights must be 1-d arrays of equal length")
         if al.size != self.bath.n + 1:
             raise InvalidValue("spectrum must hold exactly N+1 eigenvalues")

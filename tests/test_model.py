@@ -15,6 +15,7 @@ from qbm import (
     TimeGrid,
     build_bath,
     estimate_gamma,
+    golden_rule_rate,
     moment_signal,
     oscillator_population,
     solve_spectrum,
@@ -307,6 +308,24 @@ def _two_level():
         lambda: transition_probabilities(_two_level(), [1.0, 2.0]),
         lambda: transition_probabilities(_two_level(), None),
         lambda: transition_probabilities(_two_level(), "a"),
+        lambda: DiscretizedBath([0.5 + 1e-3j, 1.0], [0.1, 0.1]),
+        lambda: InitialOccupations(1.0, np.array([0.5 + 0j])),
+        lambda: Spectrum(np.array([0.9, 1.1]) + 0j, np.array([0.5, 0.5]), 1.0, _two_level().bath),
+        lambda: InitialOccupations(1.0, np.ones((10, 10))),
+        lambda: ModelParams(n_bath=math.inf),
+        lambda: ModelParams(n_bath=math.nan),
+        lambda: ModelParams(n_bath="5"),
+        lambda: ModelParams(n_bath=None),
+        lambda: TimeGrid(n_steps=math.inf),
+        lambda: TimeGrid(n_steps=math.nan),
+        lambda: TimeGrid(n_steps="3"),
+        lambda: TimeGrid(n_steps=2.5),
+        lambda: golden_rule_rate(build_bath(ModelParams()), math.nan),
+        lambda: golden_rule_rate(build_bath(ModelParams()), math.inf),
+        lambda: golden_rule_rate(build_bath(ModelParams()), 0.0),
+        lambda: estimate_gamma(_two_level(), (1.0,)),
+        lambda: estimate_gamma(_two_level(), None),
+        lambda: estimate_gamma(_two_level(), ("a", 2.0)),
     ],
     ids=[
         "n_bath", "n_bath-huge", "step-huge", "step", "omega0", "omega0-period", "beta", "coupling",
@@ -316,7 +335,11 @@ def _two_level():
         "thermal-beta", "moment-order", "lorentzian-n_bath", "bath-order",
         "zero-coupling", "fit-window", "times-2d", "times-ragged", "population-times-2d",
         "spectrum-size", "spectrum-weights", "spectrum-weights-length", "times-text", "times-complex",
-        "transition-two-times", "transition-none", "transition-text",
+        "transition-two-times", "transition-none", "transition-text", "bath-complex",
+        "occupations-complex", "spectrum-complex", "occupations-2d", "n_bath-inf", "n_bath-nan",
+        "n_bath-text", "n_bath-none", "n_steps-inf", "n_steps-nan", "n_steps-text", "n_steps-fraction",
+        "golden-rule-nan", "golden-rule-inf", "golden-rule-zero", "fit-window-short", "fit-window-none",
+        "fit-window-text",
     ],
 )
 def test_bad_argument_is_typed_error(make):
