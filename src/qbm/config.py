@@ -10,12 +10,11 @@ every default and every range check, and the parser adds the line number.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .errors import InvalidValue, ParseError, QbmError, UnknownKey
 from .langevin import LangevinInput
-from .model import _MAX_OCCUPATION, ModelParams, build_bath
+from .model import _MAX_OCCUPATION, ModelParams, _real, build_bath
 from .series import TimeGrid
 
 PRODUCTS = ("spectrum", "population", "survival", "position", "coefficients", "report")
@@ -47,9 +46,7 @@ class RunConfig:
                 "grid = recurrence sets its own time grid; "
                 "t_start, t_step and n_steps must be left at their defaults"
             )
-        if not math.isfinite(self.n_omega0):
-            raise InvalidValue(f"N_Omega0 must be finite, got {self.n_omega0}")
-        if self.n_omega0 < 0.0:
+        if _real(self.n_omega0, "N_Omega0") < 0.0:
             raise InvalidValue(f"N_Omega0 must be >= 0, got {self.n_omega0}")
         if self.n_omega0 > _MAX_OCCUPATION:  # refused before the solve
             raise InvalidValue(f"N_Omega0 must be at most {_MAX_OCCUPATION:g}, got {self.n_omega0}")

@@ -37,16 +37,15 @@ and each of the T times takes a quadratic form in its barycentric row,
 O(K^2 T).  At a root box's first use its rows go into column 0 and its
 charges are formed, on either pass.  A run whose 2 K (N+1) rows fit
 _PHASE_CELLS makes one pass: the target boxes near a root box use it and
-need its factor, formed in a slot of the worker's buffer, its charges wait
-for the sweep, and each box with a far field keeps X = s vg b and
-M = b^T vg b, (2 K, p) and (p, p), until the sweep gives phi.  A larger
-run takes two passes and holds no X: the first only sums each root box's
-charges onto its parent's and sweeps them from the tree's level 1 up; the
-second slides a window past the target boxes and holds a box's charges
-from its first use to its last, where those in a leaf far pair with it
-(the leaves' m2l) use it too and its first use needs its factor.  A box's
-phi is its parent's, carried down, plus its leaf far pairs' q / (x - y),
-and phi b^T is added to its s.  The survival
+need its factor, its charges wait for the sweep, and each box with a far
+field keeps X = s vg b and M = b^T vg b, (2 K, p) and (p, p), until the
+sweep gives phi.  A larger run takes two passes and holds no X: the first
+only sums each root box's charges onto its parent's and sweeps them from
+the tree's level 1 up; the second slides a window past the target boxes and
+holds a box's charges from its first use to its last, where those in a leaf
+far pair with it (the leaves' m2l) use it too and its first use needs its
+factor.  A box's phi is its parent's, carried down, plus its leaf far
+pairs' q / (x - y), and phi b^T is added to its s.  The survival
 amplitude, from the moments on the same node-time kernel, is the (0,0)
 element
 
@@ -145,8 +144,6 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
     drop[:, :-1] &= ~ahead[:, 1:]
     del seen, ahead
     plans = list(zip(use, first, last, form, drop))  # by keep
-    made, done = np.flatnonzero(form[1]), np.flatnonzero(drop[1])  # a kept run's, in (target, box) order
-    at_once = max(np.searchsorted(made, made, "right") - np.searchsorted(done, made))
 
     def contract(buffer, x, on_nodes):
         k, keep, box_rows = x.size, 2 * x.size * spec.n_levels <= _PHASE_CELLS, _box_rows(x)
@@ -179,33 +176,31 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
             else:  # |U_0m|^2 = cos part^2 + sin part^2, squared in place
                 g[:] += np.square(s3, out=s3) @ vs
 
-        cells, held, qs = max(box_rows.cells(z(j)) for j in range(n)) if keep else 0, {}, {}
+        held, qs = {}, {}  # root box j's factor and, on two passes, its charges
         if not keep and levels:  # two passes: every root box's charges summed onto its parent's first
             for j in range(n):
                 pq[j // 2] += charges(j, box_rows(z(j))) @ levels[0][0][j]
             if levels[1:]:
                 sweep(levels[1:])
-        area = buffer(cells * at_once + int(np.diff(cm[1:-1]).max() * roots.max()))
-        *free, block = np.split(area, cells * np.arange(1, at_once + 1))  # the slots, the near block
+        block = buffer(int(np.diff(cm[1:-1]).max() * roots.max()))  # the near block
         for i, (m0, m1) in enumerate(zip(cm[1:-2].tolist(), cm[2:-1].tolist())):
             s = outer((w[[0, -1]] / np.subtract.outer(om[m0:m1], al[[0, -1]])).T)  # their near block
             if far[i] and not keep:  # phi_i: its parent's, then its leaf far pairs' q_j 1/(x_i - y_j)
                 phi = pq[i // 2] @ levels[0][0][i].T if levels[1:] else 0.0  # none above the top
             for j in np.flatnonzero(window[i]).tolist():  # each root box that it uses
-                if form[i, j]:  # root box j's factor, on one pass in a slot
-                    e = free.pop() if keep else None
-                    held[j] = e, box_rows(z(j), (lambda cells: e[:cells]) if keep else np.empty)
+                if form[i, j]:  # root box j's factor
+                    held[j] = box_rows(z(j))
                 if first[j] == i:  # its rows into column 0; its charges, on two passes held to its last use
-                    total[:] += held[j][1](w[cr[j + 1] : cr[j + 2]])
-                    (pq if keep else qs)[j] = charges(j, held[j][1])
+                    total[:] += held[j](w[cr[j + 1] : cr[j + 2]])
+                    (pq if keep else qs)[j] = charges(j, held[j])
                 r0, r1 = cr[j + 1], cr[j + 2]
                 if boxed[i, j]:
                     d = block[: (m1 - m0) * (r1 - r0)].reshape(m1 - m0, -1)
-                    s += held[j][1](np.divide(w[r0:r1], np.subtract.outer(om[m0:m1], al[r0:r1], out=d), out=d).T)
+                    s += held[j](np.divide(w[r0:r1], np.subtract.outer(om[m0:m1], al[r0:r1], out=d), out=d).T)
                 else:  # in ascending j, the order of _far's m2l groups: its bytes
                     phi += qs[j] @ (1.0 / (px[i] - px[j][:, None]))
-                if drop[i, j] and (e := held.pop(j)[0]) is not None:
-                    free.append(e)
+                if drop[i, j]:
+                    del held[j]
                 if last[j] == i:
                     qs.pop(j, None)
             if far[i]:  # phi_i b^T, b the box's barycentric matrix from its proxies

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmplitudeVanishes, InvalidValue
-from .model import DiscretizedBath, _reals
+from .model import DiscretizedBath, _frequency, _real, _reals
 from .spectrum import Spectrum, _barycentric, _box_rows, _chebyshev, _nodes
 
 _DENOM_RTOL = 1e-12
@@ -77,9 +77,9 @@ class LangevinInput:
     mass: float = 1.0
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.x0, self.p0, self.mass))):
-            raise InvalidValue("x0, p0 and mass must be finite (no nan or inf)")
-        if not (self.mass > 0.0):
+        _real(self.x0, "x0")
+        _real(self.p0, "p0")
+        if not (_real(self.mass, "mass") > 0.0):
             raise InvalidValue(f"mass must be positive, got {self.mass}")
 
 
@@ -359,9 +359,9 @@ def golden_rule_rate(bath: DiscretizedBath, omega0: float) -> float:
     """Golden-rule surrogate gamma_GR = 2 pi g(Omega)^2 / spacing, with
     g(Omega) the coupling of the bath mode closest to resonance and the
     spacing taken as the median frequency step.  NaN for N < 2 (no
-    spacing is defined).  A non-finite or non-positive omega0 is InvalidValue."""
-    if not 0.0 < omega0 < math.inf:
-        raise InvalidValue(f"omega0 must be finite and > 0, got {omega0}")
+    spacing is defined).  A non-finite or non-positive omega0, or one whose
+    period 2 pi/omega0 overflows, is InvalidValue."""
+    omega0 = _frequency(omega0)
     if bath.n < 2:
         return math.nan
     g_res = bath.couplings[int(np.argmin(np.abs(bath.omegas - omega0)))]

@@ -56,6 +56,23 @@ def _reals(x, name: str) -> np.ndarray:
     return a.astype(float, copy=False)
 
 
+def _real(x, name: str, finite: bool = True) -> float:
+    """x as a float; InvalidValue unless it is one real number (no text,
+    complex value, None or array), finite unless finite is False."""
+    a = _reals(x, name)
+    if np.ndim(x) or (finite and not math.isfinite(a[0])):
+        raise InvalidValue(f"{name} must be finite and a single real number, got {x!r}")
+    return float(a[0])
+
+
+def _frequency(omega0) -> float:
+    """omega0 as a float; InvalidValue unless it is finite and > 0, with a
+    finite period 2 pi / omega0."""
+    if not ((w := _real(omega0, "omega0")) > 0.0 and math.isfinite(2.0 * math.pi / w)):
+        raise InvalidValue(f"omega0 must be finite and > 0, with 2*pi/omega0 finite, got {omega0!r}")
+    return w
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters selecting a bath discretization.
@@ -74,17 +91,17 @@ class ModelParams:
     couplings: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        lists = tuple(self.omegas or ()) + tuple(self.couplings or ())
-        if not all(map(math.isfinite, (self.step, self.omega0, self.beta) + lists)):
-            raise InvalidValue("model parameters must be finite (no nan or inf)")
+        step, beta = _real(self.step, "step"), _real(self.beta, "beta")
+        _frequency(self.omega0)
+        lists = _reals(tuple(self.omegas or ()) + tuple(self.couplings or ()), "explicit lists")
+        if not np.all(np.isfinite(lists)):
+            raise InvalidValue("explicit lists must be finite (no nan or inf)")
         # past max_intp // 8 modes numpy cannot size the bath arrays
         if not _whole(self.n_bath) or not 1 <= self.n_bath <= np.iinfo(np.intp).max // 8:
             raise InvalidValue(f"n_bath must be a positive integer numpy can size, got {self.n_bath}")
-        if not (self.step > 0.0):
+        if not (step > 0.0):
             raise InvalidValue(f"step must be positive, got {self.step}")
-        if not (self.omega0 > 0.0 and math.isfinite(2.0 * math.pi / self.omega0)):
-            raise InvalidValue(f"omega0 must be positive, with 2*pi/omega0 finite, got {self.omega0}")
-        if not (self.beta > 0.0):
+        if not (beta > 0.0):
             raise InvalidValue(f"beta must be positive, got {self.beta}")
         if self.coupling not in COUPLING_RULES:
             raise InvalidValue(
@@ -96,10 +113,10 @@ class ModelParams:
             if self.n_bath < 3:
                 raise InvalidValue(f"lorentzian rule needs n_bath >= 3, got {self.n_bath}")
             # build_bath squares the half-width and detunings, each below step * N
-            span = self.step * self.n_bath
+            span = step * self.n_bath
             if not math.isfinite(span * span):
                 raise InvalidValue(f"step * n_bath = {span} is too wide: its square overflows")
-            half_width = self.step * (self.n_bath - 2) / 2.0
+            half_width = step * (self.n_bath - 2) / 2.0
             if half_width**2 == 0.0:
                 raise InvalidValue(f"step = {self.step} is too small: the half-width squares to 0")
         else:
@@ -127,8 +144,8 @@ class ModelParams:
             omega0=omega0,
             beta=beta,
             coupling="explicit",
-            omegas=tuple(float(w) for w in omegas),
-            couplings=tuple(float(g) for g in couplings),
+            omegas=tuple(_reals(omegas, "bath frequencies").tolist()),
+            couplings=tuple(_reals(couplings, "bath couplings").tolist()),
         )
 
 
@@ -176,7 +193,7 @@ class InitialOccupations:
 
     def __post_init__(self) -> None:
         nb = _reals(self.n_bath_modes, "bath occupations").copy()
-        if not np.isfinite(self.n_omega0) or self.n_omega0 < 0.0:
+        if _real(self.n_omega0, "n_omega0") < 0.0:
             raise InvalidValue(f"n_omega0 must be finite and >= 0, got {self.n_omega0}")
         if not np.all(np.isfinite(nb)) or np.any(nb < 0.0):
             raise InvalidValue("bath occupations must be finite and >= 0")
@@ -223,7 +240,7 @@ def thermal_occupations(
     bath modes, with a caller-chosen occupation for the distinguished
     oscillator (default 1 quantum).
     """
-    if not (beta > 0.0):
+    if not (_real(beta, "beta", finite=False) > 0.0):  # inf: every mode empty
         raise InvalidValue(f"beta must be positive, got {beta}")
     if np.any(bath.omegas <= 0.0):
         raise NonPositiveFrequency(
@@ -233,4 +250,4 @@ def thermal_occupations(
         occ = 1.0 / np.expm1(beta * bath.omegas)
     if not np.all(np.isfinite(occ)):
         raise InvalidValue(f"beta = {beta} is too small: 1 / expm1(beta * omega) is not finite")
-    return InitialOccupations(n_omega0=float(n_omega0), n_bath_modes=occ)
+    return InitialOccupations(n_omega0=_real(n_omega0, "n_omega0"), n_bath_modes=occ)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidValue
-from .model import _whole
+from .model import _real, _whole
 
 
 @dataclass(frozen=True)
@@ -20,18 +20,15 @@ class TimeGrid:
     n_steps: int = 2000
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.t_start) and math.isfinite(self.t_step)):
-            raise InvalidValue(
-                f"t_start and t_step must be finite, got {self.t_start}, {self.t_step}"
-            )
-        if not (self.t_step > 0.0):
+        t_start, t_step = _real(self.t_start, "t_start"), _real(self.t_step, "t_step")
+        if not (t_step > 0.0):
             raise InvalidValue(f"t_step must be positive, got {self.t_step}")
-        if self.t_start < 0.0:
+        if t_start < 0.0:
             raise InvalidValue(f"t_start must be >= 0, got {self.t_start}")
         if not _whole(self.n_steps) or self.n_steps < 1:
             raise InvalidValue(f"n_steps must be a positive integer, got {self.n_steps}")
         try:  # in Python floats: an overflow gives inf, not a numpy warning
-            last = float(self.t_start) + float(self.t_step) * (int(self.n_steps) - 1)
+            last = t_start + t_step * (int(self.n_steps) - 1)
         except OverflowError:  # n_steps beyond float range
             last = math.inf
         if not math.isfinite(last):

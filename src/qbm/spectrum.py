@@ -57,7 +57,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidValue, RootNotBracketed, ToleranceNotReached
-from .model import DiscretizedBath, _reals
+from .model import DiscretizedBath, _frequency, _reals
 
 _EPS = float(np.finfo(float).eps)
 
@@ -87,6 +87,7 @@ class Spectrum:
 
     def __post_init__(self) -> None:
         al, w = _reals(self.alphas, "eigenvalues").copy(), _reals(self.weights, "weights").copy()
+        _frequency(self.omega0)
         if w.shape != al.shape:
             raise InvalidValue("alphas and weights must be 1-d arrays of equal length")
         if al.size != self.bath.n + 1:
@@ -260,8 +261,8 @@ def _box_rows(x, bary=0.0, scratch=np.empty):
     [L^T cos(tc z); L^T sin(tc z)], C and S the cos and sin of (x - tc) zp,
     L its barycentric matrix to zp, the sin rows at x = 0 zeroed (exact);
     where P (K + bary B) >= K B (P = 0 for no roots) through its own
-    (_phase_rows); both in rows.cells(z) of scratch, or rows(z, scratch),
-    for callers done with each box."""
+    (_phase_rows); both in arrays of scratch(cells), a buffer only for
+    callers done with each box before the next."""
     lo, hi, k = x.min(), x.max(), x.size
     tc, h = lo / 2 + hi / 2, hi / 2 - lo / 2
 
@@ -269,7 +270,7 @@ def _box_rows(x, bary=0.0, scratch=np.empty):
         p = int(_nodes(h * (z[-1] - z[0]) / 2)) if z.size else 0
         return 0 if p * (k + bary * z.size) >= k * z.size else p
 
-    def rows(z, scratch=scratch):
+    def rows(z):
         if not (p := proxies(z)):
             return _phase_rows(x, z, scratch).__matmul__
         zp, zw = _chebyshev(z[0], z[-1], p)
@@ -281,7 +282,6 @@ def _box_rows(x, bary=0.0, scratch=np.empty):
         ep[k:][x == 0.0] = 0.0  # their exact value, sin(0 z) = 0: Gamma(0) and Im S_k(0) exact
         return lambda y: ep @ (rp @ y)
 
-    rows.cells = lambda z: 4 * k * p if (p := proxies(z)) else 2 * k * z.size  # of scratch
     return rows
 
 
@@ -343,8 +343,7 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
     rounds back onto the tau just evaluated, or else from a closing pass
     over the roots that stopped off one.  A non-finite or non-positive
     omega0, or one whose period 2 pi/omega0 overflows, raises InvalidValue."""
-    if not (0.0 < omega0 < np.inf and 2.0 * np.pi / float(omega0) < np.inf):
-        raise InvalidValue(f"omega0 must be finite and > 0, with 2*pi/omega0 finite, got {omega0}")
+    omega0 = _frequency(omega0)
     om, g = bath.omegas, bath.couplings
     g2 = g * g
     n = bath.n
@@ -428,7 +427,7 @@ def solve_spectrum(bath: DiscretizedBath, omega0: float) -> Spectrum:
     tau[rest] = alphas[rest] - om[origin[rest]]
     _, hp = _secular_parts(om, g2, omega0, origin, tau, rest, boxes, far)
     weights[rest] = 1.0 / (hp + g2[origin[rest]] / tau[rest] ** 2)
-    spec = Spectrum(alphas=alphas, weights=weights, omega0=float(omega0), bath=bath)
+    spec = Spectrum(alphas=alphas, weights=weights, omega0=omega0, bath=bath)
     vars(spec)["boxes"] = geometry  # cached_property keeps its value under its name
     return spec
 

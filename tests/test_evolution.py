@@ -55,11 +55,10 @@ def factors_counted(spec, formed):
     def spy(x, *args):
         rows = box_rows(x, *args)
 
-        def counted(zs, *more):
+        def counted(zs):
             formed.setdefault(x.tobytes(), np.zeros(al.size, int))[np.searchsorted(z, zs[:1])] += 1
-            return rows(zs, *more)
+            return rows(zs)
 
-        counted.cells = rows.cells
         return counted
 
     return spy
@@ -724,9 +723,9 @@ def test_population_memory_does_not_grow_with_times():
 
 def test_population_memory_on_plateau_grid(plateau_probe, monkeypatch):
     # the plateau grid's 12,800 times on one worker, 12 runs of K = 130: a
-    # kept run forms each root box's factor once, into one of two slots of
-    # the worker's buffer that the boxes after it reuse, and keeps per box
-    # with a far field only X and M, (2 K, p) and (p, p) per column, until
+    # kept run forms each root box's factor once, as an array freed after
+    # the last target box near it, and keeps per box with a far field only
+    # X and M, (2 K, p) and (p, p) per column, until
     # the sweep gives the potentials: longer runs, no more memory than
     # 23 runs of K = 85 that keep every root box's own rows (2.97e6)
     monkeypatch.setenv("QBM_THREADS", "1")
@@ -758,22 +757,27 @@ def test_population_memory_on_report_window(recurrence_probe):
     assert traced_peak(oscillator_population, spec, occ, window) < 4.4e6
 
 
-def test_population_memory_on_uneven_windowed_run():
-    # 20 boxes of 128 narrow modes, one box 30 times wider, then 20 more:
-    # the wide box's sibling forms leaf far pairs with nearly every box, so
-    # a windowed run (K = 200 past _PHASE_CELLS) uses each root box at
-    # target boxes far apart.  A factor is held only across each run of
-    # consecutive target boxes that use it, up to the last that needs it,
-    # and formed again after a gap; each box's charges are held from its
-    # first use to its last (14.1 MB when every factor was held as long)
-    a = 0.0015
+@pytest.mark.parametrize(
+    "a, k, keep, gate", [(0.0015, 200, False, 9e6), (0.0003, 67, True, 4.3e6)], ids=["windowed", "kept"]
+)
+def test_population_memory_on_uneven_run(a, k, keep, gate):
+    # 20 boxes of 128 modes a apart, one box 30 times wider, then 20 more.
+    # At a = 0.0015 the wide box's sibling forms leaf far pairs with nearly
+    # every box, so a windowed run (K = 200 past _PHASE_CELLS) uses each
+    # root box at target boxes far apart.  A factor is held only across
+    # each run of consecutive target boxes that use it, up to the last that
+    # needs it, and formed again after a gap; each box's charges are held
+    # from its first use to its last (14.1 MB when every factor was held as
+    # long).  At a = 0.0003 one kept run (K = 67) holds each factor as an
+    # array of its own box's size (4.05e6; 4.51e6 when every factor took a
+    # slot of the widest box's size)
     omegas = 0.2 + np.cumsum(np.concatenate([[0.0], np.full(2560, a), np.full(128, 30 * a), np.full(2559, a)]))
     bath = build_bath(ModelParams.explicit(omegas, np.full(omegas.size, 0.002)))
     spec, occ = solve_spectrum(bath, float(np.median(omegas))), thermal_occupations(bath, 1.0, 1.0)
     ts = 50.0 + 0.1 * np.arange(400)
-    assert [x.size for *_, x, _ in row0_runs(spec, ts)] == [200]
-    assert 2 * 200 * spec.n_levels > evolution._PHASE_CELLS
-    assert traced_peak(oscillator_population, spec, occ, ts) < 9e6
+    assert [x.size for *_, x, _ in row0_runs(spec, ts)] == [k]
+    assert (2 * k * spec.n_levels <= evolution._PHASE_CELLS) == keep
+    assert traced_peak(oscillator_population, spec, occ, ts) < gate
     got = oscillator_population(spec, occ, ts)
     idx = np.linspace(0, ts.size - 1, 8).astype(int)
     np.testing.assert_allclose(got[idx], row0_population(spec, occ, ts[idx]), rtol=0.0, atol=1e-13)

@@ -326,6 +326,23 @@ def _two_level():
         lambda: estimate_gamma(_two_level(), (1.0,)),
         lambda: estimate_gamma(_two_level(), None),
         lambda: estimate_gamma(_two_level(), ("a", 2.0)),
+        lambda: ModelParams(step="0.1"),
+        lambda: ModelParams(beta=1j),
+        lambda: ModelParams(omega0=None),
+        lambda: ModelParams.explicit(["a"], [1.0]),
+        lambda: TimeGrid(t_step="1"),
+        lambda: TimeGrid(t_start=1j),
+        lambda: InitialOccupations(1j, [0.5]),
+        lambda: InitialOccupations("1", [0.5]),
+        lambda: LangevinInput(mass="1"),
+        lambda: LangevinInput(x0=1j),
+        lambda: thermal_occupations(build_bath(ModelParams()), "1"),
+        lambda: thermal_occupations(build_bath(ModelParams()), 1.0, "x"),
+        lambda: solve_spectrum(build_bath(ModelParams()), "1"),
+        lambda: golden_rule_rate(build_bath(ModelParams()), "1"),
+        lambda: Spectrum(np.array([0.9, 1.1]), np.array([0.5, 0.5]), -1.0, _two_level().bath),
+        lambda: Spectrum(np.array([0.9, 1.1]), np.array([0.5, 0.5]), math.nan, _two_level().bath),
+        lambda: Spectrum(np.array([0.9, 1.1]), np.array([0.5, 0.5]), "1", _two_level().bath),
     ],
     ids=[
         "n_bath", "n_bath-huge", "step-huge", "step", "omega0", "omega0-period", "beta", "coupling",
@@ -339,7 +356,10 @@ def _two_level():
         "occupations-complex", "spectrum-complex", "occupations-2d", "n_bath-inf", "n_bath-nan",
         "n_bath-text", "n_bath-none", "n_steps-inf", "n_steps-nan", "n_steps-text", "n_steps-fraction",
         "golden-rule-nan", "golden-rule-inf", "golden-rule-zero", "fit-window-short", "fit-window-none",
-        "fit-window-text",
+        "fit-window-text", "step-text", "beta-complex", "omega0-none", "explicit-text", "t_step-text",
+        "t_start-complex", "n_omega0-complex", "n_omega0-text", "mass-text", "x0-complex", "thermal-beta-text",
+        "thermal-n_omega0-text", "solve-omega0-text", "golden-rule-text", "spectrum-omega0-negative",
+        "spectrum-omega0-nan", "spectrum-omega0-text",
     ],
 )
 def test_bad_argument_is_typed_error(make):
