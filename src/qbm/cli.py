@@ -7,11 +7,13 @@ product, a text report, and a gnuplot script for the plottable products.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  All
 diagnostics go to stderr.  Output is deterministic: fixed product order,
 fixed float formatting (17 significant digits, scientific), Unix
-newlines.  Each product evaluates its kernel once, on the whole grid; the
-environment variable QBM_THREADS (0 = one worker) sets how many threads
-run the kernel's node runs, which depend on the times alone and hold
-numpy's bundled OpenBLAS at one thread, so neither the worker count nor
-OPENBLAS_NUM_THREADS changes the bytes written.
+newlines.  A CSV's rows are formatted and written in blocks of a fixed
+number of values, so writing a product holds one block beside its columns
+whatever the grid's length.  Each product evaluates its kernel once, on
+the whole grid; the environment variable QBM_THREADS (0 = one worker) sets
+how many threads run the kernel's node runs, which depend on the times
+alone and hold numpy's bundled OpenBLAS at one thread, so neither the
+worker count nor OPENBLAS_NUM_THREADS changes the bytes written.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .spectrum import Spectrum, solve_spectrum
 _FIT_WINDOW = (1.0, 20.0)
 _PLATEAU_WINDOW = (100.0, 300.0)
 _RECURRENCE_TIMES = 1 << 24  # most times of a grid = recurrence (the N = 10^4 probe's: 58,696)
+_CSV_CELLS = 1 << 12  # values formatted per block of a CSV file
 
 
 def _fmt(x: float) -> str:
@@ -67,30 +70,35 @@ def _setup(config: RunConfig) -> tuple[Spectrum, TimeGrid]:
     return spec, TimeGrid(t_start=0.0, t_step=step, n_steps=n_steps)
 
 
-def _write_text(path: Path, text: str) -> Path:
+def _write_text(path: Path, pieces) -> Path:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)  # a run that fails early writes nothing
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            for piece in pieces:
+                fh.write(piece)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from None
     return path
 
 
-def _csv(header: str, cols) -> str:
-    # one %-template per row kind fills the whole table in one %: numbers
-    # take %.16e (the same string as _fmt for every float64: nan, +-inf,
-    # -0.0 and subnormals too), the spectrum's integer index %d; a boolean
-    # last column is the coefficients' flag, 1, or 0 with the row's values
-    # but the first left empty (the series stays rectangular)
+def _csv(header: str, cols):
+    # the table's text in blocks of at most _CSV_CELLS values, each filled
+    # by one % of its rows' templates: numbers take %.16e (the same string
+    # as _fmt for every float64: nan, +-inf, -0.0 and subnormals too), the
+    # spectrum's integer index %d; a boolean last column is the
+    # coefficients' flag, 1, or 0 with the row's values but the first left
+    # empty (the series stays rectangular)
     *cols, ok = cols if cols[-1].dtype == bool else (*cols, None)
-    table = np.column_stack(cols)
     row = ",".join("%d" if c.dtype.kind in "iu" else "%.16e" for c in cols)
-    keep, rows = np.ones(table.shape, bool), [row] * len(table)
-    if ok is not None:
-        keep[~ok, 1:] = False
-        rows = np.where(ok, row + ",1", "%.16e" + "," * len(cols) + "0")
-    return header + "\n" + "\n".join([*rows, ""]) % tuple(table[keep].tolist())
+    step = _CSV_CELLS // len(cols)
+    yield header + "\n"
+    for lo in range(0, len(cols[0]), step):
+        table = np.column_stack([c[lo : lo + step] for c in cols])
+        keep, rows = np.ones(table.shape, bool), [row + "\n"] * len(table)
+        if ok is not None:
+            keep[~ok[lo : lo + step], 1:] = False
+            rows = np.where(ok[lo : lo + step], row + ",1\n", "%.16e" + "," * len(cols) + "0\n")
+        yield "".join(rows) % tuple(table[keep].tolist())
 
 
 def _population(config: RunConfig, spec: Spectrum, ts: np.ndarray):
@@ -209,14 +217,14 @@ def run(config: RunConfig, out_dir=None) -> list[Path]:
     written: list[Path] = []
     for product, path in zip(products, paths):
         if product == "report":
-            text = _report_text(config, spec, grid)
+            pieces = [_report_text(config, spec, grid)]
         else:
             header, cols, _ = _PRODUCTS[product]
-            text = _csv(header, cols(config, spec, ts))
-        written.append(_write_text(path, text))
+            pieces = _csv(header, cols(config, spec, ts))
+        written.append(_write_text(path, pieces))
 
     if any(p in config.outputs for p in _PRODUCTS):
-        written.append(_write_text(out / "plot.gp", _plot_script(config.outputs)))
+        written.append(_write_text(out / "plot.gp", [_plot_script(config.outputs)]))
     return written
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import math
 import os
@@ -145,8 +146,18 @@ class TestCsvBytes:
     """Every field of a CSV file is f"{x:.16e}" of the library's value."""
 
     def test_files_render_library_arrays(self, tmp_path):
-        # the symmetric doublet's denominator vanishes at t = 5 pi: row 0 is flagged
-        text = TWO_LEVEL_CFG + f"t_start = {5.0 * np.pi!r}\nt_step = 0.7\nn_steps = 12\n"
+        # a doublet about Omega = 1 (0.9 and 1.1) among 1400 weakly coupled
+        # modes set symmetrically about it: the denominator vanishes at
+        # t = 5 pi + 10 pi k, so rows 0 and 1500 are flagged, and row 1500
+        # and the spectrum's last indices fall past the first block of rows
+        far = (0.5 + 0.0005 * np.arange(700)).tolist()
+        omegas = sorted([1.0, *(1 - d for d in far), *(1 + d for d in far)])
+        couplings = [0.1 if w == 1.0 else 1e-6 for w in omegas]
+        text = (
+            f"coupling = explicit\nomegas = {', '.join(map(repr, omegas))}\n"
+            f"couplings = {', '.join(map(repr, couplings))}\n"
+            f"t_start = {5.0 * np.pi!r}\nt_step = {np.pi / 150!r}\nn_steps = 1600\n"
+        )
         code, out = run_cli(tmp_path, text + "outputs = spectrum, population, coefficients\n")
         assert code == 0
         cfg = parse_config(text)
@@ -154,7 +165,8 @@ class TestCsvBytes:
         ts = cfg.grid.times()
         occ = qbm.thermal_occupations(spec.bath, cfg.model.beta, cfg.n_omega0)
         omega2, gamma, ok = qbm.coefficient_series(spec, ts)
-        assert not ok[0] and ok[1:].all()
+        rows = qbm.cli._CSV_CELLS // 3  # per block of a three-column table
+        assert np.flatnonzero(~ok).tolist() == [0, 1500] and 1500 >= rows and spec.n_levels > rows
         want = {
             "spectrum": ["nu,alpha,weight"]
             + [f"{k},{a:.16e},{w:.16e}" for k, (a, w) in enumerate(zip(spec.alphas, spec.weights))],
@@ -169,17 +181,27 @@ class TestCsvBytes:
         for name, lines in want.items():
             assert (out / f"{name}.csv").read_text().split("\n") == lines + [""], name
 
-    def test_special_values(self, tmp_path, monkeypatch):
-        values = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1])
+    @pytest.mark.parametrize(
+        "blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)], ids=["1", "R-1", "R", "R+1", "2R+3"]
+    )
+    def test_special_values(self, tmp_path, monkeypatch, blocks, extra):
+        # R rows to a block of a two-column table; the special values are
+        # tiled down the column and set again on the first and last row of
+        # each block
+        rows = qbm.cli._CSV_CELLS // 2
+        n = blocks * rows + extra
+        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+        edges = sorted({k for k in (0, rows - 1, rows, 2 * rows - 1, 2 * rows, n - 1) if k < n})
+        values = np.resize(special + [0.1], n)
+        values[edges] = np.resize(special, len(edges))
         monkeypatch.setattr(qbm.cli, "survival_probability", lambda spec, ts: values)
-        code, out = run_cli(tmp_path, "N = 3\nn_steps = 6\noutputs = survival\n")
+        code, out = run_cli(tmp_path, f"N = 3\nn_steps = {n}\noutputs = survival\n")
         assert code == 0
         lines = (out / "survival.csv").read_text().splitlines()[1:]
-        ts = parse_config("n_steps = 6\n").grid.times()
+        ts = parse_config(f"n_steps = {n}\n").grid.times()
         assert lines == [f"{t:.16e},{v:.16e}" for t, v in zip(ts, values)]
-        assert [line.split(",")[1] for line in lines[:5]] == [
-            "nan", "inf", "-inf", "-0.0000000000000000e+00", "4.9406564584124654e-324"
-        ]
+        fields = ["nan", "inf", "-inf", "-0.0000000000000000e+00", "4.9406564584124654e-324"]
+        assert [lines[k].split(",")[1] for k in edges] == np.resize(fields, len(edges)).tolist()
 
 
 class TestDeterminism:
@@ -252,6 +274,25 @@ class TestExitCodes:
         assert err == f"ConfigError: cannot write {out / 'spectrum.csv'}: {tmp_path / 'f'} is not a directory\n"
         solve.assert_not_called()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f", "run.cfg"]
+
+    def test_failed_block_write_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # the disk fills while a block of rows after the header is written:
+        # one line naming the file and the reason, exit 2, no traceback
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        class Full(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 2:
+                    raise full
+                return super().write(text)
+
+        monkeypatch.setattr(qbm.cli, "open", lambda *args, **kwargs: Full(), raising=False)
+        code, out = run_cli(tmp_path, "N = 5\nn_steps = 5000\noutputs = survival\n")
+        assert code == 2
+        assert capsys.readouterr().err == f"ConfigError: cannot write {out / 'survival.csv'}: {full}\n"
 
     def test_numerical_error(self, tmp_path, capsys):
         # negative frequency passes parsing but cannot be thermally occupied
@@ -455,6 +496,19 @@ class TestReport:
         # when it held every leaf box's charges for its tree sweeps)
         config = parse_config("N = 10000\nA = 0.00018\n")
         assert traced_peak(build_report, config) < 5.3e6
+
+    def test_long_grid_write_memory(self, tmp_path, monkeypatch):
+        # the N = 10^4 recurrence grid's 58,696 rows from ready columns: the
+        # writer holds one block of rows beside the columns and the run's
+        # times (0.96 MB; 19.6 MB when each file was formatted whole)
+        config = parse_config("N = 5\nn_steps = 58696\noutputs = population, coefficients\n")
+        ts = config.grid.times()
+        ok = np.arange(ts.size) % 7 > 0
+        population = np.cos(ts) ** 2
+        omega2, gamma = np.where(ok, np.cos(ts), np.nan), np.where(ok, np.sin(ts), np.nan)
+        monkeypatch.setattr(qbm.cli, "oscillator_population", lambda spec, occ, ts: population)
+        monkeypatch.setattr(qbm.cli, "coefficient_series", lambda spec, ts: (omega2, gamma, ok))
+        assert traced_peak(run, config, tmp_path) < 4e6
 
     def test_sum_rules_do_not_depend_on_blas_threads(self, tmp_path, recurrence_probe):
         spec = recurrence_probe
