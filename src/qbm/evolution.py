@@ -60,8 +60,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidValue
-from .langevin import _check_phases, _node_sums, _times, moment_signal
-from .model import InitialOccupations
+from .langevin import _check_phases, _node_sums, moment_signal
+from .model import InitialOccupations, _reals
 from .spectrum import Spectrum, _barycentric, _box_rows, _far, _m2l, overlap_matrix
 
 _PHASE_CELLS = 1 << 21  # most 2 K (N+1) row entries of a one-pass run, and K (N+1) of any run
@@ -80,7 +80,7 @@ def transition_probabilities(spec: Spectrum, t: float) -> np.ndarray:
     a length-1 array), an (N+1) x (N+1) array (row n: target level, column
     m: source; index 0 is the oscillator), from the spectral propagator in
     one O(N^3) product."""
-    ts = _times(t)
+    ts = _reals(t, "times")
     if ts.size != 1:
         raise InvalidValue(f"transition_probabilities takes one time, got {ts.size}")
     _check_phases(ts, spec.alphas)
@@ -101,7 +101,7 @@ def population_series(spec: Spectrum, occ0: InitialOccupations, times) -> np.nda
     """Occupation vectors <N_n(t)> = sum_m P_nm(t) N_m(0) over an array of
     times, shape (N+1, len(times)), from the dense propagator at each time.
     O(N^3) per time: the reference the row-0 kernel is checked against."""
-    ts, n0 = _times(times), _occupations(spec, occ0)
+    ts, n0 = _reals(times, "times"), _occupations(spec, occ0)
     out = np.empty((spec.n_levels, ts.size))
     for j, t in enumerate(ts):
         out[:, j] = transition_probabilities(spec, t) @ n0
@@ -236,7 +236,7 @@ def oscillator_population(spec: Spectrum, occ0: InitialOccupations, times) -> np
     transition matrix: for T times on K node times, the boxed Cauchy
     product's O(K N (n_near + p)), O(N K^2) Gram and O(K^2 T) carry
     flops."""
-    return _row0_contract(spec, _times(times), _occupations(spec, occ0))
+    return _row0_contract(spec, _reals(times, "times"), _occupations(spec, occ0))
 
 
 def population_decomposition(
@@ -251,7 +251,7 @@ def population_decomposition(
     survival_probability(spec, t) N_Omega(0), influx the row-0 kernel on
     the occupations [0, N_1(0), ..., N_N(0)], and total = surviving + influx.
     """
-    ts, n0 = _times(times), _occupations(spec, occ0)
+    ts, n0 = _reals(times, "times"), _occupations(spec, occ0)
     surviving = survival_probability(spec, ts) * n0[0]
     influx = _row0_contract(spec, ts, np.append(0.0, n0[1:]))
     return surviving + influx, surviving, influx

@@ -101,15 +101,6 @@ def _check_phases(ts: np.ndarray, alphas: np.ndarray) -> None:
         raise InvalidValue(f"phases t*alpha keep no fractional bits: max|t| * max|alpha| = {big} >= 2^52")
 
 
-def _times(t) -> np.ndarray:
-    """Times as a 1-d float array; a scalar counts as one time.  Anything
-    but finite real numbers (strings, complex values, None, nan, inf) is InvalidValue."""
-    ts = _reals(t, "times")
-    if (bad := ts[~np.isfinite(ts)]).size:
-        raise InvalidValue(f"times must be finite, got {bad[0]}")
-    return ts
-
-
 def _node_runs(ts, r, price):
     """(i0, t, x, w) per run: the times ts are cut, in order, into runs
     t = ts[i0 : i0 + n], each on K = r h + 12 (r h)^(1/3) + 4 Chebyshev
@@ -250,7 +241,7 @@ def _moments(spec: Spectrum, ks, t) -> np.ndarray:
     _GROUPS[j] boxes by its price: per run, group and barycentric entry, and
     K min(P, B) cos and sin entries for B roots on P proxies (_PRICE);
     groups of boxes only through proxies."""
-    ts, al = _times(t), spec.alphas
+    ts, al = _reals(t, "times"), spec.alphas
     wk = np.stack([spec.weights * al**k for k in ks], axis=1)
     mid, abar = spec.boxes[1][1:-1], al[0] / 2 + al[-1] / 2  # middle box bounds (N = 1: one empty)
     groups = [mid[np.append(np.arange(0, mid.size - 1, m), mid.size - 1)] for m in _GROUPS]
@@ -317,7 +308,7 @@ def gamma_from_survival(spec: Spectrum, t) -> np.ndarray:
     evaluated with the analytic derivative.  Raises AmplitudeVanishes if
     |A| is at (or below) 1e-12 anywhere in the request.
     """
-    ts = _times(t)
+    ts = _reals(t, "times")
     s0, s1 = _moments(spec, (0, 1), ts)
     a0 = np.abs(s0)
     if np.any(a0 <= _AMPLITUDE_FLOOR):
@@ -378,25 +369,28 @@ def estimate_gamma(spec: Spectrum, fit_window: tuple[float, float]) -> GammaEsti
     straight line by least squares; the slope is gamma.  The rms residual
     is reported so callers can tell a genuine exponential regime from a
     meaningless fit (two-level dynamics, for example, never decays and
-    leaves a large residual).  A window that is empty (t1 <= t0) or not
-    finite in its ends or width is InvalidValue.
+    leaves a large residual).  A window that is not two finite real
+    numbers (text such as "12" included), that is empty (t1 <= t0), whose
+    width is not finite, or whose centred sample times square to 0 (too
+    narrow to fit a slope) is InvalidValue.
     """
-    try:
-        t0, t1 = map(float, fit_window)
-    except (TypeError, ValueError):
-        raise InvalidValue(f"fit window must be two numbers, got {fit_window!r}") from None
-    if not all(map(math.isfinite, (t0, t1, t1 - t0))):
+    if (ends := _reals(fit_window, "fit window")).size != 2:
+        raise InvalidValue(f"fit window must be two numbers, got {fit_window!r}")
+    t0, t1 = ends.tolist()
+    if not math.isfinite(t1 - t0):
         raise InvalidValue(f"fit window [{t0}, {t1}] and its width must be finite")
     if not t1 > t0:
         raise InvalidValue(f"empty fit window [{t0}, {t1}]")
     ts = np.linspace(t0, t1, _FIT_SAMPLES)
+    dt = ts - ts.mean()  # the line in closed form on centred times: no LAPACK
+    if not (dt2 := dt @ dt) > 0.0:
+        raise InvalidValue(f"fit window [{t0}, {t1}] is too narrow to fit a slope")
     a = moment_signal(spec, 0, ts)
     p = np.abs(a) ** 2
     if np.any(p <= _AMPLITUDE_FLOOR**2):
         raise AmplitudeVanishes("survival probability vanishes inside fit window")
     y = -np.log(p)
-    dt = ts - ts.mean()  # the line in closed form on centred times: no LAPACK
-    slope = dt @ y / (dt @ dt)
+    slope = dt @ y / dt2
     intercept = y.mean() - slope * ts.mean()
     resid = y - (slope * ts + intercept)
     rms = float(np.sqrt(np.mean(resid**2)))

@@ -42,9 +42,11 @@ def _whole(n) -> bool:
         return False
 
 
-def _reals(x, name: str) -> np.ndarray:
+def _reals(x, name: str, finite: bool = True) -> np.ndarray:
     """x as a 1-d float array (a scalar is one value); InvalidValue unless it
-    holds real numbers (no text, complex values or None) on one axis."""
+    holds real numbers (no text, complex values or None) on one axis, each
+    finite (no nan or inf) unless finite is False.  The one check of every
+    array argument."""
     try:
         a = np.atleast_1d(np.asarray(x))
     except ValueError as exc:  # ragged nesting
@@ -53,16 +55,27 @@ def _reals(x, name: str) -> np.ndarray:
         raise InvalidValue(f"{name} must be real numbers, got {a.dtype} values")
     if a.ndim != 1:
         raise InvalidValue(f"{name} must be a scalar or a 1-d array, got shape {a.shape}")
-    return a.astype(float, copy=False)
+    a = a.astype(float, copy=False)
+    if finite and (bad := a[~np.isfinite(a)]).size:
+        raise InvalidValue(f"{name} must be finite, got {bad[0]}")
+    return a
 
 
 def _real(x, name: str, finite: bool = True) -> float:
     """x as a float; InvalidValue unless it is one real number (no text,
-    complex value, None or array), finite unless finite is False."""
-    a = _reals(x, name)
-    if np.ndim(x) or (finite and not math.isfinite(a[0])):
-        raise InvalidValue(f"{name} must be finite and a single real number, got {x!r}")
+    complex value, None or array), finite unless finite is False.  _reals
+    checks the type and finiteness; this adds only the one-value check."""
+    a = _reals(x, name, finite)
+    if np.ndim(x):
+        raise InvalidValue(f"{name} must be a single real number, got {x!r}")
     return float(a[0])
+
+
+def _frozen(obj, **arrays) -> None:
+    """Set each named field of the frozen dataclass obj to its array, made read-only."""
+    for field, a in arrays.items():
+        a.setflags(write=False)
+        object.__setattr__(obj, field, a)
 
 
 def _frequency(omega0) -> float:
@@ -93,9 +106,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         step, beta = _real(self.step, "step"), _real(self.beta, "beta")
         _frequency(self.omega0)
-        lists = _reals(tuple(self.omegas or ()) + tuple(self.couplings or ()), "explicit lists")
-        if not np.all(np.isfinite(lists)):
-            raise InvalidValue("explicit lists must be finite (no nan or inf)")
+        _reals(tuple(self.omegas or ()) + tuple(self.couplings or ()), "explicit lists")
         # past max_intp // 8 modes numpy cannot size the bath arrays
         if not _whole(self.n_bath) or not 1 <= self.n_bath <= np.iinfo(np.intp).max // 8:
             raise InvalidValue(f"n_bath must be a positive integer numpy can size, got {self.n_bath}")
@@ -163,8 +174,6 @@ class DiscretizedBath:
             raise InvalidValue("omegas and couplings must be 1-d arrays of equal length")
         if om.size < 1:
             raise InvalidValue("bath needs at least one mode")
-        if not (np.all(np.isfinite(om)) and np.all(np.isfinite(g))):
-            raise InvalidValue("bath frequencies and couplings must be finite")
         if np.any(om[1:] <= om[:-1]):
             raise InvalidValue("bath frequencies must be strictly increasing")
         # in Python floats, so an overflow gives inf and no numpy warning
@@ -173,10 +182,7 @@ class DiscretizedBath:
             raise InvalidValue("bath frequency span and sum of g^2 must be finite")
         if np.any(g == 0.0):
             raise InvalidValue("every bath coupling must be nonzero")
-        om.setflags(write=False)
-        g.setflags(write=False)
-        object.__setattr__(self, "omegas", om)
-        object.__setattr__(self, "couplings", g)
+        _frozen(self, omegas=om, couplings=g)
 
     @property
     def n(self) -> int:
@@ -195,12 +201,11 @@ class InitialOccupations:
         nb = _reals(self.n_bath_modes, "bath occupations").copy()
         if _real(self.n_omega0, "n_omega0") < 0.0:
             raise InvalidValue(f"n_omega0 must be finite and >= 0, got {self.n_omega0}")
-        if not np.all(np.isfinite(nb)) or np.any(nb < 0.0):
-            raise InvalidValue("bath occupations must be finite and >= 0")
+        if np.any(nb < 0.0):
+            raise InvalidValue("bath occupations must be >= 0")
         if max(self.n_omega0, nb.max(initial=0.0)) > _MAX_OCCUPATION:
             raise InvalidValue(f"occupations must be at most {_MAX_OCCUPATION:g}")
-        nb.setflags(write=False)
-        object.__setattr__(self, "n_bath_modes", nb)
+        _frozen(self, n_bath_modes=nb)
 
     @property
     def vector(self) -> np.ndarray:

@@ -57,7 +57,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidValue, RootNotBracketed, ToleranceNotReached
-from .model import DiscretizedBath, _frequency, _reals
+from .model import DiscretizedBath, _frequency, _frozen, _reals
 
 _EPS = float(np.finfo(float).eps)
 
@@ -101,10 +101,7 @@ class Spectrum:
             raise RootNotBracketed("eigenvalues do not interlace the bath grid")
         if np.any(w <= 0.0) or np.any(w > 1.0 + 1e-12):
             raise InvalidValue("weights must lie in (0, 1]")
-        al.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "alphas", al)
-        object.__setattr__(self, "weights", w)
+        _frozen(self, alphas=al, weights=w)
 
     @property
     def n_levels(self) -> int:

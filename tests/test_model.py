@@ -343,6 +343,13 @@ def _two_level():
         lambda: Spectrum(np.array([0.9, 1.1]), np.array([0.5, 0.5]), -1.0, _two_level().bath),
         lambda: Spectrum(np.array([0.9, 1.1]), np.array([0.5, 0.5]), math.nan, _two_level().bath),
         lambda: Spectrum(np.array([0.9, 1.1]), np.array([0.5, 0.5]), "1", _two_level().bath),
+        lambda: Spectrum(np.array([0.9, 1.1]), np.array([math.nan, 0.5]), 1.0, _two_level().bath),
+        lambda: Spectrum(np.array([0.9, math.inf]), np.array([0.5, 0.5]), 1.0, _two_level().bath),
+        lambda: Spectrum(np.array([-math.inf, 1.1]), np.array([0.5, 0.5]), 1.0, _two_level().bath),
+        lambda: Spectrum(np.array([math.nan, 1.1]), np.array([0.5, 0.5]), 1.0, _two_level().bath),
+        lambda: estimate_gamma(_two_level(), "12"),
+        lambda: estimate_gamma(_two_level(), (0.0, 1e-300)),
+        lambda: estimate_gamma(_two_level(), (1e-310, 2e-310)),
     ],
     ids=[
         "n_bath", "n_bath-huge", "step-huge", "step", "omega0", "omega0-period", "beta", "coupling",
@@ -359,7 +366,9 @@ def _two_level():
         "fit-window-text", "step-text", "beta-complex", "omega0-none", "explicit-text", "t_step-text",
         "t_start-complex", "n_omega0-complex", "n_omega0-text", "mass-text", "x0-complex", "thermal-beta-text",
         "thermal-n_omega0-text", "solve-omega0-text", "golden-rule-text", "spectrum-omega0-negative",
-        "spectrum-omega0-nan", "spectrum-omega0-text",
+        "spectrum-omega0-nan", "spectrum-omega0-text", "spectrum-weights-nan", "spectrum-alphas-inf",
+        "spectrum-alphas-minus-inf", "spectrum-alphas-nan", "fit-window-string", "fit-window-narrow",
+        "fit-window-subnormal",
     ],
 )
 def test_bad_argument_is_typed_error(make):
