@@ -22,9 +22,10 @@ occupations, and a column's sign and the band-centre phase drop out of
 cos and sin rows of alpha - abar against 1/(omega_m - alpha_nu) is taken at
 a run's K node times, not its T times, O(K N (n_near + p)), box by box on
 the boxes and tree the spectrum keeps (spectrum).  Near pairs are summed
-exactly, a root box's factor (spectrum._box_rows) held over each run of
-consecutive target boxes that use it, from the first that needs it to the
-last, and formed again after a gap; alpha_0 and alpha_N, near every box,
+exactly, a root box's factor (spectrum._box_rows) formed where a target
+box needs it and it is not held, and freed after a target box from which
+no later one that needs it is reached through consecutive uses, so formed
+again after a gap; alpha_0 and alpha_N, near every box,
 share one factor a run (their own rows).  The far field goes through the p
 proxies of each box: the root boxes are anterpolated onto theirs, _far
 takes the potentials phi to every box's on the tree, each chunk's over its
@@ -127,27 +128,21 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
     abar, roots, n_far = al[0] / 2 + al[-1] / 2, np.diff(cr[1:-1]), int(np.count_nonzero(far))
     z = lambda j: al[cr[j + 1] : cr[j + 2]] - abar  # root box j's frequencies less abar
     # by keep, the target boxes (rows) that use root box j: those near it, and on a windowed run those
-    # it forms a leaf far pair with; its factor is held over each run of consecutive ones, from the
-    # first that needs it, near it or a windowed run's first use (its charges), to the last
+    # it forms a leaf far pair with.  Unless held, its factor is formed at a use that needs it (near it,
+    # or its first: its charges) and freed after one with none ahead: ahead[i, j] if a target box at or
+    # after i is near it and reached from i through consecutive uses (a row of False past the last box)
     use, box = np.stack((boxed, boxed)), np.arange(n)
     for tb, sb in levels[0][2] if levels else ():
         use[0, box[tb], box[sb]] = True
     first, last = use.argmax(axis=1), n - 1 - use[:, ::-1].argmax(axis=1)
-    need = use & boxed
-    need[0, first[0], box] = True
-    seen, ahead = need.copy(), need.copy()  # a use since, or up to, one that needs it, in one run
-    for i in range(1, n):
-        seen[:, i] |= seen[:, i - 1] & use[:, i]
-        ahead[:, ~i] |= ahead[:, -i] & use[:, ~i]
-    form, drop = need.copy(), need  # where the factor is formed, and where freed after
-    form[:, 1:] &= ~seen[:, :-1]
-    drop[:, :-1] &= ~ahead[:, 1:]
-    del seen, ahead
-    plans = list(zip(use, first, last, form, drop))  # by keep
+    ahead = np.append(use & boxed, np.zeros((2, 1, n), bool), axis=1)
+    for i in reversed(range(n)):
+        ahead[:, i] |= ahead[:, i + 1] & use[:, i]
+    plans = list(zip(use, first, last, ahead))  # by keep
 
     def contract(buffer, x, on_nodes):
         k, keep, box_rows = x.size, 2 * x.size * spec.n_levels <= _PHASE_CELLS, _box_rows(x)
-        window, first, last, form, drop = plans[keep]
+        window, first, last, ahead = plans[keep]
         g, ms = np.zeros((2, k, k) if on_nodes else (2, k)), []
         xs = np.empty((2, k, n_far, p)) if keep else None  # X per box with a far field
         outer = box_rows(al[[0, -1]] - abar)  # alpha_0's and alpha_N's own rows
@@ -188,7 +183,7 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
             if far[i] and not keep:  # phi_i: its parent's, then its leaf far pairs' q_j 1/(x_i - y_j)
                 phi = pq[i // 2] @ levels[0][0][i].T if levels[1:] else 0.0  # none above the top
             for j in np.flatnonzero(window[i]).tolist():  # each root box that it uses
-                if form[i, j]:  # root box j's factor
+                if j not in held and (boxed[i, j] or first[j] == i):  # root box j's factor
                     held[j] = box_rows(z(j))
                 if first[j] == i:  # its rows into column 0; its charges, on two passes held to its last use
                     total[:] += held[j](w[cr[j + 1] : cr[j + 2]])
@@ -199,8 +194,8 @@ def _row0_contract(spec: Spectrum, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
                     s += held[j](np.divide(w[r0:r1], np.subtract.outer(om[m0:m1], al[r0:r1], out=d), out=d).T)
                 else:  # in ascending j, the order of _far's m2l groups: its bytes
                     phi += qs[j] @ (1.0 / (px[i] - px[j][:, None]))
-                if drop[i, j]:
-                    del held[j]
+                if not ahead[i + 1, j]:
+                    held.pop(j, None)
                 if last[j] == i:
                     qs.pop(j, None)
             if far[i]:  # phi_i b^T, b the box's barycentric matrix from its proxies

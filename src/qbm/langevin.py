@@ -201,12 +201,11 @@ def _node_sums(spec: Spectrum, ts: np.ndarray, price, contract, carry, out) -> n
         return e[:cells]
 
     def run(i0, t, x, w):
-        a = contract(buffer, x, w is not None)
+        a, o = contract(buffer, x, w is not None), out[:, i0 : i0 + t.size]
         step = max(1, block // x.size)
         for j in range(0, t.size, step):
-            n = min(step, t.size - j)
-            b = None if w is None else _barycentric(t[j : j + n], x, w)
-            out[:, i0 + j : i0 + j + n] = carry(a[..., j : j + n, :] if b is None else a, b)
+            b = None if w is None else _barycentric(t[j : j + step], x, w)
+            o[:, j : j + step] = carry(a[..., j : j + step, :] if b is None else a, b)
             del b
 
     todo, failed, lock = iter(runs), [], threading.Lock()

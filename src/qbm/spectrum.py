@@ -263,12 +263,9 @@ def _box_rows(x, bary=0.0, scratch=np.empty):
     lo, hi, k = x.min(), x.max(), x.size
     tc, h = lo / 2 + hi / 2, hi / 2 - lo / 2
 
-    def proxies(z):  # P, or 0 where the box takes its own rows
-        p = int(_nodes(h * (z[-1] - z[0]) / 2)) if z.size else 0
-        return 0 if p * (k + bary * z.size) >= k * z.size else p
-
     def rows(z):
-        if not (p := proxies(z)):
+        p = int(_nodes(h * (z[-1] - z[0]) / 2)) if z.size else 0
+        if p * (k + bary * z.size) >= k * z.size:  # its own rows cost no more
             return _phase_rows(x, z, scratch).__matmul__
         zp, zw = _chebyshev(z[0], z[-1], p)
         rot = np.stack((np.cos(tc * z), np.sin(tc * z)))  # before C, S: no heap growth per box

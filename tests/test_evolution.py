@@ -393,9 +393,13 @@ class TestRow0KernelAccuracy:
                 assert not any(3 >> level in pair for pair in far)
             assert pairs[0] == {(0, 2), (2, 0), (2, 4), (4, 2)}
             assert pairs[1] == {(0, 2), (2, 0)}
-        occ = thermal_occupations(bath, 1.0, 1.0)
+        occ, factors = thermal_occupations(bath, 1.0, 1.0), {}
         ts = 50.0 + 0.1 * np.arange(400)
-        got = oscillator_population(spec, occ, ts)
+        with mock.patch.object(evolution, "_box_rows", factors_counted(spec, factors)):
+            got = oscillator_population(spec, occ, ts)
+        # one kept run: box 0's factor formed twice (near targets 0-1, then
+        # 3), every other box's once, and the outer roots' one
+        assert sum(int(f.sum()) for f in factors.values()) == 7
         idx = np.linspace(0, ts.size - 1, 8).astype(int)
         want = row0_population(spec, occ, ts[idx])
         np.testing.assert_allclose(got[idx], want, rtol=0.0, atol=1e-13)
@@ -758,9 +762,11 @@ def test_population_memory_on_report_window(recurrence_probe):
 
 
 @pytest.mark.parametrize(
-    "a, k, keep, gate", [(0.0015, 200, False, 9e6), (0.0003, 67, True, 4.3e6)], ids=["windowed", "kept"]
+    "a, k, keep, gate, formed",
+    [(0.0015, 200, False, 9e6, 114), (0.0003, 67, True, 4.3e6, 77)],
+    ids=["windowed", "kept"],
 )
-def test_population_memory_on_uneven_run(a, k, keep, gate):
+def test_population_memory_on_uneven_run(a, k, keep, gate, formed):
     # 20 boxes of 128 modes a apart, one box 30 times wider, then 20 more.
     # At a = 0.0015 the wide box's sibling forms leaf far pairs with nearly
     # every box, so a windowed run (K = 200 past _PHASE_CELLS) uses each
@@ -770,7 +776,9 @@ def test_population_memory_on_uneven_run(a, k, keep, gate):
     # from its first use to its last (14.1 MB when every factor was held as
     # long).  At a = 0.0003 one kept run (K = 67) holds each factor as an
     # array of its own box's size (4.05e6; 4.51e6 when every factor took a
-    # slot of the widest box's size)
+    # slot of the widest box's size).  Both runs form factors exactly as
+    # often as that plan does: freeing after every use forms more, holding
+    # across gaps fewer
     omegas = 0.2 + np.cumsum(np.concatenate([[0.0], np.full(2560, a), np.full(128, 30 * a), np.full(2559, a)]))
     bath = build_bath(ModelParams.explicit(omegas, np.full(omegas.size, 0.002)))
     spec, occ = solve_spectrum(bath, float(np.median(omegas))), thermal_occupations(bath, 1.0, 1.0)
@@ -778,6 +786,9 @@ def test_population_memory_on_uneven_run(a, k, keep, gate):
     assert [x.size for *_, x, _ in row0_runs(spec, ts)] == [k]
     assert (2 * k * spec.n_levels <= evolution._PHASE_CELLS) == keep
     assert traced_peak(oscillator_population, spec, occ, ts) < gate
-    got = oscillator_population(spec, occ, ts)
+    factors = {}  # every formation, both passes of a windowed run
+    with mock.patch.object(evolution, "_box_rows", factors_counted(spec, factors)):
+        got = oscillator_population(spec, occ, ts)
+    assert sum(int(f.sum()) for f in factors.values()) == formed
     idx = np.linspace(0, ts.size - 1, 8).astype(int)
     np.testing.assert_allclose(got[idx], row0_population(spec, occ, ts[idx]), rtol=0.0, atol=1e-13)

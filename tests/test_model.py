@@ -350,6 +350,10 @@ def _two_level():
         lambda: estimate_gamma(_two_level(), "12"),
         lambda: estimate_gamma(_two_level(), (0.0, 1e-300)),
         lambda: estimate_gamma(_two_level(), (1e-310, 2e-310)),
+        lambda: LangevinInput(x0=[1.0, 2.0]),
+        lambda: TimeGrid(t_step=[0.1]),
+        lambda: thermal_occupations(build_bath(ModelParams()), [1.0]),
+        lambda: solve_spectrum(build_bath(ModelParams()), np.array([1.0])),
     ],
     ids=[
         "n_bath", "n_bath-huge", "step-huge", "step", "omega0", "omega0-period", "beta", "coupling",
@@ -368,7 +372,7 @@ def _two_level():
         "thermal-n_omega0-text", "solve-omega0-text", "golden-rule-text", "spectrum-omega0-negative",
         "spectrum-omega0-nan", "spectrum-omega0-text", "spectrum-weights-nan", "spectrum-alphas-inf",
         "spectrum-alphas-minus-inf", "spectrum-alphas-nan", "fit-window-string", "fit-window-narrow",
-        "fit-window-subnormal",
+        "fit-window-subnormal", "x0-list", "t_step-list", "thermal-beta-list", "solve-omega0-array",
     ],
 )
 def test_bad_argument_is_typed_error(make):
