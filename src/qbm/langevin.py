@@ -111,7 +111,9 @@ def _node_runs(ts, r, price):
     on k points of half-width h, cost(n, h) on their own.  Runs take the
     cheapest length (K <= chunk, cap or _T_CHUNK), spread evenly; each K is
     priced at the most times it reaches, as far as its carry per time,
-    which grows with K, stays below the best."""
+    which grows with K, stays below the best.  Node counts past the chunk
+    are one count, chunk + 1, at which no run is priced; each window also
+    prices its first time, the one length it takes where no K is priced."""
     cost, (c1, c2), _, cap = price
     chunk, carry = max(1, min(_T_CHUNK, cap)), lambda k: (c1 + c2 * k) * k
     i0, w = 0, 2048
@@ -120,8 +122,8 @@ def _node_runs(ts, r, price):
         while not stop:  # a window of the times ahead, doubled until no longer run can win
             t = ts[i0 : i0 + w]
             h = np.maximum.accumulate(t) / 2 - np.minimum.accumulate(t) / 2
-            nodes = _nodes(r * h)
-            e = np.flatnonzero(np.append(nodes[1:] != nodes[:-1], True))  # the last time at each K
+            nodes = np.minimum(_nodes(r * h), chunk + 1)
+            e = np.append(0, np.flatnonzero(np.append(nodes[1:] != nodes[:-1], True)))
             k, n = nodes[e], e + 1
             per = np.where((k < n) & (k <= chunk), (cost(k, h[e]) + carry(k) * n) / n, np.inf)
             n, far = int(n[np.argmin(per)]), nodes[-1] > chunk or carry(nodes[-1]) >= per.min()
@@ -238,8 +240,8 @@ def _moments(spec: Spectrum, ks, t) -> np.ndarray:
     columns w alpha^k, remodulated by e^{-i abar t}.  A run meets the outer
     roots and the middle boxes of spec.boxes through _box_rows, in groups of
     _GROUPS[j] boxes by its price: per run, group and barycentric entry, and
-    K min(P, B) cos and sin entries for B roots on P proxies (_PRICE);
-    groups of boxes only through proxies."""
+    K min(P, B) cos and sin entries for B roots on P proxies (_PRICE), each
+    group priced as _box_rows forms it."""
     ts, al = _reals(t, "times"), spec.alphas
     wk = np.stack([spec.weights * al**k for k in ks], axis=1)
     mid, abar = spec.boxes[1][1:-1], al[0] / 2 + al[-1] / 2  # middle box bounds (N = 1: one empty)
@@ -247,13 +249,11 @@ def _moments(spec: Spectrum, ks, t) -> np.ndarray:
     r0, r1 = (np.concatenate([g[i] for g in groups]) for i in (slice(-1), slice(1, None)))
     z, roots, (per_run, per_group, per_bary, per_carry) = al - abar, r1 - r0, _PRICE
     rule = np.repeat(np.eye(len(groups)), [g.size - 1 for g in groups], axis=0)
-    many = rule * (np.searchsorted(mid, r1) - np.searchsorted(mid, r0) > 1)[:, None]  # of boxes
     fixed = per_run + per_group * (rule.sum(axis=0) + 2)  # the outer roots' groups too
 
-    def cost(k, h):  # (runs, rules) prices at k points of half-width h; no rule if boxes go own
+    def cost(k, h):  # (runs, rules) prices at k points of half-width h
         p, k = _nodes(np.multiply.outer(h, np.maximum(z[r1 - 1] - z[r0], 0.0)) / 2), k[:, None]
-        q, kb = p * (k + per_bary * roots), k * roots
-        return np.where((q >= kb) @ many, np.inf, np.minimum(q, kb) @ rule + fixed + 2 * k)
+        return np.minimum(p * (k + per_bary * roots), k * roots) @ rule + fixed + 2 * k
 
     def carry(a, b):
         u = a if b is None else b @ a

@@ -32,6 +32,12 @@ from qbm import evolution, langevin, spectrum
 from qbm.errors import AmplitudeVanishes, InvalidValue
 
 
+def recurrence_grid(spec):
+    """The times of grid = recurrence on spec: tau_Omega / 8 apart, over 1.2 t_r."""
+    step = spec.tau_omega / 8.0
+    return TimeGrid(t_step=step, n_steps=int(np.ceil(1.2 * recurrence_time(spec) / step)) + 1).times()
+
+
 def matrix_moments(spec):
     """First and second moments of H in the oscillator state, computed from
     the dense matrix as an independent oracle."""
@@ -94,6 +100,25 @@ class TestMomentSignals:
             estimate_gamma(spec, (1.0, 20.0))
             coefficient_series(spec, TimeGrid().times()[:100])
         assert widths and max(widths) <= np.diff(spec.boxes[1]).max()
+
+    def test_whole_band_group_on_own_rows(self):
+        # on the N = 300 bath's recurrence grid one group of all three middle
+        # boxes, on its own phase rows, costs least: S_k keep the gate of
+        # test_random_baths_on_small_boxes
+        spec = solve_spectrum(build_bath(ModelParams(n_bath=300, step=0.006)), 1.0)
+        ts, phase_rows, widths = recurrence_grid(spec), spectrum._phase_rows, []
+
+        def spy(x, z, *args):
+            widths.append(z.size)
+            return phase_rows(x, z, *args)
+
+        with mock.patch.object(spectrum, "_phase_rows", spy):
+            got = langevin._moments(spec, (0, 1, 2), ts)
+        assert max(widths) == spec.n_levels - 2 > np.diff(spec.boxes[1]).max()
+        err = got - direct_moments(spec, (0, 1, 2), ts)
+        bound = np.abs(spec.alphas) ** np.arange(3)[:, None] @ spec.weights
+        gate = (2e-15 + np.finfo(float).eps * ts[-1] * np.abs(spec.alphas).max()) * bound
+        assert np.all(np.abs(err) <= gate[:, None]), np.abs(err).max(axis=1) / gate
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(st.data())
@@ -179,6 +204,72 @@ class TestRunPlans:
         ]
         assert sum(priced) <= 2 * ts.size
 
+    def test_moment_lengths_priced_on_recurrence_grid(self, recurrence_probe):
+        # the moments' price, counted: node counts past the chunk are one,
+        # so a window prices a few lengths, none past chunk + 1
+        ts, plans, node_runs = recurrence_grid(recurrence_probe)[:12000], [], langevin._node_runs
+
+        def spy(ts, r, price):
+            priced = []
+
+            def cost(k, h):
+                priced.append(k)
+                return price[0](k, h)
+
+            plans.append((list(node_runs(ts, r, (cost, *price[1:]))), list(node_runs(ts, r, price)), priced))
+            return plans[-1][0]
+
+        with mock.patch.object(langevin, "_node_runs", spy):
+            langevin._moments(recurrence_probe, (0, 1, 2), ts)
+        ((counted, runs, priced),) = plans
+        assert [(i0, x.tobytes()) for i0, _, x, _ in counted] == [(i0, x.tobytes()) for i0, _, x, _ in runs]
+        assert sum(k.size for k in priced) <= 6000
+        assert max(k.max() for k in priced) <= langevin._T_CHUNK // 2 + 1
+
+    @pytest.mark.parametrize("probe", ["default", "plateau", "fit-window", "recurrence"])
+    def test_moment_groups_on_benchmark_baths(self, probe, ref_spectrum, plateau_probe, recurrence_probe):
+        # the roots of each run's middle groups, which every moments CSV's
+        # bytes rest on, between the two outer roots: the default bath's 99
+        # in one group, the plateau and recurrence baths' in groups of
+        # _GROUPS[-1] boxes
+        if probe == "default":
+            spec, ts, mid = ref_spectrum, TimeGrid().times(), [99]
+        elif probe == "plateau":
+            spec, ts, mid = plateau_probe[0], TimeGrid(t_start=1000.0, n_steps=12800).times(), [255, 256, 256, 232]
+        else:
+            spec, mid = recurrence_probe, [511, *[512] * 18, 272]
+            ts = np.linspace(1.0, 20.0, 256) if probe == "fit-window" else recurrence_grid(spec)[:12000]
+        runs, box_rows = [], langevin._box_rows
+
+        def rows_spy(x, *args):
+            rows, sizes = box_rows(x, *args), []
+            runs.append(sizes)
+
+            def spy(z):
+                sizes.append(z.size)
+                return rows(z)
+
+            return spy
+
+        with mock.patch.object(langevin, "_box_rows", rows_spy):
+            langevin._moments(spec, (0, 1, 2), ts)
+        assert runs and all(sizes == [1, *mid, 1] for sizes in runs)
+
+    def test_windows_stay_short_where_no_node_run_fits(self):
+        # a chunk below _nodes(0) = 4 (the row-0 price past 2^19 levels)
+        # leaves no node count to price: each window then takes one time as
+        # its best length and stops, rather than growing over the times left
+        ts, sizes, nodes = 0.05 * np.arange(3000.0), [], langevin._nodes
+
+        def spy(c):
+            sizes.append(c.size)
+            return nodes(c)
+
+        with mock.patch.object(langevin, "_nodes", spy):
+            runs = list(langevin._node_runs(ts, 0.9, evolution._row0_price(10**6)))
+        assert [(t.size, w) for _, t, _, w in runs] == [(2, None)] * 1500
+        assert max(sizes) <= 2048
+
     def test_run_at_origin_formed_at_its_priced_width(self, recurrence_probe, monkeypatch):
         # the first moment run of the N = 10^4 probe's recurrence grid holds
         # t = 0 and turns about its own centre: each group of root boxes
@@ -235,6 +326,18 @@ class TestRunPlans:
                 assert (x[0], x[-1]) == (t.max(), t.min())
             i0 += t.size
         assert i0 == ts.size
+
+
+@pytest.mark.parametrize("cdll", [{"side_effect": OSError}, {"return_value": object()}], ids=["no-library", "no-symbols"])
+def test_blas_left_alone_without_openblas(cdll, ref_spectrum, monkeypatch):
+    # where numpy's core extension cannot be loaded, or holds no
+    # scipy_openblas_* symbols, the runs leave BLAS as it is
+    monkeypatch.setenv("QBM_THREADS", "1")
+    ts = TimeGrid().times()
+    want, loader = survival_probability(ref_spectrum, ts).tobytes(), mock.Mock(**cdll)
+    with mock.patch.object(langevin.ctypes, "CDLL", loader):
+        got = survival_probability(ref_spectrum, ts)
+    assert loader.called and got.tobytes() == want
 
 
 OMEGAS = [0.5, 1.0, 2.0]
