@@ -123,6 +123,7 @@ def _node_runs(ts, r, price):
             t = ts[i0 : i0 + w]
             h = np.maximum.accumulate(t) / 2 - np.minimum.accumulate(t) / 2
             nodes = np.minimum(_nodes(r * h), chunk + 1)
+            # the first time, then the last time at each K
             e = np.append(0, np.flatnonzero(np.append(nodes[1:] != nodes[:-1], True)))
             k, n = nodes[e], e + 1
             per = np.where((k < n) & (k <= chunk), (cost(k, h[e]) + carry(k) * n) / n, np.inf)
